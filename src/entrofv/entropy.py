@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import xlogy
@@ -174,15 +174,14 @@ def entrophy_dissipation(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray,
     return float(np.sum(mesh.tau * dg * dg))
 
 
-def dd_entropy(mesh: Mesh, state, ref, lam: float,
-               v_dirichlet_delta: Optional[np.ndarray] = None) -> float:
+def dd_entropy(mesh: Mesh, state, ref, lam: float) -> float:
     """Relative entropy of a drift-diffusion state against a reference state.
 
     Density part uses H(x) = x log x - x + 1, for which
     H(N) - H(Nr) - log(Nr)(N - Nr) = Nr * phi1(N / Nr); the potential part is
     the gradient-like edge sum of V - V_ref scaled by half the squared Debye
-    length.  When both states share the Dirichlet data the boundary values of
-    V - V_ref vanish, which is the default.
+    length.  Both states share the Dirichlet data, so the boundary values of
+    V - V_ref vanish.
     """
     n_field, p_field, v_field = (np.asarray(x, dtype=float) for x in state)
     n_ref, p_ref, v_ref = (np.asarray(x, dtype=float) for x in ref)
@@ -191,9 +190,7 @@ def dd_entropy(mesh: Mesh, state, ref, lam: float,
             raise DataError("densities must be positive")
     density = (n_ref * _boltzmann_value(n_field / n_ref)
                + p_ref * _boltzmann_value(p_field / p_ref))
-    if v_dirichlet_delta is None:
-        v_dirichlet_delta = np.zeros(mesh.n_edges)
-    dv = edge_differences(mesh, v_field - v_ref, v_dirichlet_delta)
+    dv = edge_differences(mesh, v_field - v_ref, np.zeros(mesh.n_edges))
     potential = 0.5 * lam * lam * np.sum(mesh.tau * dv * dv)
     return float(np.sum(mesh.cell_area * density) + potential)
 

@@ -1,8 +1,13 @@
-"""Sparse matrices, direct solves, M-matrix structure checks and Newton."""
+"""Checked sparse direct solves, M-matrix structure checks and Newton.
+
+Operators are plain ``scipy.sparse.csr_matrix`` objects.  Every
+factorization goes through :func:`factorize` and every solve through
+:func:`solve_linear`, which checks finiteness and the max-norm residual.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -15,64 +20,40 @@ class LinAlgError(Exception):
 
 
 class SingularMatrixError(LinAlgError):
-    def __init__(self, message: str, pivot: Optional[int] = None):
-        super().__init__(message)
-        self.pivot = pivot
+    """The matrix is exactly singular or the solve is not finite."""
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Square sparse matrix assembled once from COO triplets, then immutable.
-
-    Duplicate (row, col) pairs in the input are summed during assembly.
-    """
-
-    n: int
-    csr: sp.csr_matrix = field(repr=False)
-
-    @staticmethod
-    def from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SparseMatrix":
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        return SparseMatrix(n=n, csr=m)
-
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n=n, csr=sp.identity(n, format="csr"))
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
-    def add_diagonal(self, d: np.ndarray) -> "SparseMatrix":
-        return SparseMatrix(n=self.n, csr=(self.csr + sp.diags(d)).tocsr())
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
+#: Column ordering for every factorization.  TPFA operators and the coupled
+#: drift-diffusion Jacobian have structurally symmetric patterns, for which
+#: minimum degree on the pattern of A^T + A gives far less fill than COLAMD.
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
-def solve_linear(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with a residual guarantee in the max-norm."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.n,):
-        raise LinAlgError(f"rhs shape {b.shape} does not match matrix size {a.n}")
+def factorize(a: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU factors of a square matrix."""
     try:
-        lu = spla.splu(a.csr.tocsc())
+        return spla.splu(a.tocsc(), permc_spec=PERMC_SPEC)
     except RuntimeError as err:  # SuperLU reports exact singularity this way
-        raise SingularMatrixError(str(err), pivot=_pivot_from_message(str(err))) from err
-    x = lu.solve(b)
+        raise SingularMatrixError(str(err)) from err
+
+
+def solve_linear(a: sp.spmatrix, b: np.ndarray,
+                 lu: Optional[spla.SuperLU] = None) -> np.ndarray:
+    """Direct sparse solve with a residual guarantee in the max-norm.
+
+    ``lu``, when given, must be ``factorize(a)``; callers that solve with one
+    matrix many times pass it to factorize only once.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape != (a.shape[0],):
+        raise LinAlgError(f"rhs shape {b.shape} does not match matrix size {a.shape[0]}")
+    x = (lu if lu is not None else factorize(a)).solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("factorization produced non-finite solution")
-    resid = np.max(np.abs(a.csr @ x - b))
+    resid = np.max(np.abs(a @ x - b))
     if resid > 1e-10 * (1.0 + np.max(np.abs(b))):
         raise LinAlgError(f"direct solve residual {resid:.3e} above tolerance")
     return x
-
-
-def _pivot_from_message(message: str) -> Optional[int]:
-    for word in message.replace("[", " ").replace("]", " ").split():
-        if word.isdigit():
-            return int(word)
-    return None
 
 
 @dataclass(frozen=True)
@@ -87,7 +68,7 @@ class MMatrixReport:
         return "M-matrix structure ok" if self.ok else "\n".join(self.violations)
 
 
-def check_m_matrix_structure(a: SparseMatrix, dirichlet_touched: set[int],
+def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int],
                              tol: float = 1e-12) -> MMatrixReport:
     """Structural check that ``a`` is a column-dominant non-singular M-matrix.
 
@@ -96,8 +77,9 @@ def check_m_matrix_structure(a: SparseMatrix, dirichlet_touched: set[int],
     dominant one through a chain of nonzero off-diagonal entries.
     """
     bad: list[str] = []
-    coo = a.csr.tocoo()
-    diag = a.csr.diagonal()
+    n = a.shape[0]
+    coo = a.tocoo()
+    diag = a.diagonal()
     scale = np.max(np.abs(coo.data)) if coo.data.size else 1.0
 
     off = coo.row != coo.col
@@ -108,7 +90,7 @@ def check_m_matrix_structure(a: SparseMatrix, dirichlet_touched: set[int],
     if np.any(diag <= 0):
         bad.append(f"non-positive diagonal at rows {np.nonzero(diag <= 0)[0][:5].tolist()}")
 
-    col_off_abs = np.zeros(a.n)
+    col_off_abs = np.zeros(n)
     np.add.at(col_off_abs, coo.col[off], np.abs(coo.data[off]))
     slack = diag - col_off_abs
     weak = slack < -tol * scale
@@ -121,9 +103,9 @@ def check_m_matrix_structure(a: SparseMatrix, dirichlet_touched: set[int],
 
     # chain condition: every column connected to a strictly dominant one
     # through nonzero off-diagonal entries
-    if a.n and not np.any(strict):
+    if n and not np.any(strict):
         bad.append("no strictly dominant column exists")
-    elif a.n:
+    elif n:
         reached = strict.copy()
         adj: dict[int, list[int]] = {}
         for r, c, v in zip(coo.row, coo.col, coo.data):
@@ -175,24 +157,27 @@ class NonConvergence:
 NewtonResult = Union[tuple[np.ndarray, int], NonConvergence]
 
 
-def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
-                 jacobian: Callable[[np.ndarray], SparseMatrix],
+def newton_solve(system: Callable[[np.ndarray], tuple[np.ndarray, sp.spmatrix]],
                  x0: np.ndarray,
                  cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
-    """Undamped Newton iteration; returns (solution, iterations) on success."""
+    """Undamped Newton iteration; returns (solution, iterations) on success.
+
+    ``system(x)`` returns the residual and its Jacobian at ``x``; it is
+    called once per iterate, ``iterations + 1`` times in all on success.
+    """
     x = np.asarray(x0, dtype=float).copy()
-    r = residual(x)
+    r, jac = system(x)
     norm = np.max(np.abs(r)) if r.size else 0.0
     if norm <= cfg.tol:
         return x, 0
     for it in range(1, cfg.max_iter + 1):
         try:
-            dx = solve_linear(jacobian(x), -r)
+            dx = solve_linear(jac, -r)
         except LinAlgError:
             return NonConvergence(iterations=it, residual_norm=norm,
                                   last_iterate=x, reason="singular Jacobian")
         x = x + dx
-        r = residual(x)
+        r, jac = system(x)
         if not np.all(np.isfinite(r)):
             return NonConvergence(iterations=it, residual_norm=np.inf,
                                   last_iterate=x, reason="non-finite residual")

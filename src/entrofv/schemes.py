@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import SparseMatrix
 from .mesh import NEUMANN, Mesh
 
 
@@ -295,6 +295,15 @@ def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme,
     return PecletReport(ok=not bad, beta=beta, violations=tuple(bad))
 
 
+def _coo_csr(n: int, rows: list[np.ndarray], cols: list[np.ndarray],
+             vals: list[np.ndarray]) -> sp.csr_matrix:
+    """Square CSR matrix from pieces of COO triplets; ``tocsr`` sums repeated
+    (row, col) pairs."""
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
 def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
                          beta: float = 0.05, force: bool = False):
     """Stationary convection-diffusion operator M and boundary vector b.
@@ -317,9 +326,7 @@ def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
     rows = [c0[active], c0[inter], c1[inter], c1[inter]]
     cols = [c0[active], c1[inter], c1[inter], c0[inter]]
     vals = [(ta * bm)[active], -(ta * bp)[inter], (ta * bp)[inter], -(ta * bm)[inter]]
-    m = SparseMatrix.from_coo(mesh.n_cells,
-                              np.concatenate(rows), np.concatenate(cols),
-                              np.concatenate(vals))
+    m = _coo_csr(mesh.n_cells, rows, cols, vals)
     b = np.zeros(mesh.n_cells)
     np.add.at(b, c0[dmask], (ta * bp)[dmask] * data.f_dirichlet[dmask])
     return m, b
@@ -347,7 +354,7 @@ def flux_fp(mesh: Mesh, data: TransportData, scheme: BScheme,
 
 
 def edge_steady_weight(mesh: Mesh, data: TransportData, scheme: BScheme,
-                       f_inf: np.ndarray, edge: Optional[int] = None):
+                       f_inf: np.ndarray) -> np.ndarray:
     """Edge value of the steady state: min of the two weighted cell values.
 
     Symmetric in the two incident cells, zero on Neumann edges.
@@ -356,10 +363,7 @@ def edge_steady_weight(mesh: Mesh, data: TransportData, scheme: BScheme,
         raise DataError("steady state must be positive")
     bm, bp = b_coefficients(mesh, data, scheme)
     f_opp = neighbor_values(mesh, f_inf, data.f_dirichlet)
-    weight = np.minimum(bm * f_inf[mesh.edge_cells[:, 0]], bp * f_opp)
-    if edge is None:
-        return weight
-    return float(weight[edge])
+    return np.minimum(bm * f_inf[mesh.edge_cells[:, 0]], bp * f_opp)
 
 
 def signed_power(f: np.ndarray, m: float) -> np.ndarray:
@@ -396,10 +400,7 @@ def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
             -(t * dpow[c1])[inter],
             (t * dpow[c1])[inter],
             -(t * dpow[c0])[inter]]
-    jac = SparseMatrix.from_coo(mesh.n_cells,
-                                np.concatenate(rows), np.concatenate(cols),
-                                np.concatenate(vals))
-    return residual, jac
+    return residual, _coo_csr(mesh.n_cells, rows, cols, vals)
 
 
 @dataclass(frozen=True)
@@ -421,7 +422,7 @@ class DdData:
                 raise DataError(f"Dirichlet {name} values must be positive")
 
 
-def assemble_poisson(mesh: Mesh, lam: float) -> SparseMatrix:
+def assemble_poisson(mesh: Mesh, lam: float) -> sp.csr_matrix:
     """Scaled TPFA Laplacian with Dirichlet edges eliminated, Neumann absent."""
     if lam <= 0:
         raise DataError("Debye length must be positive")
@@ -433,9 +434,7 @@ def assemble_poisson(mesh: Mesh, lam: float) -> SparseMatrix:
     rows = [c0[active], c0[inter], c1[inter], c1[inter]]
     cols = [c0[active], c1[inter], c1[inter], c0[inter]]
     vals = [t[active], -t[inter], t[inter], -t[inter]]
-    return SparseMatrix.from_coo(mesh.n_cells,
-                                 np.concatenate(rows), np.concatenate(cols),
-                                 np.concatenate(vals))
+    return _coo_csr(mesh.n_cells, rows, cols, vals)
 
 
 def poisson_dirichlet_rhs(mesh: Mesh, lam: float, v_dirichlet: np.ndarray) -> np.ndarray:
@@ -539,6 +538,4 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     put(2 * n + eye, eye, mesh.cell_area)
     put(2 * n + eye, n + eye, -mesh.cell_area)
 
-    jac = SparseMatrix.from_coo(3 * n, np.concatenate(rows),
-                                np.concatenate(cols), np.concatenate(vals))
-    return np.concatenate([r_n, r_p, r_v]), jac
+    return np.concatenate([r_n, r_p, r_v]), _coo_csr(3 * n, rows, cols, vals)

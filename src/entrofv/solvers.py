@@ -7,11 +7,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import SuperLU
 
 from . import entropy as ent
 from .entropy import PHI1, PHI2, EntropyTrace
-from .linalg import NewtonConfig, NonConvergence, newton_solve, solve_linear
+from .linalg import (NewtonConfig, NonConvergence, factorize, newton_solve,
+                     solve_linear)
 from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
                       TransportData, assemble_dd_residual, assemble_fp_operator,
@@ -66,10 +67,7 @@ def solve_fp_steady(mesh: Mesh, data: TransportData, scheme: BScheme,
                     beta: float = 0.05, force: bool = False) -> np.ndarray:
     """Unique steady state of the flux scheme; strictly positive."""
     m_op, b = assemble_fp_operator(mesh, data, scheme, beta=beta, force=force)
-    f = solve_linear(m_op, b)
-    balance = np.max(np.abs(m_op.matvec(f) - b))
-    if balance > 1e-10 * (1.0 + np.max(np.abs(b))):
-        raise SolverError(f"steady flux balance {balance:.3e} above tolerance")
+    f = solve_linear(m_op, b)  # checks the flux balance M f - b
     if np.any(f <= 0):
         raise SolverError("steady state is not strictly positive")
     return f
@@ -83,15 +81,15 @@ class FpStepper:
         self.mesh = mesh
         self.operator, self.boundary = assemble_fp_operator(
             mesh, data, scheme, beta=beta, force=force)
-        self._lu: dict[float, spla.SuperLU] = {}
+        self._factors: dict[float, tuple[sp.csr_matrix, SuperLU]] = {}
 
     def step(self, f_prev: np.ndarray, dt: float) -> np.ndarray:
-        lu = self._lu.get(dt)
-        if lu is None:
-            system = (sp.diags(self.mesh.cell_area / dt) + self.operator.csr).tocsc()
-            lu = spla.splu(system)
-            self._lu[dt] = lu
-        return lu.solve(self.mesh.cell_area * f_prev / dt + self.boundary)
+        cached = self._factors.get(dt)
+        if cached is None:
+            system = (sp.diags(self.mesh.cell_area / dt) + self.operator).tocsr()
+            cached = self._factors[dt] = (system, factorize(system))
+        system, lu = cached
+        return solve_linear(system, self.mesh.cell_area * f_prev / dt + self.boundary, lu)
 
 
 def step_fp(mesh: Mesh, data: TransportData, scheme: BScheme,
@@ -134,18 +132,16 @@ def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
     """One implicit step via Newton started from the previous state."""
     f_prev = np.asarray(f_prev, dtype=float)
 
-    def residual(f):
-        return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet)[0]
+    def system(f):
+        return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet)
 
-    def jacobian(f):
-        return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet)[1]
-
-    result = newton_solve(residual, jacobian, f_prev, newton)
+    result = newton_solve(system, f_prev, newton)
     if isinstance(result, NonConvergence):
         return result
     f, iterations = result
     if np.any(f < -1e-9 * max(1.0, float(np.max(np.abs(f))))):
-        return NonConvergence(iterations=iterations, residual_norm=0.0,
+        return NonConvergence(iterations=iterations,
+                              residual_norm=float(np.max(np.abs(system(f)[0]))),
                               last_iterate=f, reason="negative density")
     return np.maximum(f, 0.0)
 
@@ -182,17 +178,15 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData, alpha_n: float, alpha_p: float,
     b_dir = poisson_dirichlet_rhs(mesh, dd.debye, dd.v_dirichlet)
     area = mesh.cell_area
 
-    def residual(v):
-        charge = np.exp(alpha_p - v) - np.exp(alpha_n + v) + dd.doping
-        return a_mat.matvec(v) - b_dir - area * charge
-
-    def jacobian(v):
-        return a_mat.add_diagonal(area * (np.exp(alpha_p - v) + np.exp(alpha_n + v)))
+    def system(v):
+        e_p, e_n = np.exp(alpha_p - v), np.exp(alpha_n + v)
+        return (a_mat @ v - b_dir - area * (e_p - e_n + dd.doping),
+                (a_mat + sp.diags(area * (e_p + e_n))).tocsr())
 
     start = np.zeros(mesh.n_cells) if v0 is None else np.asarray(v0, dtype=float)
-    result = newton_solve(residual, jacobian, start, newton)
+    result = newton_solve(system, start, newton)
     if isinstance(result, NonConvergence) and v0 is not None:
-        result = newton_solve(residual, jacobian, np.zeros(mesh.n_cells), newton)
+        result = newton_solve(system, np.zeros(mesh.n_cells), newton)
     if isinstance(result, NonConvergence):
         raise SolverError(f"thermal equilibrium solve failed: {result}")
     v, _ = result
@@ -206,20 +200,18 @@ def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
     def unpack(x):
         return x[:n], x[n:2 * n], x[2 * n:]
 
-    def residual(x):
-        return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt)[0]
-
-    def jacobian(x):
-        return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt)[1]
+    def system(x):
+        return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt)
 
     x0 = np.concatenate([start.n, start.p, start.v])
-    result = newton_solve(residual, jacobian, x0, newton)
+    result = newton_solve(system, x0, newton)
     if isinstance(result, NonConvergence):
         return result
     x, iterations = result
     state = DdState(*(np.array(part) for part in unpack(x)))
     if np.any(state.n <= 0) or np.any(state.p <= 0):
-        return NonConvergence(iterations=iterations, residual_norm=0.0,
+        return NonConvergence(iterations=iterations,
+                              residual_norm=float(np.max(np.abs(system(x)[0]))),
                               last_iterate=x, reason="non-positive density")
     return state
 

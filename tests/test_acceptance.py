@@ -461,7 +461,7 @@ def test_criterion_10_structural_suite(rng):
         v = rng.standard_normal(n)
         rp = assemble_pme_residual(small, f_prev, f + h_fd * v, 3.0, 1e-3, fd_small)[0]
         rm = assemble_pme_residual(small, f_prev, f - h_fd * v, 3.0, 1e-3, fd_small)[0]
-        jv = jac.matvec(v)
+        jv = jac @ v
         assert np.max(np.abs(jv - (rp - rm) / (2 * h_fd))) < 1e-5 * np.max(np.abs(jv))
     from entrofv.schemes import DdData
     dmask = small.dirichlet
@@ -482,7 +482,7 @@ def test_criterion_10_structural_suite(rng):
                                       (state[:n], state[n:2 * n], state[2 * n:]), 1e-2)
         v = rng.standard_normal(3 * n)
         fd_dir = (residual(state + h_fd * v) - residual(state - h_fd * v)) / (2 * h_fd)
-        jv = jac.matvec(v)
+        jv = jac @ v
         assert np.max(np.abs(jv - fd_dir)) < 1e-5 * np.max(np.abs(jv))
 
     # M-matrix structure of the operators behind every preset

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from entrofv.linalg import (NewtonConfig, NonConvergence, SingularMatrixError,
-                            SparseMatrix, check_m_matrix_structure,
-                            newton_solve, solve_linear)
-from entrofv.schemes import (CENTERED, UPWIND, assemble_fp_operator,
+                            check_m_matrix_structure, newton_solve, solve_linear)
+from entrofv.schemes import (CENTERED, UPWIND, _coo_csr, assemble_fp_operator,
                              transport_data)
 
 
 def dense(entries, n):
     rows, cols, vals = zip(*entries)
-    return SparseMatrix.from_coo(n, np.array(rows), np.array(cols),
-                                 np.array(vals, dtype=float))
+    return _coo_csr(n, [np.array(rows)], [np.array(cols)], [np.array(vals, dtype=float)])
 
 
 def test_solve_identity(rng):
     b = rng.standard_normal(5)
-    np.testing.assert_array_equal(solve_linear(SparseMatrix.identity(5), b), b)
+    np.testing.assert_array_equal(solve_linear(sp.identity(5, format="csr"), b), b)
 
 
 def test_solve_two_cell_oracle():
@@ -36,9 +35,7 @@ def test_solve_deterministic(rng):
     rows = rng.integers(0, n, 300)
     cols = rng.integers(0, n, 300)
     vals = rng.standard_normal(300)
-    a = SparseMatrix.from_coo(n, np.concatenate([rows, np.arange(n)]),
-                              np.concatenate([cols, np.arange(n)]),
-                              np.concatenate([vals, np.full(n, 10.0)]))
+    a = _coo_csr(n, [rows, np.arange(n)], [cols, np.arange(n)], [vals, np.full(n, 10.0)])
     b = rng.standard_normal(n)
     x1 = solve_linear(a, b)
     x2 = solve_linear(a, b)
@@ -46,7 +43,9 @@ def test_solve_deterministic(rng):
 
 
 def test_duplicate_coo_entries_sum():
-    a = dense([(0, 0, 1.0), (0, 0, 2.0), (1, 1, 1.0)], 2)
+    a = _coo_csr(2, [np.array([0, 0]), np.array([1])], [np.array([0, 0]), np.array([1])],
+                 [np.array([1.0, 2.0]), np.array([1.0])])
+    assert a.nnz == 2
     assert a.toarray()[0, 0] == 3.0
 
 
@@ -79,8 +78,7 @@ def test_m_matrix_flags_peclet_broken_centered(two_cell_mesh):
 
 def test_newton_linear_one_iteration():
     target = np.array([3.0, -1.0])
-    result = newton_solve(lambda x: x - target,
-                          lambda x: SparseMatrix.identity(2),
+    result = newton_solve(lambda x: (x - target, sp.identity(2, format="csr")),
                           np.zeros(2), NewtonConfig())
     assert not isinstance(result, NonConvergence)
     x, iters = result
@@ -101,15 +99,12 @@ def _bisection_root(fn, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
+def _cubic(x):
+    return x ** 3 - 8.0, sp.csr_matrix([[3.0 * x[0] ** 2]])
+
+
 def test_newton_cubic_matches_bisection():
-    def residual(x):
-        return x ** 3 - 8.0
-
-    def jacobian(x):
-        return SparseMatrix.from_coo(1, np.array([0]), np.array([0]),
-                                     np.array([3.0 * x[0] ** 2]))
-
-    result = newton_solve(residual, jacobian, np.array([3.0]), NewtonConfig())
+    result = newton_solve(_cubic, np.array([3.0]), NewtonConfig())
     assert not isinstance(result, NonConvergence)
     x, _ = result
     oracle = _bisection_root(lambda t: t ** 3 - 8.0, 0.0, 4.0)
@@ -118,28 +113,20 @@ def test_newton_cubic_matches_bisection():
 
 
 def test_newton_budget_exhaustion_returns_nonconvergence():
-    def jacobian(x):
-        return SparseMatrix.from_coo(1, np.array([0]), np.array([0]),
-                                     np.array([3.0 * x[0] ** 2]))
-
-    result = newton_solve(lambda x: x ** 3 - 8.0, jacobian, np.array([3.0]),
-                          NewtonConfig(max_iter=1))
+    result = newton_solve(_cubic, np.array([3.0]), NewtonConfig(max_iter=1))
     assert isinstance(result, NonConvergence)
     assert result.iterations == 1
 
 
 def test_newton_zero_residual_start():
-    result = newton_solve(lambda x: x - 2.0,
-                          lambda x: SparseMatrix.identity(1),
+    result = newton_solve(lambda x: (x - 2.0, sp.identity(1, format="csr")),
                           np.array([2.0]), NewtonConfig())
     x, iters = result
     assert iters == 0
 
 
 def test_newton_singular_jacobian_is_nonconvergence():
-    result = newton_solve(lambda x: x ** 2,
-                          lambda x: SparseMatrix.from_coo(
-                              1, np.array([0]), np.array([0]), np.array([0.0])),
+    result = newton_solve(lambda x: (x ** 2, sp.csr_matrix([[0.0]])),
                           np.array([1.0]), NewtonConfig())
     assert isinstance(result, NonConvergence)
     assert "singular" in result.reason

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from entrofv import solvers
 from entrofv.entropy import lp_distance
-from entrofv.linalg import NewtonConfig, NonConvergence, SparseMatrix, newton_solve
+from entrofv.linalg import (LinAlgError, NewtonConfig, NonConvergence,
+                            newton_solve)
 from entrofv.mesh import BoundarySpec, reference_mesh
 from entrofv.presets import fill_problem, pn_problem, sweep_problem, toy_problem
 from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DdData,
-                             advection_from_potential, edge_differences,
+                             advection_from_potential, assemble_dd_residual,
+                             assemble_pme_residual, edge_differences,
                              signed_power, transport_data)
-from entrofv.solvers import (DdState, SolverError, StepperConfig, adaptive_time_loop,
-                             dd_equilibrium_offsets, run_transient,
+from entrofv.solvers import (DdState, FpStepper, SolverError, StepperConfig,
+                             adaptive_time_loop, dd_equilibrium_offsets, run_transient,
                              solve_dd_poisson, solve_dd_steady,
                              solve_dd_thermal, solve_fp_steady,
                              solve_pme_steady, step_dd, step_fp, step_pme)
@@ -91,6 +95,17 @@ def test_step_fp_preserves_sign_and_mass_balance(mesh0, rng):
     boundary_out = np.sum(flux[prob.mesh.dirichlet])
     mass_rate = np.sum(prob.mesh.cell_area * (f1 - f0)) / dt
     assert mass_rate == pytest.approx(-boundary_out, rel=1e-10)
+
+
+def test_fp_stepper_rejects_non_finite_solve():
+    prob = toy_problem(0)
+    stepper = FpStepper(prob.mesh, prob.data, UPWIND)
+    f_prev = prob.f0.copy()
+    f_prev[0] = np.nan
+    with pytest.raises(LinAlgError):  # SingularMatrixError is a subclass
+        stepper.step(f_prev, 1e-2)
+    # the cached factorization still serves finite data
+    assert np.all(np.isfinite(stepper.step(prob.f0, 1e-2)))
 
 
 def test_step_fp_first_order_in_time():
@@ -195,9 +210,9 @@ def test_step_pme_linear_limit_matches_step_fp(two_cell_mesh):
             cols.append((residual(f + e) - residual(f - e)) / (2 * h))
         dense = np.column_stack(cols)
         rows, colids = np.nonzero(dense)
-        return SparseMatrix.from_coo(2, rows, colids, dense[rows, colids])
+        return sp.coo_matrix((dense[rows, colids], (rows, colids)), shape=(2, 2)).tocsr()
 
-    got = newton_solve(residual, jacobian, f_prev, NewtonConfig())[0]
+    got = newton_solve(lambda f: (residual(f), jacobian(f)), f_prev, NewtonConfig())[0]
     expected = step_fp(mesh, data, SCHARFETTER_GUMMEL, f_prev, dt)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -223,6 +238,17 @@ def test_step_pme_filling_first_step_structure():
     dg = edge_differences(mesh, signed_power(f1, prob.m), g_dir)
     influx = float(np.sum((mesh.tau * dg)[mesh.dirichlet]))
     assert np.sum(mesh.cell_area * f1) == pytest.approx(dt * influx, rel=1e-12)
+
+
+def test_step_pme_positivity_rejection_reports_residual(mesh0):
+    f_dir = np.where(mesh0.dirichlet, 1.0, np.nan)
+    f_prev = np.full(mesh0.n_cells, -0.5)
+    # a tolerance this loose accepts the start, which has negative density
+    out = step_pme(mesh0, f_prev, 2.0, 1e-2, f_dir, NewtonConfig(tol=1e6))
+    assert isinstance(out, NonConvergence)
+    assert out.reason == "negative density"
+    residual = assemble_pme_residual(mesh0, f_prev, f_prev, 2.0, 1e-2, f_dir)[0]
+    assert out.residual_norm == np.max(np.abs(residual)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +290,7 @@ def test_dd_thermal_jacobian_spd(mesh0):
     from entrofv.schemes import assemble_poisson
     dd = _flat_dd(mesh0)
     a_mat = assemble_poisson(mesh0, dd.debye)
-    jac = a_mat.add_diagonal(mesh0.cell_area * 2.0)  # exp terms at v = 0
+    jac = a_mat + sp.diags(mesh0.cell_area * 2.0)  # exp terms at v = 0
     dense = jac.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-13)
     assert np.all(np.linalg.eigvalsh(dense) > 0)
@@ -312,6 +338,51 @@ def test_step_dd_fixed_point_and_charge_identity():
     boundary_flux = np.sum(mesh.tau[dmask] * (dd.v_dirichlet[dmask] - v_cell[dmask]))
     charge = np.sum(mesh.cell_area * (first.p - first.n + dd.doping))
     assert charge + dd.debye ** 2 * boundary_flux == pytest.approx(0.0, abs=1e-10)
+
+
+def test_step_dd_positivity_rejection_reports_residual(mesh0):
+    dd = _flat_dd(mesh0)
+    start = DdState(n=np.full(mesh0.n_cells, -1.0), p=np.ones(mesh0.n_cells),
+                    v=np.zeros(mesh0.n_cells))
+    out = step_dd(mesh0, dd, SCHARFETTER_GUMMEL, start, 1e-2, NewtonConfig(tol=1e6))
+    assert isinstance(out, NonConvergence)
+    assert out.reason == "non-positive density"
+    residual = assemble_dd_residual(mesh0, dd, SCHARFETTER_GUMMEL, (start.n, start.p),
+                                    (start.n, start.p, start.v), 1e-2)[0]
+    assert out.residual_norm == np.max(np.abs(residual)) > 0
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``solvers.<name>``; the returned list collects every result."""
+    seen = []
+    fn = getattr(solvers, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(solvers, name, wrapper)
+    return seen
+
+
+def test_newton_steps_assemble_once_per_iterate(monkeypatch):
+    newton = _count_calls(monkeypatch, "newton_solve")
+    pme_calls = _count_calls(monkeypatch, "assemble_pme_residual")
+    dd_calls = _count_calls(monkeypatch, "assemble_dd_residual")
+
+    prob = fill_problem(1)
+    assert not isinstance(step_pme(prob.mesh, prob.f0, prob.m, 1e-3,
+                                   prob.f_dirichlet), NonConvergence)
+    dd = pn_problem(0, bias=2.5)
+    v0 = solve_dd_poisson(dd.mesh, dd.dd, dd.n0, dd.p0)
+    state = DdState(n=dd.n0, p=dd.p0, v=v0)
+    assert not isinstance(step_dd(dd.mesh, dd.dd, SCHARFETTER_GUMMEL, state, 1e-2),
+                          NonConvergence)
+
+    (_, pme_iters), (_, dd_iters) = newton
+    assert pme_iters >= 1 and dd_iters >= 1
+    assert len(pme_calls) == pme_iters + 1
+    assert len(dd_calls) == dd_iters + 1
 
 
 def test_dd_steady_with_bias_converges():
