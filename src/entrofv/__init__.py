@@ -18,8 +18,8 @@ from .schemes import (BScheme, DdData, TransportData, DataError, AssemblyError,
 from .entropy import (DEFAULT_POINCARE, EntropyTrace, FitResult, PHI1, PHI2,
                       PhiFunction, dd_entropy, entrophy, entrophy_dissipation,
                       fit_decay_rate, lp_distance, phi_dissipation, phi_mean,
-                      relative_phi_entropy, theoretical_rate_fp,
-                      theoretical_rate_pme)
+                      relative_phi_entropy, steady_edge_factors,
+                      theoretical_rate_fp, theoretical_rate_pme)
 from .solvers import (DdProblem, DdState, FpProblem, PmeProblem, SolverError,
                       StepperConfig, TransientResult, adaptive_time_loop,
                       run_transient, solve_dd_steady, solve_dd_thermal,

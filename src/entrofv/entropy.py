@@ -128,21 +128,29 @@ def relative_phi_entropy(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray,
     return float(np.sum(mesh.cell_area * phi.value(h) * f_inf))
 
 
-def phi_dissipation(mesh: Mesh, data: TransportData, scheme: BScheme,
+def steady_edge_factors(mesh: Mesh, data: TransportData, scheme: BScheme,
+                        f_inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tau * a`` and the steady edge weight, the factors of :func:`phi_dissipation`
+    that depend only on the steady state; a run computes them once."""
+    return mesh.tau * data.a_edge, edge_steady_weight(mesh, data, scheme, f_inf)
+
+
+def phi_dissipation(mesh: Mesh, factors: tuple[np.ndarray, np.ndarray],
                     f: np.ndarray, f_inf: np.ndarray, phi: PhiFunction) -> float:
     """Edge sum tau * a * D(h) * D(phi'(h)) * steady edge weight, h = f/f_inf.
 
-    The normalized field h takes the value 1 on Dirichlet edges.  Nonnegative
+    ``factors`` is ``steady_edge_factors(mesh, data, scheme, f_inf)``.  The
+    normalized field h takes the value 1 on Dirichlet edges.  Nonnegative
     for every admissible phi because phi' is monotone.
     """
     _check_reference(f_inf)
+    tau_a, weight = factors
     h = np.asarray(f, dtype=float) / f_inf
     ones = np.ones(mesh.n_edges)
     dh = edge_differences(mesh, h, ones)
     dphi = edge_differences(mesh, np.asarray(phi.d1(h), dtype=float),
                             np.zeros(mesh.n_edges))
-    weight = edge_steady_weight(mesh, data, scheme, f_inf)
-    return float(np.sum(mesh.tau * data.a_edge * dh * dphi * weight))
+    return float(np.sum(tau_a * dh * dphi * weight))
 
 
 def entrophy(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray, m: float) -> float:

@@ -13,6 +13,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 
 class LinAlgError(Exception):
@@ -106,22 +107,12 @@ def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int],
     if n and not np.any(strict):
         bad.append("no strictly dominant column exists")
     elif n:
-        reached = strict.copy()
-        adj: dict[int, list[int]] = {}
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            if r != c and abs(v) > tol * scale:
-                adj.setdefault(int(r), []).append(int(c))
-                adj.setdefault(int(c), []).append(int(r))
-        stack = list(np.nonzero(strict)[0])
-        while stack:
-            k = int(stack.pop())
-            for j in adj.get(k, ()):
-                if not reached[j]:
-                    reached[j] = True
-                    stack.append(j)
-        if not reached.all():
+        # diagonal entries only add self-loops, which change no component
+        _, component = connected_components(abs(a.tocsr()) > tol * scale, directed=False)
+        unreached = np.nonzero(~np.isin(component, component[strict]))[0]
+        if unreached.size:
             bad.append("columns with no chain to a strictly dominant column: "
-                       f"{np.nonzero(~reached)[0][:5].tolist()}")
+                       f"{unreached[:5].tolist()}")
 
     return MMatrixReport(tuple(bad))
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 INTERIOR = 0
 DIRICHLET = 1
@@ -121,12 +123,18 @@ class Mesh:
     domain_measure: float
     geometry: Optional[MeshGeometry] = None
     tau: np.ndarray = field(init=False)
+    interior: np.ndarray = field(init=False)   # (E,) bool masks by edge tag
+    dirichlet: np.ndarray = field(init=False)
+    neumann: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tau", self.edge_length / self.edge_d)
-        for arr in (self.cell_area, self.cell_center, self.edge_length, self.edge_d,
-                    self.edge_cells, self.edge_dcell, self.edge_tag, self.tau):
-            arr.setflags(write=False)
+        for name, tag in (("interior", INTERIOR), ("dirichlet", DIRICHLET),
+                          ("neumann", NEUMANN)):
+            object.__setattr__(self, name, self.edge_tag == tag)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
@@ -135,18 +143,6 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return self.edge_length.shape[0]
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.edge_tag == INTERIOR
-
-    @property
-    def dirichlet(self) -> np.ndarray:
-        return self.edge_tag == DIRICHLET
-
-    @property
-    def neumann(self) -> np.ndarray:
-        return self.edge_tag == NEUMANN
 
     def cell_edges(self, cell: int) -> np.ndarray:
         """Edge ids incident to one cell."""
@@ -235,9 +231,19 @@ def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, rounded like ``np.dot`` on each row
+    (``(x * y).sum(-1)`` is not, and would change the saved mesh text)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def build_from_triangulation(vertices: np.ndarray, triangles: np.ndarray,
                              boundary: BoundarySpec) -> Mesh:
-    """Assemble the TPFA graph of a triangulation with circumcenter points."""
+    """Assemble the TPFA graph of a triangulation with circumcenter points.
+
+    Edges are numbered in lexicographic order of their sorted vertex pairs,
+    and the cells of an interior edge in ascending order.
+    """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     areas = _triangle_areas(vertices, triangles)
@@ -246,45 +252,47 @@ def build_from_triangulation(vertices: np.ndarray, triangles: np.ndarray,
     centers = _circumcenters(vertices, triangles)
     centroids = vertices[triangles].mean(axis=1)
 
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for t, tri in enumerate(triangles):
-        for i in range(3):
-            key = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
-            edge_map.setdefault(key, []).append(t)
+    # side i of triangle t joins tri[i] and tri[i + 1]; sides sharing a sorted
+    # vertex pair (a, b) share the key a * V + b, whose order is that of (a, b)
+    ends = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
+    ends.sort(axis=1)
+    _, first, side_edge = np.unique(ends[:, 0] * vertices.shape[0] + ends[:, 1],
+                                    return_index=True, return_inverse=True)
+    edge_vertices = ends[first]
+    n_edges = edge_vertices.shape[0]
+    count = np.bincount(side_edge, minlength=n_edges)
+    if np.any(count > 2):
+        key = tuple(int(v) for v in edge_vertices[np.argmax(count > 2)])
+        raise MeshError(f"edge {key} shared by more than two triangles")
+    # sides grouped by edge, owners ascending within each group
+    owner = np.repeat(np.arange(triangles.shape[0]), 3)
+    by_edge = owner[np.lexsort((owner, side_edge))]
+    start = np.cumsum(count) - count
+    interior = count == 2
+    edge_cells = np.full((n_edges, 2), -1, dtype=np.int64)
+    edge_cells[:, 0] = by_edge[start]
+    edge_cells[interior, 1] = by_edge[start[interior] + 1]
 
-    keys = sorted(edge_map)
-    n_edges = len(keys)
-    edge_vertices = np.array(keys, dtype=np.int64)
     ev_a = vertices[edge_vertices[:, 0]]
     ev_b = vertices[edge_vertices[:, 1]]
     edge_length = np.hypot(*(ev_b - ev_a).T)
     midpoint = 0.5 * (ev_a + ev_b)
-
-    edge_cells = np.full((n_edges, 2), -1, dtype=np.int64)
-    edge_dcell = np.full((n_edges, 2), np.nan)
-    edge_d = np.empty(n_edges)
-    edge_tag = np.empty(n_edges, dtype=np.uint8)
-
     # unit normals of the edges; sign fixed per incident cell below
     tang = (ev_b - ev_a) / edge_length[:, None]
     normal = np.column_stack([-tang[:, 1], tang[:, 0]])
 
-    for e, key in enumerate(keys):
-        cells = sorted(edge_map[key])
-        if len(cells) > 2:
-            raise MeshError(f"edge {key} shared by more than two triangles")
-        edge_cells[e, : len(cells)] = cells
-        for slot, t in enumerate(cells):
-            # signed distance from the cell center to the edge line, measured
-            # along the outward normal; must be positive for admissibility
-            sign = 1.0 if np.dot(midpoint[e] - centroids[t], normal[e]) > 0 else -1.0
-            edge_dcell[e, slot] = sign * np.dot(midpoint[e] - centers[t], normal[e])
-        if len(cells) == 2:
-            edge_tag[e] = INTERIOR
-            edge_d[e] = float(np.hypot(*(centers[cells[0]] - centers[cells[1]])))
-        else:
-            edge_tag[e] = boundary.tag_for(midpoint[e])
-            edge_d[e] = edge_dcell[e, 0]
+    # signed distance from each cell center to the edge line, measured along
+    # the outward normal; must be positive for admissibility
+    mid, nrm = midpoint[:, None], normal[:, None]
+    outward = np.where(_row_dot(mid - centroids[edge_cells], nrm) > 0, 1.0, -1.0)
+    edge_dcell = np.where(edge_cells >= 0,
+                          outward * _row_dot(mid - centers[edge_cells], nrm), np.nan)
+    c0, c1 = edge_cells[interior, 0], edge_cells[interior, 1]
+    edge_d = edge_dcell[:, 0].copy()
+    edge_d[interior] = np.hypot(*(centers[c0] - centers[c1]).T)
+    edge_tag = np.full(n_edges, INTERIOR, dtype=np.uint8)
+    for e in np.nonzero(~interior)[0]:
+        edge_tag[e] = boundary.tag_for(midpoint[e])
 
     if np.any(edge_dcell[~np.isnan(edge_dcell)] <= 0):
         raise MeshError("a cell center falls on the wrong side of an edge")
@@ -308,11 +316,25 @@ def reference_mesh(level: int, boundary: Optional[BoundarySpec] = None) -> Mesh:
             f"{56 * 4 ** level} cells would exhaust memory")
     if boundary is None:
         boundary = BoundarySpec.all_dirichlet()
-    mesh = build_from_triangulation(np.array(_COARSE_VERTICES),
-                                    np.array(_COARSE_TRIANGLES), boundary)
+    vertices = np.array(_COARSE_VERTICES)
+    triangles = np.array(_COARSE_TRIANGLES)
     for _ in range(level):
-        mesh = refine(mesh)
-    return mesh
+        vertices, triangles = _refine_triangulation(vertices, triangles)
+    return build_from_triangulation(vertices, triangles, boundary)
+
+
+def _refine_triangulation(vertices: np.ndarray, triangles: np.ndarray):
+    """Four half-scale copies tiling the unit square; vertices shared by
+    copies are merged and numbered in order of first appearance."""
+    offsets = np.array([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
+    copies = (vertices * 0.5 + offsets[:, None]).reshape(-1, 2)
+    keys = np.rint(copies * 2 ** 30).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    remap = rank[inverse.ravel()].reshape(len(offsets), -1)
+    return copies[first[order]], remap[:, triangles].reshape(-1, 3)
 
 
 def refine(mesh: Mesh) -> Mesh:
@@ -326,26 +348,8 @@ def refine(mesh: Mesh) -> Mesh:
     if (verts.min() < -1e-12 or verts.max() > 1 + 1e-12
             or abs(mesh.domain_measure - 1.0) > 1e-9):
         raise UnsupportedGeometryError("refinement is defined for the unit-square family only")
-
-    offsets = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
-    n_old = verts.shape[0]
-    index_of: dict[tuple[int, int], int] = {}
-    new_verts: list[tuple[float, float]] = []
-    tri_blocks = []
-    for off in offsets:
-        copy = verts * 0.5 + np.asarray(off)
-        remap = np.empty(n_old, dtype=np.int64)
-        for i, (x, y) in enumerate(copy):
-            key = (round(x * 2 ** 30), round(y * 2 ** 30))
-            j = index_of.get(key)
-            if j is None:
-                j = len(new_verts)
-                index_of[key] = j
-                new_verts.append((x, y))
-            remap[i] = j
-        tri_blocks.append(remap[geo.triangles])
-    new_triangles = np.vstack(tri_blocks)
-    return build_from_triangulation(np.array(new_verts), new_triangles, geo.boundary)
+    return build_from_triangulation(*_refine_triangulation(verts, geo.triangles),
+                                    geo.boundary)
 
 
 def validate(mesh: Mesh) -> AdmissibilityReport:
@@ -353,11 +357,11 @@ def validate(mesh: Mesh) -> AdmissibilityReport:
     bad: list[Violation] = []
 
     ext = mesh.edge_cells[:, 1] < 0
-    if np.any((mesh.edge_tag == INTERIOR) & ext):
-        ids = np.nonzero((mesh.edge_tag == INTERIOR) & ext)[0]
+    if np.any(mesh.interior & ext):
+        ids = np.nonzero(mesh.interior & ext)[0]
         bad.append(Violation("incidence", "interior edge with one incident cell", tuple(ids)))
-    if np.any((mesh.edge_tag != INTERIOR) & ~ext):
-        ids = np.nonzero((mesh.edge_tag != INTERIOR) & ~ext)[0]
+    if np.any(~mesh.interior & ~ext):
+        ids = np.nonzero(~mesh.interior & ~ext)[0]
         bad.append(Violation("incidence", "exterior edge with two incident cells", tuple(ids)))
 
     if np.any(mesh.cell_area <= 0):
@@ -374,12 +378,12 @@ def validate(mesh: Mesh) -> AdmissibilityReport:
         bad.append(Violation("measure", "tau inconsistent with m(edge)/d(edge)"))
 
     # H1: at least one Dirichlet edge of positive measure
-    if not np.any((mesh.edge_tag == DIRICHLET) & (mesh.edge_length > 0)):
+    if not np.any(mesh.dirichlet & (mesh.edge_length > 0)):
         bad.append(Violation("H1", "no Dirichlet edge with positive measure"))
 
     # H2: center segment orthogonal to the edge; the angle needs vertex
     # geometry, the center-to-center distance is graph-checkable
-    inter = np.nonzero(mesh.edge_tag == INTERIOR)[0]
+    inter = np.nonzero(mesh.interior)[0]
     paired = ~ext
     if np.any(paired):
         ca = mesh.edge_cells[paired, 0]
@@ -412,23 +416,14 @@ def validate(mesh: Mesh) -> AdmissibilityReport:
 
     # strong connectivity of the cell adjacency graph
     if mesh.n_cells:
-        seen = np.zeros(mesh.n_cells, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        pairs = mesh.edge_cells[mesh.edge_tag == INTERIOR]
-        nbr: dict[int, list[int]] = {}
-        for a, b in pairs:
-            nbr.setdefault(int(a), []).append(int(b))
-            nbr.setdefault(int(b), []).append(int(a))
-        while stack:
-            k = stack.pop()
-            for j in nbr.get(k, ()):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        if not seen.all():
+        pairs = mesh.edge_cells[mesh.interior & ~ext]
+        adjacency = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                                  shape=(mesh.n_cells, mesh.n_cells))
+        _, component = connected_components(adjacency, directed=False)
+        cut = np.nonzero(component != component[0])[0]
+        if cut.size:
             bad.append(Violation("connectivity", "cell adjacency graph is not connected",
-                                 tuple(np.nonzero(~seen)[0])))
+                                 tuple(cut)))
 
     total = float(mesh.cell_area.sum())
     if abs(total - mesh.domain_measure) > MEASURE_RTOL * max(1.0, mesh.domain_measure):

@@ -11,7 +11,7 @@ import pytest
 from entrofv.entropy import (DEFAULT_POINCARE, PHI1, PHI2, PhiFunction,
                              fit_decay_rate, lp_distance, phi_dissipation,
                              phi_mean, relative_phi_entropy,
-                             theoretical_rate_pme)
+                             steady_edge_factors, theoretical_rate_pme)
 from entrofv.linalg import check_m_matrix_structure
 from entrofv.mesh import BoundarySpec, load_mesh, reference_mesh, save_mesh
 from entrofv.presets import (fill_problem, hetero_problem, pn_problem,
@@ -49,13 +49,14 @@ def _fp_extras(problem, schemes_needed):
     for name in schemes_needed:
         scheme = SCHEMES[name]
         steady = solve_fp_steady(mesh, data, scheme)
+        factors = steady_edge_factors(mesh, data, scheme, steady)
         extras = {
             "H_phi1x": lambda f, s=steady: relative_phi_entropy(mesh, f, s, PHI1),
-            "D_phi1": lambda f, s=steady, sc=scheme:
-                phi_dissipation(mesh, data, sc, f, s, PHI1),
+            "D_phi1": lambda f, s=steady, w=factors:
+                phi_dissipation(mesh, w, f, s, PHI1),
             "H_phi32": lambda f, s=steady: relative_phi_entropy(mesh, f, s, PHI32),
-            "D_phi32": lambda f, s=steady, sc=scheme:
-                phi_dissipation(mesh, data, sc, f, s, PHI32),
+            "D_phi32": lambda f, s=steady, w=factors:
+                phi_dissipation(mesh, w, f, s, PHI32),
             "fmin": lambda f: float(np.min(f)),
             "fmax": lambda f: float(np.max(f)),
         }

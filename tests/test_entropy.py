@@ -7,7 +7,8 @@ from entrofv.entropy import (DEFAULT_POINCARE, PHI1, PHI2, EntropyTrace,
                              PhiFunction, dd_entropy, entrophy,
                              entrophy_dissipation, fit_decay_rate, lp_distance,
                              phi_dissipation, phi_mean, relative_phi_entropy,
-                             theoretical_rate_fp, theoretical_rate_pme)
+                             steady_edge_factors, theoretical_rate_fp,
+                             theoretical_rate_pme)
 from entrofv.schemes import (SCHEMES, DataError, discretize_coefficients,
                              transport_data)
 
@@ -72,7 +73,8 @@ def test_dissipation_vanishes_at_reference(two_cell_mesh, rng):
     f_inf = np.array([1.0, 1.0])
     for scheme in SCHEMES.values():
         for phi in (PHI1, PHI2, PHI32):
-            assert phi_dissipation(two_cell_mesh, data, scheme,
+            factors = steady_edge_factors(two_cell_mesh, data, scheme, f_inf)
+            assert phi_dissipation(two_cell_mesh, factors,
                                    f_inf, f_inf, phi) == 0.0
 
 
@@ -81,7 +83,8 @@ def test_dissipation_constant_multiple_full_neumann(single_cell_mesh):
     fd = np.full(mesh.n_edges, np.nan)
     data = transport_data(mesh, np.ones(mesh.n_edges), np.zeros(mesh.n_edges), fd)
     f_inf = np.array([1.3])
-    value = phi_dissipation(mesh, data, SCHEMES["sg"], 2.7 * f_inf, f_inf, PHI2)
+    factors = steady_edge_factors(mesh, data, SCHEMES["sg"], f_inf)
+    value = phi_dissipation(mesh, factors, 2.7 * f_inf, f_inf, PHI2)
     assert value == 0.0
 
 
@@ -101,7 +104,8 @@ def test_dissipation_two_cell_hand_value(two_cell_mesh):
     left = 4.0 * (-1.0) * (-2.0) * 1.0
     # right Dirichlet edge: tau=4, Dh = 1-1 = 0
     expected = interior + left
-    got = phi_dissipation(mesh, data, SCHEMES["upwind"], f, f_inf, PHI2)
+    factors = steady_edge_factors(mesh, data, SCHEMES["upwind"], f_inf)
+    got = phi_dissipation(mesh, factors, f, f_inf, PHI2)
     assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -113,8 +117,9 @@ def test_dissipation_nonnegative_random(mesh0, rng):
         f = rng.uniform(0.05, 5.0, mesh0.n_cells)
         f_inf = rng.uniform(0.5, 2.0, mesh0.n_cells)
         for scheme in SCHEMES.values():
+            factors = steady_edge_factors(mesh0, data, scheme, f_inf)
             for phi in (PHI1, PHI2, PHI32):
-                value = phi_dissipation(mesh0, data, scheme, f, f_inf, phi)
+                value = phi_dissipation(mesh0, factors, f, f_inf, phi)
                 assert value >= -1e-12 * max(1.0, abs(value))
 
 

@@ -76,6 +76,14 @@ def test_m_matrix_flags_peclet_broken_centered(two_cell_mesh):
     assert not report.ok
 
 
+
+def test_m_matrix_flags_column_without_chain():
+    # columns 0 and 1 are only weakly dominant and linked to each other alone
+    a = dense([(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0), (2, 2, 2.0)], 3)
+    report = check_m_matrix_structure(a, {2})
+    assert report.violations == (
+        "columns with no chain to a strictly dominant column: [0, 1]",)
+
 def test_newton_linear_one_iteration():
     target = np.array([3.0, -1.0])
     result = newton_solve(lambda x: (x - target, sp.identity(2, format="csr")),

@@ -1,10 +1,55 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from entrofv.mesh import (DIRICHLET, NEUMANN, BOTTOM, LEFT, RIGHT, TOP,
+from entrofv.cli import BOUNDARY_NAMES
+from entrofv.mesh import (DIRICHLET, INTERIOR, NEUMANN, BOTTOM, LEFT, RIGHT, TOP,
                           BoundarySpec, Mesh, MeshError, MeshFormatError,
-                          Segment, UnsupportedGeometryError, load_mesh,
-                          reference_mesh, refine, save_mesh, validate)
+                          Segment, UnsupportedGeometryError, Violation,
+                          build_from_triangulation, load_mesh, reference_mesh,
+                          refine, save_mesh, validate)
+
+
+# sha256 of save_mesh(reference_mesh(level, BOUNDARY_NAMES[name])) for levels
+# 0..4; pins the TPFA graph text, including the sorted edge order
+_SAVED_MESH_SHA256 = {
+    "all-dirichlet": (
+        "39c15f178de68059273f09e1199840e6770849ece75efe81b991ede25a081fb9",
+        "4d9437515dc7a66e4acaf6e23eae4c37942a60ae769c150da07aadc50df48c7d",
+        "5b14e5cf593ad971d93826c93e1013da882e0bb46ab7720c7af160d877e9e145",
+        "ac848cb79c61e09212ec115aa4169ce64b57f9045b8599faa68fc7bf31935537",
+        "431051959c3f5d2912c25cdb6e579d1ce5fd7d6ee5a44fada217576b15535679",
+    ),
+    "left-right": (
+        "b13cbbd815028de823f284a2824735889cbab53a1764a23dbb75dc7e74825519",
+        "6feed2cb65aa0f5241bc34d0c4bdb017e5ea6ad7cebcde1f6b42a2c4756e2ba3",
+        "35fb902746126212ac2b70aedae7a27b3d10654ea71411a543683c3e8027cd44",
+        "fd3bb0c1bb52b5e640de382ad6c87449ad81a08d3b3882e7582a6a709aa1ac2d",
+        "205a36482fa62aff69a037a810bda989fffea2a945ba493d13c833cf8ac5bda6",
+    ),
+    "pn": (
+        "5f76e27e7d55afc8d8a46cd830685d91ba9756b70c0bcaee9a2a2edb217325a0",
+        "b096b841f63568ba4aa6acddfa4436db1275d0ec635a06bcd1b574958d0ef958",
+        "9beb58eb991cc610b18fcb3a093c9d5dd96823489e7dbb2872148a24a6514bab",
+        "fbdc70a90a975c856b54ee06a85cf649c2f7a76301bfe5a6bdce75248081c5e8",
+        "d569d625e2859fa0720d2b96f57a5a9cacce695745bd3b98571f20b254491248",
+    ),
+    "right": (
+        "6481d6ac3ffbf47e1c3e631f8b89f886e52773cfac0105e7ad3fb613ebcb4e82",
+        "d9a431fd232cd2f6e22ad4df58f61a83526255525d9b0d6ba49b97898765c0b2",
+        "96769bd9c208d514aada126bc2d2922ed0b4e9d71e1c9c7433fd00fb3f946420",
+        "0f5aea454361125c99dfe1428f8bd24e740e7330952f438c62df9fa5b3e3a775",
+        "871d5d4b3bef8b6b11d19c2512a8ebad186bd2a36749b5f79336842730907300",
+    ),
+    "top-bottom": (
+        "5a8118cfae65025fb9a0431d3fb644ef473bc89e84d041315d8a562cf6e69ee3",
+        "8b531bb5cfdfc6278b67402e7396dc81f9fe22da59c6e996ec1897d1809bea8d",
+        "f128e0049f2d3aa1aa127261452975e56773ad3a35762627025d712f4b95c5a0",
+        "364814e5dbbd7009cdfd549aac158a1fb8508209291c22caf3813d4815080250",
+        "eb22266439492c5b23d9761f848726add96188360090503fa8bab60142a60418",
+    ),
+}
 
 
 def test_reference_cell_counts(toy_boundary):
@@ -177,3 +222,33 @@ def test_comments_and_blank_lines_ignored(mesh0):
     text = save_mesh(mesh0)
     noisy = "# generated mesh\n\n" + text.replace("edges", "# incidence\nedges", 1)
     assert load_mesh(noisy).n_cells == mesh0.n_cells
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_NAMES))
+def test_saved_reference_meshes_match_golden(name):
+    for level, expected in enumerate(_SAVED_MESH_SHA256[name]):
+        text = save_mesh(reference_mesh(level, BOUNDARY_NAMES[name]))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, level
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by more than two"):
+        build_from_triangulation(vertices, triangles, BoundarySpec.all_dirichlet())
+
+
+def test_validate_flags_disconnected_cells():
+    # cells {0, 1} and {2, 3} share no interior edge
+    mesh = Mesh(cell_area=np.full(4, 0.25),
+                cell_center=np.array([[0.25, 0.25], [0.75, 0.25],
+                                      [0.25, 0.75], [0.75, 0.75]]),
+                edge_length=np.full(6, 0.5), edge_d=np.full(6, 0.5),
+                edge_cells=np.array([[0, 1], [2, 3], [0, -1], [1, -1],
+                                     [2, -1], [3, -1]]),
+                edge_dcell=np.array([[0.25, 0.25]] * 2 + [[0.25, np.nan]] * 4),
+                edge_tag=np.array([INTERIOR] * 2 + [DIRICHLET] * 4, dtype=np.uint8),
+                xi=0.5, domain_measure=1.0)
+    report = validate(mesh)
+    assert [v for v in report.violations if v.hypothesis == "connectivity"] == [
+        Violation("connectivity", "cell adjacency graph is not connected", (2, 3))]

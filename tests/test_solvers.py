@@ -7,7 +7,8 @@ from entrofv.entropy import lp_distance
 from entrofv.linalg import (LinAlgError, NewtonConfig, NonConvergence,
                             newton_solve)
 from entrofv.mesh import BoundarySpec, reference_mesh
-from entrofv.presets import fill_problem, pn_problem, sweep_problem, toy_problem
+from entrofv.presets import (fill_problem, hetero_problem, pn_problem,
+                             sweep_problem, toy_problem)
 from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DdData,
                              advection_from_potential, assemble_dd_residual,
                              assemble_pme_residual, edge_differences,
@@ -472,6 +473,20 @@ def test_run_transient_fp_records_expected_columns():
     h2 = trace.column("H_phi2")
     assert np.all(np.diff(h2) <= 1e-12 * h2[0])
 
+
+
+def test_fixed_step_fp_run_uses_one_step_size(monkeypatch):
+    steps = []
+    step = FpStepper.step
+
+    def spy(self, f_prev, dt):
+        steps.append(dt)
+        return step(self, f_prev, dt)
+
+    monkeypatch.setattr(FpStepper, "step", spy)
+    result = run_transient(hetero_problem(1), UPWIND, StepperConfig.fixed(1e-2, 2.0))
+    assert set(steps) == {1e-2}
+    assert result.trace.last("t") == 2.0
 
 def test_run_transient_stops_at_entropy_floor():
     prob = toy_problem(0)
