@@ -5,7 +5,7 @@ from .mesh import (BoundarySpec, Mesh, Segment, AdmissibilityReport,
                    MeshError, MeshFormatError, UnsupportedGeometryError,
                    load_mesh, reference_mesh, refine, save_mesh, validate,
                    LEFT, RIGHT, TOP, BOTTOM, INTERIOR, DIRICHLET, NEUMANN)
-from .linalg import (NewtonConfig, NonConvergence,
+from .linalg import (FactorStore, NewtonConfig, NonConvergence,
                      LinAlgError, SingularMatrixError,
                      check_m_matrix_structure, newton_solve, solve_linear)
 from .schemes import (BScheme, DdData, TransportData, DataError, AssemblyError,

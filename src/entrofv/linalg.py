@@ -147,32 +147,95 @@ class NonConvergence:
 
 NewtonResult = Union[tuple[np.ndarray, int], NonConvergence]
 
+#: A reused-factor iterate is kept only when it cuts the residual max-norm by
+#: this factor; a weaker contraction means the stored Jacobian has drifted
+#: too far and Newton refactors.  On the ``dd-bias`` preset 0.1 takes 686
+#: linear solves in all, against 928 for 0.25 and 1022 for 0.5 or 0.9.
+REUSE_CONTRACTION = 0.1
 
-def newton_solve(system: Callable[[np.ndarray], tuple[np.ndarray, sp.spmatrix]],
+
+@dataclass(eq=False)
+class FactorStore:
+    """Factored Jacobian that :func:`newton_solve` may reuse across iterates
+    and calls.  One caller owns it (one transient run); the factors belong to
+    one step size ``dt`` and are dropped when another is asked for."""
+
+    dt: Optional[float] = None
+    jac: Optional[sp.csr_matrix] = None
+    lu: Optional[spla.SuperLU] = None
+
+    def drop(self) -> None:
+        self.jac = self.lu = None
+
+    def for_dt(self, dt: float) -> "FactorStore":
+        if dt != self.dt:
+            self.drop()
+            self.dt = dt
+        return self
+
+
+def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]],
                  x0: np.ndarray,
-                 cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
-    """Undamped Newton iteration; returns (solution, iterations) on success.
+                 cfg: NewtonConfig = NewtonConfig(),
+                 store: Optional[FactorStore] = None) -> NewtonResult:
+    """Newton iteration; returns (solution, iterations) on success.
 
-    ``system(x)`` returns the residual and its Jacobian at ``x``; it is
-    called once per iterate, ``iterations + 1`` times in all on success.
+    ``system(x)`` returns the residual and its Jacobian at ``x``.  Without a
+    store every iterate is a full Newton step: ``system`` is called once per
+    iterate, ``iterations + 1`` times in all on success, and each iterate
+    factors its own Jacobian.
+
+    With a store the factors in it are reused (simplified Newton), and
+    ``system(x, jacobian=False)`` must return the residual alone (its second
+    item is ignored); the Jacobian is asked for only when Newton factors.  A
+    reused-factor iterate is kept only if it contracts the residual by
+    :data:`REUSE_CONTRACTION`; otherwise the factors are dropped and Newton
+    refactors at the current iterate, which stays the previous one when the
+    residual grew or is not finite.  Fresh-factor iterates fail as without a
+    store.  ``iterations`` counts every linear solve, and ``cfg.max_iter``
+    bounds it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r, jac = system(x)
+    reuse = store is not None and store.lu is not None
+    r, jac = (system(x, jacobian=False)[0], None) if reuse else system(x)
     norm = np.max(np.abs(r)) if r.size else 0.0
     if norm <= cfg.tol:
         return x, 0
     for it in range(1, cfg.max_iter + 1):
+        reuse = store is not None and store.lu is not None
         try:
-            dx = solve_linear(jac, -r)
+            if reuse:
+                dx = solve_linear(store.jac, -r, store.lu)
+            else:
+                if jac is None:
+                    r, jac = system(x)
+                if store is None:
+                    dx = solve_linear(jac, -r)
+                else:
+                    store.lu, store.jac = factorize(jac), jac
+                    dx = solve_linear(jac, -r, store.lu)
         except LinAlgError:
+            if store is not None:
+                store.drop()
+            if reuse:
+                continue
             return NonConvergence(iterations=it, residual_norm=norm,
                                   last_iterate=x, reason="singular Jacobian")
-        x = x + dx
-        r, jac = system(x)
-        if not np.all(np.isfinite(r)):
+        x_new = x + dx
+        if store is None:
+            r_new, jac = system(x_new)
+        else:
+            r_new, jac = system(x_new, jacobian=False)[0], None
+        finite = np.all(np.isfinite(r_new))
+        norm_new = np.max(np.abs(r_new)) if finite else np.inf
+        if norm_new <= cfg.tol:
+            return x_new, it
+        if reuse and not norm_new <= REUSE_CONTRACTION * norm:
+            store.drop()
+            if not norm_new <= norm:
+                continue  # discard the iterate; refactor where it started
+        elif not finite:
             return NonConvergence(iterations=it, residual_norm=np.inf,
-                                  last_iterate=x, reason="non-finite residual")
-        norm = np.max(np.abs(r))
-        if norm <= cfg.tol:
-            return x, it
+                                  last_iterate=x_new, reason="non-finite residual")
+        x, r, norm = x_new, r_new, norm_new
     return NonConvergence(iterations=cfg.max_iter, residual_norm=norm, last_iterate=x)

@@ -447,13 +447,15 @@ def poisson_dirichlet_rhs(mesh: Mesh, lam: float, v_dirichlet: np.ndarray) -> np
 
 
 def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
-                         state_prev, state, dt: Optional[float] = None):
+                         state_prev, state, dt: Optional[float] = None,
+                         jacobian: bool = True):
     """Residual and exact Jacobian of the coupled drift-diffusion system.
 
     ``state`` is the (N, P, V) triple at the new time level; ``state_prev``
     holds (N, P) for a transient step or None with ``dt=None`` for the steady
     system.  Unknown ordering is [N; P; V].  The Jacobian includes the
-    coupling of both continuity fluxes to V through the flux function slope.
+    coupling of both continuity fluxes to V through the flux function slope;
+    with ``jacobian=False`` it is skipped and returned as None.
     """
     n_field, p_field, v_field = (np.asarray(x, dtype=float) for x in state)
     n = mesh.n_cells
@@ -472,8 +474,6 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     w = edge_differences(mesh, v_field, dd.v_dirichlet)
     bm = scheme.b(-w)
     bp = scheme.b(w)
-    dbm = scheme.db(-w)   # derivative of B evaluated at -w
-    dbp = scheme.db(w)
     n_opp = neighbor_values(mesh, n_field, dd.n_dirichlet)
     p_opp = neighbor_values(mesh, p_field, dd.p_dirichlet)
 
@@ -488,7 +488,12 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
         n_prev, p_prev = state_prev
         r_n += mesh.cell_area * (n_field - n_prev) / dt
         r_p += mesh.cell_area * (p_field - p_prev) / dt
+    residual = np.concatenate([r_n, r_p, r_v])
+    if not jacobian:
+        return residual, None
 
+    dbm = scheme.db(-w)   # derivative of B evaluated at -w
+    dbp = scheme.db(w)
     # flux slopes with respect to the potential difference w;
     # d/dw of B(-w) is -B'(-w)
     dflux_n = np.where(active, tau * (-dbm * n_field[c0] - dbp * n_opp), 0.0)
@@ -538,4 +543,4 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     put(2 * n + eye, eye, mesh.cell_area)
     put(2 * n + eye, n + eye, -mesh.cell_area)
 
-    return np.concatenate([r_n, r_p, r_v]), _coo_csr(3 * n, rows, cols, vals)
+    return residual, _coo_csr(3 * n, rows, cols, vals)

@@ -11,8 +11,8 @@ from scipy.sparse.linalg import SuperLU
 
 from . import entropy as ent
 from .entropy import PHI1, PHI2, EntropyTrace
-from .linalg import (NewtonConfig, NonConvergence, factorize, newton_solve,
-                     solve_linear)
+from .linalg import (FactorStore, NewtonConfig, NonConvergence, factorize,
+                     newton_solve, solve_linear)
 from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
                       TransportData, assemble_dd_residual, assemble_fp_operator,
@@ -194,24 +194,28 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData, alpha_n: float, alpha_p: float,
 
 
 def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
-               newton: NewtonConfig, state_prev=None, dt=None):
+               newton: NewtonConfig, state_prev=None, dt=None,
+               store: Optional[FactorStore] = None):
     n = mesh.n_cells
 
     def unpack(x):
         return x[:n], x[n:2 * n], x[2 * n:]
 
-    def system(x):
-        return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt)
+    def system(x, jacobian=True):
+        return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt,
+                                    jacobian=jacobian)
 
     x0 = np.concatenate([start.n, start.p, start.v])
-    result = newton_solve(system, x0, newton)
+    result = newton_solve(system, x0, newton,
+                          None if store is None else store.for_dt(dt))
     if isinstance(result, NonConvergence):
         return result
     x, iterations = result
     state = DdState(*(np.array(part) for part in unpack(x)))
     if np.any(state.n <= 0) or np.any(state.p <= 0):
         return NonConvergence(iterations=iterations,
-                              residual_norm=float(np.max(np.abs(system(x)[0]))),
+                              residual_norm=float(np.max(np.abs(
+                                  system(x, jacobian=False)[0]))),
                               last_iterate=x, reason="non-positive density")
     return state
 
@@ -276,11 +280,16 @@ def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
 
 
 def step_dd(mesh: Mesh, dd: DdData, scheme: BScheme, state_prev: DdState,
-            dt: float,
-            newton: NewtonConfig = NewtonConfig()) -> Union[DdState, NonConvergence]:
-    """One fully implicit step of the coupled system from the previous state."""
+            dt: float, newton: NewtonConfig = NewtonConfig(),
+            store: Optional[FactorStore] = None) -> Union[DdState, NonConvergence]:
+    """One fully implicit step of the coupled system from the previous state.
+
+    With a ``store``, Newton reuses the factored Jacobian it holds when that
+    was made for the same ``dt`` (see :func:`newton_solve`), and leaves its
+    last factors there for the next step.
+    """
     return _dd_newton(mesh, dd, scheme, state_prev, newton,
-                      state_prev=(state_prev.n, state_prev.p), dt=dt)
+                      state_prev=(state_prev.n, state_prev.p), dt=dt, store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +427,8 @@ def run_transient(problem, scheme: BScheme, cfg: StepperConfig,
             rec.update({k: fn(f) for k, fn in extras.items()})
             return rec
 
+        # no FactorStore here: the rates and traces are resolved only to the
+        # Newton tolerance, and reused factors move them beyond 1e-9
         columns = ("t", "dt", "N_m", "D_m", "Lmp1", *extras)
         return _run_generic(columns, np.asarray(problem.f0, dtype=float), diag, cfg,
                             lambda f, dt: step_pme(mesh, f, m, dt,
@@ -446,8 +457,11 @@ def run_transient(problem, scheme: BScheme, cfg: StepperConfig,
             return rec
 
         columns = ("t", "dt", "E_inf", "E_eq", *extras)
+        # factors shared by the steps of this run only; runs may go in threads
+        store = FactorStore()
         return _run_generic(columns, state0, diag, cfg,
-                            lambda s, dt: step_dd(mesh, dd, scheme, s, dt, cfg.newton),
+                            lambda s, dt: step_dd(mesh, dd, scheme, s, dt, cfg.newton,
+                                                  store),
                             steady, "E_inf")
 
     raise TypeError(f"unknown problem type {type(problem).__name__}")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from entrofv.entropy import (DEFAULT_POINCARE, PHI1, PHI2, EntropyTrace,
-                             PhiFunction, dd_entropy, entrophy,
+                             PhiFunction, _boltzmann_value, dd_entropy, entrophy,
                              entrophy_dissipation, fit_decay_rate, lp_distance,
                              phi_dissipation, phi_mean, relative_phi_entropy,
                              steady_edge_factors, theoretical_rate_fp,
@@ -33,6 +34,24 @@ def test_phi_generators_normalized():
         PhiFunction.power(1.0)
     with pytest.raises(DataError):
         PhiFunction.power(2.5)
+
+
+def _two_branch_boltzmann(x):
+    # the earlier formula: log1p form within 0.5 of 1, x log x - (x - 1) beyond
+    x = np.asarray(x, dtype=float)
+    t = x - 1.0
+    small = np.abs(t) < 0.5
+    ts = np.where(small, t, 0.0)
+    lg = np.log1p(ts)
+    return np.where(small, (lg - ts) + ts * lg, xlogy(x, x) - t)
+
+
+def test_boltzmann_value_matches_two_branch_formula():
+    x = np.array([0.0, 1e-300, 0.5, 1.0 - 1e-8, 1.0 + 1e-8, 1.5, 1e6])
+    got = _boltzmann_value(x)
+    ref = _two_branch_boltzmann(x)
+    assert got[0] == 1.0
+    assert np.all(np.abs(got - ref) <= np.maximum(4 * np.spacing(ref), 1e-300))
 
 
 def test_relative_entropy_vanishes_at_reference(mesh0, rng):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from entrofv.linalg import (NewtonConfig, NonConvergence, SingularMatrixError,
-                            check_m_matrix_structure, newton_solve, solve_linear)
+from entrofv.linalg import (FactorStore, NewtonConfig, NonConvergence,
+                            SingularMatrixError, check_m_matrix_structure,
+                            factorize, newton_solve, solve_linear)
 from entrofv.schemes import (CENTERED, UPWIND, _coo_csr, assemble_fp_operator,
                              transport_data)
 
@@ -145,3 +146,31 @@ def test_newton_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iter=0)
+
+
+def _store_cubic(x, jacobian=True):
+    # residual NaN for negative x, to exercise a reused step that lands there
+    r = np.where(x < 0, np.nan, x ** 3 - 8.0)
+    return r, (sp.csr_matrix([[3.0 * x[0] ** 2]]) if jacobian else None)
+
+
+def test_newton_store_refactors_after_bad_reused_steps():
+    for slope in (3e4, 1e-2):  # slow contraction, then a step into NaN
+        jac = sp.csr_matrix([[slope]])
+        store = FactorStore(dt=1.0, jac=jac, lu=factorize(jac))
+        stale = store.lu
+        result = newton_solve(_store_cubic, np.array([3.0]), NewtonConfig(), store)
+        assert not isinstance(result, NonConvergence)
+        assert result[0][0] == pytest.approx(2.0, abs=1e-11)
+        assert store.lu is not stale and store.dt == 1.0
+
+
+def test_newton_store_reuses_factors_across_calls():
+    store = FactorStore()
+    first = newton_solve(_store_cubic, np.array([3.0]), NewtonConfig(), store)
+    kept = store.lu
+    again = newton_solve(_store_cubic, np.array([2.0 + 1e-6]), NewtonConfig(), store)
+    assert first[0][0] == pytest.approx(2.0, abs=1e-11)
+    assert again[0][0] == pytest.approx(2.0, abs=1e-11)
+    assert store.lu is kept
+    assert store.for_dt(0.5).lu is None and store.dt == 0.5

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from entrofv import solvers
+from entrofv import linalg, solvers
 from entrofv.entropy import lp_distance
-from entrofv.linalg import (LinAlgError, NewtonConfig, NonConvergence,
-                            newton_solve)
+from entrofv.linalg import (FactorStore, LinAlgError, NewtonConfig, NonConvergence,
+                            factorize, newton_solve)
 from entrofv.mesh import BoundarySpec, reference_mesh
-from entrofv.presets import (fill_problem, hetero_problem, pn_problem,
-                             sweep_problem, toy_problem)
+from entrofv.presets import (RunConfig, fill_problem, hetero_problem, pn_problem,
+                             run, sweep_problem, toy_problem)
 from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DdData,
                              advection_from_potential, assemble_dd_residual,
                              assemble_pme_residual, edge_differences,
@@ -384,6 +384,89 @@ def test_newton_steps_assemble_once_per_iterate(monkeypatch):
     assert pme_iters >= 1 and dd_iters >= 1
     assert len(pme_calls) == pme_iters + 1
     assert len(dd_calls) == dd_iters + 1
+
+
+def _count_factorizations(monkeypatch):
+    """Wrap ``linalg.factorize``, the one factorization entry point."""
+    seen = []
+
+    def counting(a):
+        seen.append(a.shape[0])
+        return factorize(a)
+
+    monkeypatch.setattr(linalg, "factorize", counting)
+    return seen
+
+
+def test_dd_factor_reuse_matches_full_newton(monkeypatch):
+    prob = pn_problem(1)
+    cfg = StepperConfig(t_final=1.0, dt0=1e-2)
+    factors = _count_factorizations(monkeypatch)
+    reused = run_transient(prob, SCHARFETTER_GUMMEL, cfg)
+    reused_count = len(factors)
+
+    del factors[:]
+    monkeypatch.setattr(solvers, "FactorStore", lambda: None)
+    full = run_transient(prob, SCHARFETTER_GUMMEL, cfg)
+    assert len(reused.trace) == len(full.trace) > 20
+    for name in full.trace.columns:
+        ref = full.trace.column(name)
+        got = reused.trace.column(name)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), name
+    assert 4 * reused_count <= len(factors)
+
+
+def _pn_start(prob):
+    v0 = solve_dd_poisson(prob.mesh, prob.dd, prob.n0, prob.p0)
+    return DdState(n=prob.n0, p=prob.p0, v=v0)
+
+
+def test_dd_stale_factors_still_converge(monkeypatch):
+    prob = pn_problem(1, bias=2.5)
+    mesh, dd, dt = prob.mesh, prob.dd, 1e-2
+    start = _pn_start(prob)
+    full = step_dd(mesh, dd, SCHARFETTER_GUMMEL, start, dt)
+
+    # factors of the Jacobian at a far-off state: flat densities, no potential
+    flat = np.ones(mesh.n_cells)
+    jac = assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, (flat, flat),
+                               (10 * flat, 0.1 * flat, 0 * flat), dt)[1]
+    store = FactorStore(dt=dt, jac=jac, lu=factorize(jac))
+    stale_lu = store.lu
+    factors = _count_factorizations(monkeypatch)
+    reused = step_dd(mesh, dd, SCHARFETTER_GUMMEL, start, dt, store=store)
+    assert not isinstance(reused, NonConvergence)
+    assert factors and store.lu is not stale_lu
+    for got, ref in ((reused.n, full.n), (reused.p, full.p), (reused.v, full.v)):
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+
+def test_dd_step_size_change_drops_factors(monkeypatch):
+    prob = pn_problem(1, bias=2.5)
+    mesh, dd = prob.mesh, prob.dd
+    store = FactorStore()
+    factors = _count_factorizations(monkeypatch)
+    state = step_dd(mesh, dd, SCHARFETTER_GUMMEL, _pn_start(prob), 1e-2, store=store)
+    assert len(factors) >= 1 and store.dt == 1e-2
+    kept = store.lu
+
+    del factors[:]
+    state = step_dd(mesh, dd, SCHARFETTER_GUMMEL, state, 1e-2, store=store)
+    assert not isinstance(state, NonConvergence)
+    assert factors == [] and store.lu is kept
+
+    state = step_dd(mesh, dd, SCHARFETTER_GUMMEL, state, 5e-3, store=store)
+    assert not isinstance(state, NonConvergence)
+    assert len(factors) >= 1 and store.dt == 5e-3 and store.lu is not kept
+
+
+def test_dd_reruns_in_one_process_are_byte_identical(tmp_path):
+    texts = []
+    for k in range(2):
+        out = tmp_path / f"run{k}"
+        assert run(RunConfig(preset="dd-bias", level=1, out=str(out))) == 0
+        texts.append((out / "trace.csv").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_dd_steady_with_bias_converges():
