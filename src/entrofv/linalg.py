@@ -1,6 +1,6 @@
 """Checked sparse direct solves, M-matrix structure checks and Newton.
 
-Operators are plain ``scipy.sparse.csr_matrix`` objects.  Every
+Operators are plain ``scipy.sparse`` matrices (CSC when assembled).  Every
 factorization goes through :func:`factorize` and every solve through
 :func:`solve_linear`, which checks finiteness and the max-norm residual.
 """
@@ -29,11 +29,25 @@ class SingularMatrixError(LinAlgError):
 #: minimum degree on the pattern of A^T + A gives far less fill than COLAMD.
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
+#: SuperLU panel width and relaxed-supernode size for every factorization.
+#: Two-point operators on 2-D triangulations form only tiny supernodes, so
+#: the defaults (panels of 10 columns, supernodes padded with explicit zeros
+#: up to 20 columns) add work and storage and buy nothing.  Against the
+#: defaults, with this ordering, on 2 vCPUs: the 896-unknown PME Jacobian
+#: factors in 0.93 ms instead of 1.40 ms, the 57 344-unknown FP step matrix
+#: in 146 ms instead of 275 ms, the level-6 one holds 9.7 M factor nonzeros
+#: instead of 13.4 M, the DD Jacobian of level 3 is unchanged (42 ms), and
+#: the solutions move by at most 1.5e-14 relative.
+PANEL_SIZE = 1
+RELAX = 1
+
 
 def factorize(a: sp.spmatrix) -> spla.SuperLU:
-    """Sparse LU factors of a square matrix."""
+    """Sparse LU factors of a square matrix.  The assembled operators are
+    CSC already, so they reach SuperLU without a conversion."""
     try:
-        return spla.splu(a.tocsc(), permc_spec=PERMC_SPEC)
+        return spla.splu(a.tocsc(), permc_spec=PERMC_SPEC,
+                         panel_size=PANEL_SIZE, relax=RELAX)
     except RuntimeError as err:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(err)) from err
 
@@ -156,12 +170,13 @@ REUSE_CONTRACTION = 0.1
 
 @dataclass(eq=False)
 class FactorStore:
-    """Factored Jacobian that :func:`newton_solve` may reuse across iterates
-    and calls.  One caller owns it (one transient run); the factors belong to
-    one step size ``dt`` and are dropped when another is asked for."""
+    """A matrix and its factors for one step size ``dt``, dropped when
+    another is asked for: the Jacobian that :func:`newton_solve` may reuse
+    across iterates and calls, or a linear stepping matrix.  One caller owns
+    it (one transient run or one stepper)."""
 
     dt: Optional[float] = None
-    jac: Optional[sp.csr_matrix] = None
+    jac: Optional[sp.spmatrix] = None
     lu: Optional[spla.SuperLU] = None
 
     def drop(self) -> None:

@@ -126,8 +126,10 @@ class Mesh:
     interior: np.ndarray = field(init=False)   # (E,) bool masks by edge tag
     dirichlet: np.ndarray = field(init=False)
     neumann: np.ndarray = field(init=False)
+    _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_derived", {})
         object.__setattr__(self, "tau", self.edge_length / self.edge_d)
         for name, tag in (("interior", INTERIOR), ("dirichlet", DIRICHLET),
                           ("neumann", NEUMANN)):
@@ -143,6 +145,15 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return self.edge_length.shape[0]
+
+    def derived(self, key, build):
+        """Value that depends on this mesh alone, made by ``build(self)`` at
+        its first use and kept with the mesh.  Threads that race on a first
+        use may each build it, but all of them get the one value stored first."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, build(self))
 
     def cell_edges(self, cell: int) -> np.ndarray:
         """Edge ids incident to one cell."""

@@ -162,6 +162,15 @@ def transport_data(mesh: Mesh, a_edge: np.ndarray, u_first: np.ndarray,
     return TransportData(a_edge=a_edge, u=u, f_dirichlet=f_dirichlet)
 
 
+def _neighbor_index(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge index into the cell values followed by the Dirichlet values,
+    and the Dirichlet edge ids in that order."""
+    dirichlet = np.flatnonzero(mesh.dirichlet)
+    index = np.where(mesh.interior, mesh.edge_cells[:, 1], mesh.edge_cells[:, 0])
+    index[dirichlet] = mesh.n_cells + np.arange(dirichlet.size)
+    return index, dirichlet
+
+
 def neighbor_values(mesh: Mesh, f: np.ndarray,
                     dirichlet_values: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-edge neighbor value seen from the first incident cell.
@@ -169,19 +178,18 @@ def neighbor_values(mesh: Mesh, f: np.ndarray,
     Interior edges take the second cell's value, Dirichlet edges the supplied
     boundary value and Neumann edges mirror the cell value.
     """
-    out = f[mesh.edge_cells[:, 0]].astype(float, copy=True)
-    inter = mesh.interior
-    out[inter] = f[mesh.edge_cells[inter, 1]]
-    dmask = mesh.dirichlet
-    if np.any(dmask):
+    index, dirichlet = mesh.derived("neighbor_index", _neighbor_index)
+    f = np.asarray(f, dtype=float)
+    if dirichlet.size:
         if dirichlet_values is None:
             raise AssemblyError("mesh has Dirichlet edges but no Dirichlet values supplied")
-        vals = dirichlet_values[dmask]
-        if np.any(~np.isfinite(vals)):
-            edge = int(np.nonzero(dmask)[0][np.nonzero(~np.isfinite(vals))[0][0]])
-            raise AssemblyError(f"missing Dirichlet value on edge {edge}")
-        out[dmask] = vals
-    return out
+        vals = np.asarray(dirichlet_values, dtype=float)[dirichlet]
+        missing = ~np.isfinite(vals)
+        if np.any(missing):
+            raise AssemblyError(f"missing Dirichlet value on edge "
+                                f"{int(dirichlet[np.argmax(missing)])}")
+        f = np.concatenate([f, vals])
+    return f[index]
 
 
 def edge_differences(mesh: Mesh, f: np.ndarray,
@@ -190,13 +198,24 @@ def edge_differences(mesh: Mesh, f: np.ndarray,
     return neighbor_values(mesh, f, dirichlet_values) - f[mesh.edge_cells[:, 0]]
 
 
+def _incidences(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The first cell of every edge, then the second cell of every interior
+    edge; and the interior edge ids."""
+    interior = np.flatnonzero(mesh.interior)
+    return (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[interior, 1]]),
+            interior)
+
+
 def cell_sums(mesh: Mesh, per_edge: np.ndarray) -> np.ndarray:
-    """Sum an antisymmetric per-edge quantity (first-cell orientation) over cells."""
-    out = np.zeros(mesh.n_cells)
-    np.add.at(out, mesh.edge_cells[:, 0], per_edge)
-    inter = mesh.interior
-    np.add.at(out, mesh.edge_cells[inter, 1], -per_edge[inter])
-    return out
+    """Sum an antisymmetric per-edge quantity (first-cell orientation) over cells.
+
+    Every cell adds its first-cell incidences in edge order, then its
+    second-cell ones.
+    """
+    cells, interior = mesh.derived("incidences", _incidences)
+    per_edge = np.asarray(per_edge, dtype=float)
+    return np.bincount(cells, weights=np.concatenate([per_edge, -per_edge[interior]]),
+                       minlength=mesh.n_cells)
 
 
 def advection_from_potential(mesh: Mesh, phi_cells: np.ndarray,
@@ -295,13 +314,96 @@ def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme,
     return PecletReport(ok=not bad, beta=beta, violations=tuple(bad))
 
 
-def _coo_csr(n: int, rows: list[np.ndarray], cols: list[np.ndarray],
-             vals: list[np.ndarray]) -> sp.csr_matrix:
-    """Square CSR matrix from pieces of COO triplets; ``tocsr`` sums repeated
-    (row, col) pairs."""
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+# ---------------------------------------------------------------------------
+# fixed sparsity patterns
+#
+# An operator is a list of blocks (kind, block row, block column, values),
+# block indices in units of n_cells.  A "tpfa" block holds one entry on
+# (first, first) for every edge that is not no-flux and entries on
+# (first, second), (second, second), (second, first) for every interior edge;
+# its values come from _tpfa_values.  A "diag" block holds one entry per cell.
+# An "op" block holds the stored entries of an operator assembled from one
+# "tpfa" block, in its storage order.  The structure depends on the mesh and
+# the block layout only, so each mesh builds it once per layout.
+
+
+@dataclass(frozen=True)
+class SparsityPattern:
+    """CSC structure of a square matrix with duplicate entries summed, and
+    for every entry the assembly emits, the slot of the data array it adds to."""
+
+    size: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    @staticmethod
+    def from_pairs(rows: np.ndarray, cols: np.ndarray, size: int) -> "SparsityPattern":
+        """Pattern of the given (row, col) entries, repeats included."""
+        keys, slots = np.unique(np.asarray(cols, dtype=np.int64) * size + rows,
+                                return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
+        pattern = SparsityPattern(size, indptr.astype(np.intc),
+                                  (keys % size).astype(np.intc), slots)
+        for arr in (pattern.indptr, pattern.indices, pattern.slots):
+            arr.setflags(write=False)
+        return pattern
+
+    def fill(self, values: np.ndarray) -> sp.csc_matrix:
+        """Matrix with the emitted ``values`` summed into their slots."""
+        if values.shape != self.slots.shape:
+            raise AssemblyError(f"{values.size} values for {self.slots.size} "
+                                "pattern entries")
+        data = np.bincount(self.slots, weights=values, minlength=self.indices.size)
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
+
+
+def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Values of a "tpfa" block: ``p`` on (first, first), then ``-q``,
+    ``q`` and ``-p`` on (first, second), (second, second), (second, first)."""
+    active, inter = ~mesh.neumann, mesh.interior
+    return np.concatenate([p[active], -q[inter], q[inter], -p[inter]])
+
+
+def _block_entries(mesh: Mesh, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    if kind == "diag":
+        eye = np.arange(mesh.n_cells)
+        return eye, eye
+    if kind == "op":
+        base = _pattern(mesh, (("tpfa", 0, 0),))
+        return base.indices, np.repeat(np.arange(base.size), np.diff(base.indptr))
+    c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    active, inter = ~mesh.neumann, mesh.interior
+    return (np.concatenate([c0[active], c0[inter], c1[inter], c1[inter]]),
+            np.concatenate([c0[active], c1[inter], c1[inter], c0[inter]]))
+
+
+def _build_pattern(mesh: Mesh, layout: tuple) -> SparsityPattern:
+    n = mesh.n_cells
+    rows, cols = [], []
+    for kind, block_row, block_col in layout:
+        r, c = _block_entries(mesh, kind)
+        rows.append(r + block_row * n)
+        cols.append(c + block_col * n)
+    size = n * (1 + max(max(r, c) for _, r, c in layout))
+    return SparsityPattern.from_pairs(np.concatenate(rows), np.concatenate(cols), size)
+
+
+def _pattern(mesh: Mesh, layout: tuple) -> SparsityPattern:
+    return mesh.derived(("pattern", layout), lambda m: _build_pattern(m, layout))
+
+
+def _assemble(mesh: Mesh, blocks: list) -> sp.csc_matrix:
+    """Operator from its (kind, block row, block column, values) blocks."""
+    pattern = _pattern(mesh, tuple(block[:3] for block in blocks))
+    return pattern.fill(np.concatenate([block[3] for block in blocks]))
+
+
+def add_diagonal(mesh: Mesh, op: sp.csc_matrix, diagonal: np.ndarray) -> sp.csc_matrix:
+    """``op + diag(diagonal)`` for ``op`` from :func:`assemble_fp_operator` or
+    :func:`assemble_poisson` on this mesh."""
+    return _assemble(mesh, [("diag", 0, 0, diagonal), ("op", 0, 0, op.data)])
 
 
 def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
@@ -317,18 +419,11 @@ def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
     bm, bp = b_coefficients(mesh, data, scheme)
     ta = mesh.tau * data.a_edge
 
-    c0 = mesh.edge_cells[:, 0]
-    c1 = mesh.edge_cells[:, 1]
-    inter = mesh.interior
     dmask = mesh.dirichlet
-    active = ~mesh.neumann
 
-    rows = [c0[active], c0[inter], c1[inter], c1[inter]]
-    cols = [c0[active], c1[inter], c1[inter], c0[inter]]
-    vals = [(ta * bm)[active], -(ta * bp)[inter], (ta * bp)[inter], -(ta * bm)[inter]]
-    m = _coo_csr(mesh.n_cells, rows, cols, vals)
+    m = _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, ta * bm, ta * bp))])
     b = np.zeros(mesh.n_cells)
-    np.add.at(b, c0[dmask], (ta * bp)[dmask] * data.f_dirichlet[dmask])
+    np.add.at(b, mesh.edge_cells[dmask, 0], (ta * bp)[dmask] * data.f_dirichlet[dmask])
     return m, b
 
 
@@ -387,20 +482,11 @@ def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
     residual = mesh.cell_area * (f - f_prev) / dt - cell_sums(mesh, mesh.tau * dg)
 
     dpow = m * np.abs(f) ** (m - 1.0)
-    c0 = mesh.edge_cells[:, 0]
-    c1 = mesh.edge_cells[:, 1]
-    inter = mesh.interior
-    active = ~mesh.neumann
     t = mesh.tau
-
-    rows = [np.arange(mesh.n_cells), c0[active], c0[inter], c1[inter], c1[inter]]
-    cols = [np.arange(mesh.n_cells), c0[active], c1[inter], c1[inter], c0[inter]]
-    vals = [mesh.cell_area / dt,
-            (t * dpow[c0])[active],
-            -(t * dpow[c1])[inter],
-            (t * dpow[c1])[inter],
-            -(t * dpow[c0])[inter]]
-    return residual, _coo_csr(mesh.n_cells, rows, cols, vals)
+    return residual, _assemble(mesh, [
+        ("diag", 0, 0, mesh.cell_area / dt),
+        ("tpfa", 0, 0, _tpfa_values(mesh, t * dpow[mesh.edge_cells[:, 0]],
+                                    t * dpow[mesh.edge_cells[:, 1]]))])
 
 
 @dataclass(frozen=True)
@@ -422,19 +508,12 @@ class DdData:
                 raise DataError(f"Dirichlet {name} values must be positive")
 
 
-def assemble_poisson(mesh: Mesh, lam: float) -> sp.csr_matrix:
+def assemble_poisson(mesh: Mesh, lam: float) -> sp.csc_matrix:
     """Scaled TPFA Laplacian with Dirichlet edges eliminated, Neumann absent."""
     if lam <= 0:
         raise DataError("Debye length must be positive")
-    c0 = mesh.edge_cells[:, 0]
-    c1 = mesh.edge_cells[:, 1]
-    inter = mesh.interior
-    active = ~mesh.neumann
     t = lam * lam * mesh.tau
-    rows = [c0[active], c0[inter], c1[inter], c1[inter]]
-    cols = [c0[active], c1[inter], c1[inter], c0[inter]]
-    vals = [t[active], -t[inter], t[inter], -t[inter]]
-    return _coo_csr(mesh.n_cells, rows, cols, vals)
+    return _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, t, t))])
 
 
 def poisson_dirichlet_rhs(mesh: Mesh, lam: float, v_dirichlet: np.ndarray) -> np.ndarray:
@@ -458,15 +537,11 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     with ``jacobian=False`` it is skipped and returned as None.
     """
     n_field, p_field, v_field = (np.asarray(x, dtype=float) for x in state)
-    n = mesh.n_cells
     steady = dt is None
     if not steady and state_prev is None:
         raise AssemblyError("transient step needs the previous densities")
 
     c0 = mesh.edge_cells[:, 0]
-    c1 = mesh.edge_cells[:, 1]
-    inter = mesh.interior
-    dmask = mesh.dirichlet
     active = ~mesh.neumann
     tau = mesh.tau
     lam2 = dd.debye ** 2
@@ -499,48 +574,19 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     dflux_n = np.where(active, tau * (-dbm * n_field[c0] - dbp * n_opp), 0.0)
     dflux_p = np.where(active, tau * (dbp * p_field[c0] + dbm * p_opp), 0.0)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def put(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64))
-        cols.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=float))
-
-    eye = np.arange(n)
-    ii, jj = c0[inter], c1[inter]
-
-    # continuity blocks in the densities
-    put(c0[active], c0[active], (tau * bm)[active])
-    put(ii, jj, -(tau * bp)[inter])
-    put(jj, jj, (tau * bp)[inter])
-    put(jj, ii, -(tau * bm)[inter])
-
-    put(n + c0[active], n + c0[active], (tau * bp)[active])
-    put(n + ii, n + jj, -(tau * bm)[inter])
-    put(n + jj, n + jj, (tau * bm)[inter])
-    put(n + jj, n + ii, -(tau * bp)[inter])
-
-    if not steady:
-        put(eye, eye, mesh.cell_area / dt)
-        put(n + eye, n + eye, mesh.cell_area / dt)
-
-    # continuity blocks in the potential: residual row at cell i gains
-    # -dflux/dw, the neighbor column +dflux/dw, and the mirrored row for j
-    for base, dflx in ((0, dflux_n), (n, dflux_p)):
-        put(base + c0[active], 2 * n + c0[active], -dflx[active])
-        put(base + ii, 2 * n + jj, dflx[inter])
-        put(base + jj, 2 * n + ii, dflx[inter])
-        put(base + jj, 2 * n + jj, -dflx[inter])
-
-    # Poisson block
     t2 = lam2 * tau
-    put(2 * n + c0[active], 2 * n + c0[active], t2[active])
-    put(2 * n + ii, 2 * n + jj, -t2[inter])
-    put(2 * n + jj, 2 * n + jj, t2[inter])
-    put(2 * n + jj, 2 * n + ii, -t2[inter])
-    put(2 * n + eye, eye, mesh.cell_area)
-    put(2 * n + eye, n + eye, -mesh.cell_area)
-
-    return residual, _coo_csr(3 * n, rows, cols, vals)
+    area = mesh.cell_area
+    # unknowns [N; P; V] are block rows and columns 0, 1, 2.  In the
+    # potential columns the residual row of a cell gains -dflux/dw on its own
+    # column and +dflux/dw on its neighbour's, mirrored for the second cell:
+    # the "tpfa" form with p = q = -dflux
+    blocks = [("tpfa", 0, 0, _tpfa_values(mesh, tau * bm, tau * bp)),
+              ("tpfa", 1, 1, _tpfa_values(mesh, tau * bp, tau * bm)),
+              ("tpfa", 0, 2, _tpfa_values(mesh, -dflux_n, -dflux_n)),
+              ("tpfa", 1, 2, _tpfa_values(mesh, -dflux_p, -dflux_p)),
+              ("tpfa", 2, 2, _tpfa_values(mesh, t2, t2)),
+              ("diag", 2, 0, area),
+              ("diag", 2, 1, -area)]
+    if not steady:
+        blocks += [("diag", 0, 0, area / dt), ("diag", 1, 1, area / dt)]
+    return residual, _assemble(mesh, blocks)

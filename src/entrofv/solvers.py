@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU
 
 from . import entropy as ent
 from .entropy import PHI1, PHI2, EntropyTrace
@@ -15,7 +13,8 @@ from .linalg import (FactorStore, NewtonConfig, NonConvergence, factorize,
                      newton_solve, solve_linear)
 from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
-                      TransportData, assemble_dd_residual, assemble_fp_operator,
+                      TransportData, add_diagonal, assemble_dd_residual,
+                      assemble_fp_operator,
                       assemble_pme_residual, assemble_poisson,
                       poisson_dirichlet_rhs, signed_power, transport_data)
 
@@ -74,22 +73,23 @@ def solve_fp_steady(mesh: Mesh, data: TransportData, scheme: BScheme,
 
 
 class FpStepper:
-    """Backward-Euler steps with the operator factorized once per step size."""
+    """Backward-Euler steps with the stepping matrix factorized once per run
+    of equal step sizes; only the factors of the latest step size are kept."""
 
     def __init__(self, mesh: Mesh, data: TransportData, scheme: BScheme,
                  beta: float = 0.05, force: bool = False):
         self.mesh = mesh
         self.operator, self.boundary = assemble_fp_operator(
             mesh, data, scheme, beta=beta, force=force)
-        self._factors: dict[float, tuple[sp.csr_matrix, SuperLU]] = {}
+        self.factors = FactorStore()
 
     def step(self, f_prev: np.ndarray, dt: float) -> np.ndarray:
-        cached = self._factors.get(dt)
-        if cached is None:
-            system = (sp.diags(self.mesh.cell_area / dt) + self.operator).tocsr()
-            cached = self._factors[dt] = (system, factorize(system))
-        system, lu = cached
-        return solve_linear(system, self.mesh.cell_area * f_prev / dt + self.boundary, lu)
+        store = self.factors.for_dt(dt)
+        if store.lu is None:
+            store.jac = add_diagonal(self.mesh, self.operator, self.mesh.cell_area / dt)
+            store.lu = factorize(store.jac)
+        return solve_linear(store.jac, self.mesh.cell_area * f_prev / dt + self.boundary,
+                            store.lu)
 
 
 def step_fp(mesh: Mesh, data: TransportData, scheme: BScheme,
@@ -181,7 +181,7 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData, alpha_n: float, alpha_p: float,
     def system(v):
         e_p, e_n = np.exp(alpha_p - v), np.exp(alpha_n + v)
         return (a_mat @ v - b_dir - area * (e_p - e_n + dd.doping),
-                (a_mat + sp.diags(area * (e_p + e_n))).tocsr())
+                add_diagonal(mesh, a_mat, area * (e_p + e_n)))
 
     start = np.zeros(mesh.n_cells) if v0 is None else np.asarray(v0, dtype=float)
     result = newton_solve(system, start, newton)

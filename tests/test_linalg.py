@@ -5,13 +5,13 @@ import scipy.sparse as sp
 from entrofv.linalg import (FactorStore, NewtonConfig, NonConvergence,
                             SingularMatrixError, check_m_matrix_structure,
                             factorize, newton_solve, solve_linear)
-from entrofv.schemes import (CENTERED, UPWIND, _coo_csr, assemble_fp_operator,
+from entrofv.schemes import (CENTERED, UPWIND, SparsityPattern, assemble_fp_operator,
                              transport_data)
 
 
 def dense(entries, n):
     rows, cols, vals = zip(*entries)
-    return _coo_csr(n, [np.array(rows)], [np.array(cols)], [np.array(vals, dtype=float)])
+    return sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=(n, n))
 
 
 def test_solve_identity(rng):
@@ -36,7 +36,9 @@ def test_solve_deterministic(rng):
     rows = rng.integers(0, n, 300)
     cols = rng.integers(0, n, 300)
     vals = rng.standard_normal(300)
-    a = _coo_csr(n, [rows, np.arange(n)], [cols, np.arange(n)], [vals, np.full(n, 10.0)])
+    a = sp.csr_matrix((np.concatenate([vals, np.full(n, 10.0)]),
+                       (np.concatenate([rows, np.arange(n)]),
+                        np.concatenate([cols, np.arange(n)]))), shape=(n, n))
     b = rng.standard_normal(n)
     x1 = solve_linear(a, b)
     x2 = solve_linear(a, b)
@@ -44,8 +46,8 @@ def test_solve_deterministic(rng):
 
 
 def test_duplicate_coo_entries_sum():
-    a = _coo_csr(2, [np.array([0, 0]), np.array([1])], [np.array([0, 0]), np.array([1])],
-                 [np.array([1.0, 2.0]), np.array([1.0])])
+    pattern = SparsityPattern.from_pairs(np.array([0, 0, 1]), np.array([0, 0, 1]), 2)
+    a = pattern.fill(np.array([1.0, 2.0, 1.0]))
     assert a.nnz == 2
     assert a.toarray()[0, 0] == 3.0
 
@@ -174,3 +176,17 @@ def test_newton_store_reuses_factors_across_calls():
     assert again[0][0] == pytest.approx(2.0, abs=1e-11)
     assert store.lu is kept
     assert store.for_dt(0.5).lu is None and store.dt == 0.5
+
+
+def test_factorize_passes_supernode_constants(monkeypatch):
+    from entrofv import linalg
+    seen = []
+    splu = linalg.spla.splu
+
+    def capture(a, **kwargs):
+        seen.append(kwargs)
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", capture)
+    factorize(dense([(0, 0, 2.0), (1, 1, 3.0)], 2))
+    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}]

@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrofv
 from entrofv.cli import BOUNDARY_NAMES, main, parse_config_text
 from entrofv.mesh import load_mesh, validate
 from entrofv.presets import (RunConfig, UsageError, build_problem,
@@ -216,9 +219,13 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_entry_point_runs():
+    # the child imports the package from where this process found it
+    src = str(Path(entrofv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-m", "entrofv.cli", "run",
                           "definitely-not-a-preset"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 2
     assert "preset" in out.stderr
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from entrofv.mesh import BoundarySpec, reference_mesh
 from entrofv.schemes import (CENTERED, SCHARFETTER_GUMMEL, SCHEMES, UPWIND,
@@ -494,3 +495,234 @@ def test_poisson_symmetric_positive_definite(two_cell_mesh, mesh0):
         dense = assemble_poisson(mesh, 1.0).toarray()
         np.testing.assert_allclose(dense, dense.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(dense) > 0)
+
+
+# ---------------------------------------------------------------------------
+# fixed sparsity patterns, against the COO assembly they replaced
+
+PATTERN_MESHES = ("two_cell_mesh", "single_cell_mesh", "mesh0", "mesh1")
+
+#: Most entries any operator below sums into one matrix slot: three edges of
+#: a triangle, the time term, and a diagonal shift.  Two summation orders of
+#: k terms differ by at most (k - 1) eps times the sum of their magnitudes.
+MAX_SUMMED = 5
+
+
+def _coo(size, rows, cols, vals):
+    """The old assembly: COO triplet pieces summed by scipy's ``tocsr``; also
+    the sums of magnitudes and the number of terms in every slot."""
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+
+    def csr(data):
+        return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+
+    return csr(vals), csr(np.abs(vals)), csr(np.ones(vals.size))
+
+
+def _coo_tpfa(mesh, p, q):
+    c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    inter, active = mesh.interior, ~mesh.neumann
+    return ([c0[active], c0[inter], c1[inter], c1[inter]],
+            [c0[active], c1[inter], c1[inter], c0[inter]],
+            [p[active], -q[inter], q[inter], -p[inter]])
+
+
+def _coo_dd(mesh, dd, scheme, state_prev, state, dt):
+    """The drift-diffusion Jacobian triplets as the old assembly emitted them."""
+    n_field, p_field, v_field = state
+    n = mesh.n_cells
+    c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    inter, active, tau = mesh.interior, ~mesh.neumann, mesh.tau
+    w = edge_differences(mesh, v_field, dd.v_dirichlet)
+    bm, bp = scheme.b(-w), scheme.b(w)
+    dbm, dbp = scheme.db(-w), scheme.db(w)
+    n_opp = neighbor_values(mesh, n_field, dd.n_dirichlet)
+    p_opp = neighbor_values(mesh, p_field, dd.p_dirichlet)
+    dflux_n = np.where(active, tau * (-dbm * n_field[c0] - dbp * n_opp), 0.0)
+    dflux_p = np.where(active, tau * (dbp * p_field[c0] + dbm * p_opp), 0.0)
+    rows, cols, vals = [], [], []
+
+    def put(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.asarray(v, dtype=float))
+
+    eye, ii, jj = np.arange(n), c0[inter], c1[inter]
+    put(c0[active], c0[active], (tau * bm)[active])
+    put(ii, jj, -(tau * bp)[inter])
+    put(jj, jj, (tau * bp)[inter])
+    put(jj, ii, -(tau * bm)[inter])
+    put(n + c0[active], n + c0[active], (tau * bp)[active])
+    put(n + ii, n + jj, -(tau * bm)[inter])
+    put(n + jj, n + jj, (tau * bm)[inter])
+    put(n + jj, n + ii, -(tau * bp)[inter])
+    if dt is not None:
+        put(eye, eye, mesh.cell_area / dt)
+        put(n + eye, n + eye, mesh.cell_area / dt)
+    for base, dflx in ((0, dflux_n), (n, dflux_p)):
+        put(base + c0[active], 2 * n + c0[active], -dflx[active])
+        put(base + ii, 2 * n + jj, dflx[inter])
+        put(base + jj, 2 * n + ii, dflx[inter])
+        put(base + jj, 2 * n + jj, -dflx[inter])
+    t2 = dd.debye ** 2 * tau
+    put(2 * n + c0[active], 2 * n + c0[active], t2[active])
+    put(2 * n + ii, 2 * n + jj, -t2[inter])
+    put(2 * n + jj, 2 * n + jj, t2[inter])
+    put(2 * n + jj, 2 * n + ii, -t2[inter])
+    put(2 * n + eye, eye, mesh.cell_area)
+    put(2 * n + eye, n + eye, -mesh.cell_area)
+    return rows, cols, vals
+
+
+def _assert_same_matrix(got, reference):
+    ref, magnitude, terms = reference
+    got = got.tocsr()
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    assert terms.data.max(initial=0) <= MAX_SUMMED
+    bound = (MAX_SUMMED - 1) * np.finfo(float).eps * magnitude.data
+    assert np.all(np.abs(got.data - ref.data) <= bound)
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_pattern_assembly_matches_coo_reference(mesh_name, request, rng):
+    from entrofv.schemes import add_diagonal
+    from entrofv.solvers import FpStepper
+    mesh = request.getfixturevalue(mesh_name)
+    n, dmask = mesh.n_cells, mesh.dirichlet
+
+    f_dir = np.where(dmask, rng.uniform(0.5, 2.0, mesh.n_edges), np.nan)
+    data = transport_data(mesh, rng.uniform(0.5, 2.0, mesh.n_edges),
+                          rng.uniform(-1.0, 1.0, mesh.n_edges), f_dir)
+    for scheme in SCHEMES.values():
+        m_op, _ = assemble_fp_operator(mesh, data, scheme, force=True)
+        bm, bp = b_coefficients(mesh, data, scheme)
+        ta = mesh.tau * data.a_edge
+        ref = _coo(n, *_coo_tpfa(mesh, ta * bm, ta * bp))
+        _assert_same_matrix(m_op, ref)
+
+        stepper = FpStepper(mesh, data, scheme, force=True)
+        stepper.step(rng.uniform(0.5, 2.0, n), 0.3)
+        step_ref = (sp.diags(mesh.cell_area / 0.3) + ref[0]).tocsr()
+        _assert_same_matrix(stepper.factors.jac,
+                            (step_ref, abs(sp.diags(mesh.cell_area / 0.3)) + ref[1],
+                             ref[2] + sp.identity(n)))
+
+    f = rng.uniform(0.1, 2.0, n)
+    _, jac = assemble_pme_residual(mesh, f, f, 3.0, 0.2, f_dir)
+    dpow = 3.0 * f ** 2
+    c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    rows, cols, vals = _coo_tpfa(mesh, mesh.tau * dpow[c0], mesh.tau * dpow[c1])
+    _assert_same_matrix(jac, _coo(n, [np.arange(n), *rows], [np.arange(n), *cols],
+                                  [mesh.cell_area / 0.2, *vals]))
+
+    t = 0.7 ** 2 * mesh.tau
+    poisson = assemble_poisson(mesh, 0.7)
+    rows, cols, vals = _coo_tpfa(mesh, t, t)
+    _assert_same_matrix(poisson, _coo(n, rows, cols, vals))
+    shift = rng.uniform(0.1, 2.0, n)  # the thermal-equilibrium Jacobian
+    _assert_same_matrix(add_diagonal(mesh, poisson, shift),
+                        _coo(n, [np.arange(n), *rows], [np.arange(n), *cols],
+                             [shift, *vals]))
+
+    dd = _random_dd(mesh, rng)
+    state = (rng.uniform(0.1, 10.0, n), rng.uniform(0.1, 10.0, n),
+             rng.uniform(-2.0, 2.0, n))
+    prev = (rng.uniform(0.1, 10.0, n), rng.uniform(0.1, 10.0, n))
+    for scheme in SCHEMES.values():
+        for state_prev, dt in ((None, None), (prev, 1e-2)):
+            _, jac = assemble_dd_residual(mesh, dd, scheme, state_prev, state, dt)
+            _assert_same_matrix(jac, _coo(3 * n, *_coo_dd(mesh, dd, scheme,
+                                                          state_prev, state, dt)))
+
+
+def test_step_pme_builds_its_pattern_once(monkeypatch):
+    from entrofv import schemes
+    from entrofv.presets import fill_problem
+    from entrofv.solvers import step_pme
+    built = []
+    build = schemes._build_pattern
+
+    def counting(mesh, layout):
+        built.append(layout)
+        return build(mesh, layout)
+
+    monkeypatch.setattr(schemes, "_build_pattern", counting)
+    prob = fill_problem(0)
+    f = prob.f0
+    for _ in range(3):
+        f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
+    assert len(built) == 1
+
+
+def test_shared_mesh_patterns_are_thread_safe(toy_boundary):
+    """Threads that assemble on one fresh mesh at once race on its first
+    pattern build and must all get the same matrices."""
+    import sys
+    import threading
+    rng = np.random.default_rng(7)
+    workers = 4
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            mesh = reference_mesh(1, toy_boundary)
+            n = mesh.n_cells
+            f = rng.uniform(0.5, 2.0, n)
+            f_dir = np.where(mesh.dirichlet, 1.5, np.nan)
+            dd = _random_dd(mesh, rng)
+            state = (f, f[::-1].copy(), rng.uniform(-1.0, 1.0, n))
+            barrier = threading.Barrier(workers)
+            results, errors = [None] * workers, []
+
+            def work(k):
+                try:
+                    barrier.wait(timeout=30)
+                    results[k] = [
+                        assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, (f, f),
+                                             state, 1e-2)[1],
+                        assemble_pme_residual(mesh, f, f, 2.0, 1e-2, f_dir)[1],
+                        assemble_poisson(mesh, 1.0)]
+                except BaseException as err:  # reported below
+                    errors.append(err)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            for got in results[1:]:
+                for a, b in zip(got, results[0]):
+                    assert a.shape == b.shape
+                    for name in ("indptr", "indices", "data"):
+                        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_cell_sums_equal_add_at_reference(mesh_name, request, rng):
+    from entrofv.schemes import cell_sums
+    mesh = request.getfixturevalue(mesh_name)
+    per_edge = rng.standard_normal(mesh.n_edges) * 10.0 ** rng.integers(-8, 8, mesh.n_edges)
+    # the two np.add.at passes cell_sums used before; same summation order
+    expected = np.zeros(mesh.n_cells)
+    np.add.at(expected, mesh.edge_cells[:, 0], per_edge)
+    inter = mesh.interior
+    np.add.at(expected, mesh.edge_cells[inter, 1], -per_edge[inter])
+    np.testing.assert_array_equal(cell_sums(mesh, per_edge), expected)
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_neighbor_values_equal_masked_reference(mesh_name, request, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    f = rng.standard_normal(mesh.n_cells)
+    dvals = np.where(mesh.dirichlet, rng.standard_normal(mesh.n_edges), np.nan)
+    # the boolean-mask gathers neighbor_values used before
+    expected = f[mesh.edge_cells[:, 0]].copy()
+    expected[mesh.interior] = f[mesh.edge_cells[mesh.interior, 1]]
+    expected[mesh.dirichlet] = dvals[mesh.dirichlet]
+    np.testing.assert_array_equal(neighbor_values(mesh, f, dvals), expected)

@@ -109,6 +109,31 @@ def test_fp_stepper_rejects_non_finite_solve():
     assert np.all(np.isfinite(stepper.step(prob.f0, 1e-2)))
 
 
+def test_fp_stepper_holds_one_factorization(monkeypatch):
+    import gc
+    import weakref
+
+    class Tracked:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    live = weakref.WeakSet()
+
+    def tracking(a):
+        lu = Tracked(factorize(a))
+        live.add(lu)
+        return lu
+
+    monkeypatch.setattr(solvers, "factorize", tracking)
+    prob = toy_problem(0)
+    stepper = FpStepper(prob.mesh, prob.data, UPWIND)
+    f = prob.f0
+    for dt in (1e-2, 5e-3, 1e-2):
+        f = stepper.step(f, dt)
+    gc.collect()
+    assert len(live) == 1 and stepper.factors.dt == 1e-2
+
+
 def test_step_fp_first_order_in_time():
     """Richardson comparison against the closed-form transient solution."""
     prob = toy_problem(2)
