@@ -24,36 +24,68 @@ class SingularMatrixError(LinAlgError):
     """The matrix is exactly singular or the solve is not finite."""
 
 
-#: Column ordering for every factorization.  TPFA operators and the coupled
-#: drift-diffusion Jacobian have structurally symmetric patterns, for which
-#: minimum degree on the pattern of A^T + A gives far less fill than COLAMD.
+#: Column ordering, SuperLU panel width and relaxed-supernode size.  TPFA
+#: operators and the coupled drift-diffusion Jacobian have structurally
+#: symmetric patterns, for which minimum degree on A^T + A gives far less
+#: fill than COLAMD.  The ordering depends on the pattern alone, so
+#: :func:`factorize` computes it once per pattern and then factors with
+#: ``NATURAL``.  SuperLU's default panels of 10 columns and supernodes padded
+#: to 20 buy nothing for the tiny supernodes of two-point operators: against
+#: them the 57 344-unknown FP step matrix factors in 146 ms instead of 275 ms
+#: and the level-6 one holds 9.7 M factor nonzeros instead of 13.4 M.  Reusing
+#: the ordering, the 896-unknown PME Jacobian factors in 0.91 ms instead of
+#: 1.18 ms and the level-3 DD Jacobian in 33 ms instead of 36 ms (2 vCPUs).
 PERMC_SPEC = "MMD_AT_PLUS_A"
-
-#: SuperLU panel width and relaxed-supernode size for every factorization.
-#: Two-point operators on 2-D triangulations form only tiny supernodes, so
-#: the defaults (panels of 10 columns, supernodes padded with explicit zeros
-#: up to 20 columns) add work and storage and buy nothing.  Against the
-#: defaults, with this ordering, on 2 vCPUs: the 896-unknown PME Jacobian
-#: factors in 0.93 ms instead of 1.40 ms, the 57 344-unknown FP step matrix
-#: in 146 ms instead of 275 ms, the level-6 one holds 9.7 M factor nonzeros
-#: instead of 13.4 M, the DD Jacobian of level 3 is unchanged (42 ms), and
-#: the solutions move by at most 1.5e-14 relative.
 PANEL_SIZE = 1
 RELAX = 1
 
 
-def factorize(a: sp.spmatrix) -> spla.SuperLU:
-    """Sparse LU factors of a square matrix.  The assembled operators are
-    CSC already, so they reach SuperLU without a conversion."""
+@dataclass(frozen=True, eq=False)
+class PermutedLU:
+    """Factors of ``A[q][:, q]``, ``q = order = argsort(perm)``, that solve
+    with ``A``: unknown ``i`` is unknown ``perm[i]`` of the factored matrix."""
+
+    lu: spla.SuperLU
+    perm: np.ndarray
+    order: np.ndarray
+    nnz: int
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b[self.order])[self.perm]
+
+
+def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
+    """Sparse LU factors of a square matrix, CSC already when assembled.  The
+    first factorization of a matrix from ``SparsityPattern.fill`` stores the
+    column ordering on its ``pattern``; later ones factor the symmetrically
+    permuted matrix with ``NATURAL``.  Its columns keep their stored row
+    order, which SuperLU follows, so both give the same factors bit for bit."""
+    pattern = getattr(a, "pattern", None)
+    known = pattern.ordering if pattern is not None else {}
     try:
-        return spla.splu(a.tocsc(), permc_spec=PERMC_SPEC,
-                         panel_size=PANEL_SIZE, relax=RELAX)
+        if "perm" not in known:
+            lu = spla.splu(a.tocsc(), permc_spec=PERMC_SPEC,
+                           panel_size=PANEL_SIZE, relax=RELAX)
+            if pattern is not None:  # a view of perm_c keeps the factors alive
+                known.setdefault("perm", lu.perm_c.copy())
+            return lu
+        perm = known["perm"]
+        if "permuted" not in known:  # threads that race store equal values
+            cols = np.repeat(perm, np.diff(a.indptr))  # each slot's permuted column
+            gather = np.argsort(cols, kind="stable")
+            indptr = np.searchsorted(cols[gather], np.arange(a.shape[0] + 1)).astype(np.intc)
+            known.setdefault("permuted", (np.argsort(perm), gather, perm[a.indices[gather]], indptr))
+        order, gather, indices, indptr = known["permuted"]
+        permuted = sp.csc_matrix((a.data[gather], indices, indptr), shape=a.shape)
+        permuted.has_canonical_format = True  # unsorted rows, kept so on purpose
+        lu = spla.splu(permuted, permc_spec="NATURAL", panel_size=PANEL_SIZE, relax=RELAX)
+        return PermutedLU(lu, perm, order, lu.nnz)
     except RuntimeError as err:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(err)) from err
 
 
 def solve_linear(a: sp.spmatrix, b: np.ndarray,
-                 lu: Optional[spla.SuperLU] = None) -> np.ndarray:
+                 lu: Union[spla.SuperLU, PermutedLU, None] = None) -> np.ndarray:
     """Direct sparse solve with a residual guarantee in the max-norm.
 
     ``lu``, when given, must be ``factorize(a)``; callers that solve with one
@@ -177,7 +209,7 @@ class FactorStore:
 
     dt: Optional[float] = None
     jac: Optional[sp.spmatrix] = None
-    lu: Optional[spla.SuperLU] = None
+    lu: Union[spla.SuperLU, PermutedLU, None] = None
 
     def drop(self) -> None:
         self.jac = self.lu = None

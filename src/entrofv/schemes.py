@@ -9,7 +9,8 @@ antisymmetric quantities (advection, differences, fluxes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -43,14 +44,21 @@ def _sg_value(x: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, 0.0)
 
 
+#: Taylor coefficients B_2k / (2k-1)! of the SG slope B'(x) + 1/2 in x^23,
+#: x^21, ..., x (Bernoulli numbers B_2k): 1 ulp for |x| < 1, where the closed
+#: form cancels (10^6 ulp off at x = 1e-3); beyond, it is within 3 ulp.
+_SG_SLOPE_SERIES = (np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                              -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                              -236364091 / 2730]) / [factorial(k) for k in range(1, 24, 2)])[::-1]
+
+
 def _sg_derivative(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
+    small = np.abs(x) < 1.0
     xs = np.where(small, 1.0, x)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.expm1(xs)
-        out = np.where(small,
-                       -0.5 + x / 6.0 - x ** 3 / 180.0,
+        out = np.where(small, -0.5 + x * np.polyval(_SG_SLOPE_SERIES, x * x),
                        (np.exp(xs) * (1.0 - xs) - 1.0) / (e * e))
     return np.where(np.isfinite(out), out, 0.0)
 
@@ -117,6 +125,15 @@ class BScheme:
 
     def db(self, x) -> np.ndarray:
         return np.asarray(self.dfn(np.asarray(x, dtype=float)))
+
+    def both_sides(self, w: np.ndarray, slope: bool = False):
+        """``(B(-w), B(w))``, or the slopes, from one evaluation on ``|w|``: the
+        larger side is B(-x) = B(x) + x or B'(-x) = -1 - B'(x), never B(w) + w,
+        which has no correct digits where B(-w) is tiny (SG at w <= -40)."""
+        x = np.abs(w)
+        near = self.db(x) if slope else self.b(x)
+        far = -1.0 - near if slope else near + x
+        return np.where(w < 0, near, far), np.where(w < 0, far, near)
 
 
 UPWIND = BScheme.upwind()
@@ -277,8 +294,7 @@ def discretize_coefficients(mesh: Mesh, a, f_dirichlet,
 def b_coefficients(mesh: Mesh, data: TransportData, scheme: BScheme):
     """Per-edge (B-, B+) pair in the first cell's orientation; zero on Neumann."""
     w = data.u[:, 0] * mesh.edge_d / data.a_edge
-    bminus = scheme.b(-w)
-    bplus = scheme.b(w)
+    bminus, bplus = scheme.both_sides(w)
     nmask = mesh.neumann
     bminus[nmask] = 0.0
     bplus[nmask] = 0.0
@@ -330,12 +346,14 @@ def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme,
 @dataclass(frozen=True)
 class SparsityPattern:
     """CSC structure of a square matrix with duplicate entries summed, and
-    for every entry the assembly emits, the slot of the data array it adds to."""
+    for every entry the assembly emits, the slot of the data array it adds to.
+    ``ordering`` holds what ``linalg.factorize`` learns about the structure."""
 
     size: int
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
+    ordering: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_pairs(rows: np.ndarray, cols: np.ndarray, size: int) -> "SparsityPattern":
@@ -355,8 +373,10 @@ class SparsityPattern:
             raise AssemblyError(f"{values.size} values for {self.slots.size} "
                                 "pattern entries")
         data = np.bincount(self.slots, weights=values, minlength=self.indices.size)
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=(self.size, self.size))
+        matrix = sp.csc_matrix((data, self.indices, self.indptr),
+                               shape=(self.size, self.size))
+        matrix.pattern = self
+        return matrix
 
 
 def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -547,8 +567,7 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     lam2 = dd.debye ** 2
 
     w = edge_differences(mesh, v_field, dd.v_dirichlet)
-    bm = scheme.b(-w)
-    bp = scheme.b(w)
+    bm, bp = scheme.both_sides(w)
     n_opp = neighbor_values(mesh, n_field, dd.n_dirichlet)
     p_opp = neighbor_values(mesh, p_field, dd.p_dirichlet)
 
@@ -567,8 +586,7 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     if not jacobian:
         return residual, None
 
-    dbm = scheme.db(-w)   # derivative of B evaluated at -w
-    dbp = scheme.db(w)
+    dbm, dbp = scheme.both_sides(w, slope=True)   # B' at -w and at w
     # flux slopes with respect to the potential difference w;
     # d/dw of B(-w) is -B'(-w)
     dflux_n = np.where(active, tau * (-dbm * n_field[c0] - dbp * n_opp), 0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from entrofv.linalg import (FactorStore, NewtonConfig, NonConvergence,
                             SingularMatrixError, check_m_matrix_structure,
@@ -190,3 +191,82 @@ def test_factorize_passes_supernode_constants(monkeypatch):
     monkeypatch.setattr(linalg.spla, "splu", capture)
     factorize(dense([(0, 0, 2.0), (1, 1, 3.0)], 2))
     assert seen == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}]
+
+
+# ---------------------------------------------------------------------------
+# column ordering reused per sparsity pattern
+
+
+def _pattern_operators(level, rng):
+    """Two fills of every factored operator layout on a fresh mesh (so no
+    earlier factorization has ordered its patterns): the PME Jacobian, the
+    steady and transient DD Jacobians and the FP step matrix."""
+    from entrofv.mesh import BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, reference_mesh
+    from entrofv.schemes import (SCHARFETTER_GUMMEL, DdData, add_diagonal,
+                                 assemble_dd_residual, assemble_pme_residual)
+    mesh = reference_mesh(level, BoundarySpec(dirichlet=(LEFT, RIGHT), neumann=(BOTTOM, TOP)))
+    n, dmask = mesh.n_cells, mesh.dirichlet
+    f_dir = np.where(dmask, 1.5, np.nan)
+    dd = DdData(doping=rng.uniform(-1.0, 1.0, n), debye=1.0,
+                n_dirichlet=np.where(dmask, 2.0, np.nan),
+                p_dirichlet=np.where(dmask, 0.5, np.nan),
+                v_dirichlet=np.where(dmask, rng.uniform(-2.0, 2.0, mesh.n_edges), np.nan))
+    data = transport_data(mesh, np.ones(mesh.n_edges), rng.uniform(-3.0, 3.0, mesh.n_edges),
+                          f_dir)
+    op, _ = assemble_fp_operator(mesh, data, UPWIND)
+
+    def fills():
+        f = rng.uniform(0.1, 2.0, n)
+        state = (f, rng.uniform(0.1, 2.0, n), rng.uniform(-3.0, 3.0, n))
+        return {"pme": assemble_pme_residual(mesh, f, f, 2.0, 1e-2, f_dir)[1],
+                "dd-steady": assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, None,
+                                                  state)[1],
+                "dd-transient": assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL,
+                                                     state[:2], state, 1e-2)[1],
+                "fp-step": add_diagonal(mesh, op, mesh.cell_area * rng.uniform(1.0, 1e3))}
+
+    return mesh, fills(), fills()
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_pattern_ordering_reproduces_mmd_factors(level, rng):
+    from entrofv.linalg import PANEL_SIZE, PERMC_SPEC, RELAX, PermutedLU
+    _, first, second = _pattern_operators(level, rng)
+    for name, a in first.items():
+        assert not isinstance(factorize(a), PermutedLU), name
+        b = rng.standard_normal(a.shape[0])
+        for later in (second[name], a):
+            lu = factorize(later)
+            assert isinstance(lu, PermutedLU), name
+            ref = spla.splu(later, permc_spec=PERMC_SPEC, panel_size=PANEL_SIZE,
+                                 relax=RELAX)
+            assert lu.nnz == ref.nnz, name
+            x, x_ref = lu.solve(b), ref.solve(b)
+            assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref)), name
+            # the permuted columns keep their row order, so SuperLU repeats
+            # the ordered factorization bit for bit
+            np.testing.assert_array_equal(x, x_ref, err_msg=name)
+            np.testing.assert_array_equal(solve_linear(later, b, lu), x_ref, err_msg=name)
+
+
+def test_pattern_factored_once_builds_no_permuted_structure(rng):
+    _, first, _ = _pattern_operators(1, rng)
+    a = first["pme"]
+    factorize(a)
+    perm = a.pattern.ordering["perm"]
+    assert set(a.pattern.ordering) == {"perm"}
+    assert perm.base is None  # a view would keep the first factors alive
+    assert sorted(perm) == list(range(a.shape[0]))
+    factorize(a)
+    assert set(a.pattern.ordering) == {"perm", "permuted"}
+
+
+def test_pattern_path_singular_matrix_raises():
+    pattern = SparsityPattern.from_pairs(np.array([0, 1, 2, 0, 1]), np.array([0, 1, 2, 1, 0]), 3)
+    factorize(pattern.fill(np.array([2.0, 2.0, 1.0, -1.0, -1.0])))
+    singular = pattern.fill(np.array([1.0, 1.0, 0.0, -1.0, -1.0]))
+    with pytest.raises(SingularMatrixError):
+        factorize(singular)
+    assert "permuted" in pattern.ordering
+    with pytest.raises(SingularMatrixError):
+        solve_linear(singular, np.ones(3), None)

@@ -82,6 +82,67 @@ def test_b_derivative_matches_finite_differences(name, scheme, rng):
     assert np.max(np.abs(scheme.db(xs) - fd)) < 1e-6
 
 
+#: Arguments where one side of B or B' is tiny, near 1, or overflows.
+SIDE_POINTS = np.array([0.0, 1e-8, -1e-8, 1e-3, -1e-3, 1.0, -1.0, 40.0, -40.0,
+                        700.0, -700.0])
+
+
+@pytest.mark.parametrize("name,scheme", ALL_SCHEMES)
+def test_both_sides_match_direct_evaluations(name, scheme):
+    w = SIDE_POINTS
+    for slope, direct in ((False, scheme.b), (True, scheme.db)):
+        for got, want in zip(scheme.both_sides(w, slope), (direct(-w), direct(w))):
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)) + 1e-300), \
+                (slope, w[np.abs(got - want) > 4 * np.spacing(np.abs(want)) + 1e-300])
+
+
+def test_sg_slope_matches_high_precision_reference():
+    from decimal import Decimal, localcontext
+
+    def exact(x):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(float(x))
+            if x == 0:
+                return -0.5
+            em1 = x.exp() - 1
+            return float((em1 - x * (em1 + 1)) / (em1 * em1))
+
+    mags = np.concatenate([np.logspace(-9, np.log10(50.0), 80), [1e-3, 0.5, 1.0 - 1e-16, 1.0]])
+    xs = np.concatenate([mags, -mags, [0.0]])
+    want = np.array([exact(x) for x in xs])
+    got = SCHARFETTER_GUMMEL.db(xs)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), \
+        xs[np.abs(got - want) > 4 * np.spacing(np.abs(want))]
+
+
+def test_flux_function_evaluated_once_per_call(mesh1, rng):
+    calls = {"fn": 0, "dfn": 0}
+
+    def counted(key, fn):
+        def wrapped(x):
+            calls[key] += 1
+            return fn(x)
+        return wrapped
+
+    sg = SCHARFETTER_GUMMEL
+    counting = BScheme(name="sg", fn=counted("fn", sg.fn), dfn=counted("dfn", sg.dfn))
+    n = mesh1.n_cells
+    dd = _random_dd(mesh1, rng)
+    state = (rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, n))
+    r, jac = assemble_dd_residual(mesh1, dd, counting, state[:2], state, 1e-2)
+    assert calls == {"fn": 1, "dfn": 1}
+    r_ref, jac_ref = assemble_dd_residual(mesh1, dd, sg, state[:2], state, 1e-2)
+    np.testing.assert_array_equal(r, r_ref)
+    np.testing.assert_array_equal(jac.toarray(), jac_ref.toarray())
+    data = transport_data(mesh1, np.ones(mesh1.n_edges), rng.uniform(-50, 50, mesh1.n_edges),
+                          np.where(mesh1.dirichlet, 1.0, np.nan))
+    pair = b_coefficients(mesh1, data, counting)
+    assert calls == {"fn": 2, "dfn": 1}
+    for got, want in zip(pair, b_coefficients(mesh1, data, sg)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_custom_scheme_accepts_sg_clone_and_rejects_junk():
     clone = BScheme.custom(SCHARFETTER_GUMMEL.fn, name="clone")
     assert eval_b(clone, 0.3) == pytest.approx(eval_b(SCHARFETTER_GUMMEL, 0.3))

@@ -643,3 +643,70 @@ def test_run_transient_pme_and_dd_columns():
     res = run_transient(biased, SCHARFETTER_GUMMEL, StepperConfig.fixed(1e-2, 0.03))
     assert np.all(np.isnan(res.trace.column("E_eq")))
     assert np.all(np.isfinite(res.trace.column("E_inf")))
+
+
+# ---------------------------------------------------------------------------
+# column ordering reused per sparsity pattern
+
+
+def test_pme_run_orders_each_pattern_once(monkeypatch):
+    """A porous-medium run asks SuperLU for a fill-reducing ordering once per
+    sparsity pattern (the steady Laplacian and the step Jacobian) and factors
+    every later Jacobian with ``NATURAL``."""
+    calls = []
+    splu = linalg.spla.splu
+
+    def recording(a, **kwargs):
+        calls.append((kwargs["permc_spec"], getattr(a, "pattern", None)))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", recording)
+    result = run_transient(sweep_problem(1, m=2.0, m_dirichlet=1.0), SCHARFETTER_GUMMEL,
+                           StepperConfig(t_final=0.05))
+    assert not result.aborted
+    ordered = [pattern for spec, pattern in calls if spec == linalg.PERMC_SPEC]
+    assert len(ordered) == 2 and None not in ordered and ordered[0] is not ordered[1]
+    natural = [pattern for spec, pattern in calls if spec == "NATURAL"]
+    assert len(natural) == len(calls) - 2 >= 10
+    assert natural == [None] * len(natural)  # the permuted copies carry no pattern
+
+
+def test_shared_mesh_ordering_is_thread_safe():
+    """Threads that factor on one fresh mesh at once race on its first
+    ordering and permuted structure, and must all get the same solutions."""
+    import sys
+    import threading
+    rng = np.random.default_rng(11)
+    workers = 4
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            mesh = reference_mesh(1, BoundarySpec.all_dirichlet())
+            f = rng.uniform(0.5, 2.0, mesh.n_cells)
+            f_dir = np.where(mesh.dirichlet, 1.5, np.nan)
+            b = rng.standard_normal(mesh.n_cells)
+            barrier = threading.Barrier(workers)
+            results, errors = [None] * workers, []
+
+            def work(k):
+                try:
+                    barrier.wait(timeout=30)
+                    results[k] = [linalg.solve_linear(jac, b, factorize(jac)) for jac in (
+                        assemble_pme_residual(mesh, f, f, 2.0, dt, f_dir)[1]
+                        for dt in (1e-2, 1e-2, 1e-3))]
+                except BaseException as err:  # reported below
+                    errors.append(err)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            for got in results[1:]:
+                for x, x_ref in zip(got, results[0]):
+                    np.testing.assert_array_equal(x, x_ref)
+    finally:
+        sys.setswitchinterval(old_interval)
