@@ -7,10 +7,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh
-from .schemes import (BScheme, DataError, TransportData, edge_differences,
-                      edge_steady_weight, signed_power)
+from .schemes import (BScheme, DataError, TransportData, edge_steady_weight,
+                      laplacian, signed_power, two_point_matrix)
 
 #: Continuous one-direction Poincare constant of the unit square; callers may
 #: override when bounding rates on other domains.
@@ -117,50 +118,76 @@ def _check_reference(f_inf: np.ndarray):
         raise DataError("reference state must be positive")
 
 
+def _nonnegative(f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.size and np.any(f < -1e-12 * max(1.0, float(np.max(np.abs(f))))):
+        raise DataError("field must be non-negative")
+    return f
+
+
+def _phi_entropy(mesh: Mesh, h: np.ndarray, f_inf: np.ndarray, phi: PhiFunction) -> float:
+    return float(np.sum(mesh.cell_area * phi.value(h) * f_inf))
+
+
+def _dissipation(k: sp.csc_matrix, h: np.ndarray, phi: PhiFunction) -> float:
+    return float(phi.d1(h) @ (k @ (h - 1.0)))
+
+
+def _lp(mesh: Mesh, diff: np.ndarray, p: float) -> float:
+    return float(np.sum(mesh.cell_area * diff ** p) ** (1.0 / p))
+
+
 def relative_phi_entropy(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray,
                          phi: PhiFunction) -> float:
     """Area-weighted sum of phi(f / f_inf) * f_inf over the cells."""
     _check_reference(f_inf)
-    f = np.asarray(f, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(f)))) if f.size else 1.0
-    if np.any(f < -1e-12 * scale):
-        raise DataError("field must be non-negative")
-    h = np.maximum(f, 0.0) / f_inf
-    return float(np.sum(mesh.cell_area * phi.value(h) * f_inf))
+    return _phi_entropy(mesh, np.maximum(_nonnegative(f), 0.0) / f_inf, f_inf, phi)
 
 
 def steady_edge_factors(mesh: Mesh, data: TransportData, scheme: BScheme,
-                        f_inf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The parts of :func:`phi_dissipation` fixed by the mesh and the steady
-    state, computed once per run.
-
-    On the edges that are not no-flux: ``tau * a``, the steady edge weight,
-    the first cell, and the neighbour index, which is the second cell on
-    interior edges and the padded slot ``n_cells`` on Dirichlet edges.
-    """
-    active = ~mesh.neumann
-    neighbour = np.where(mesh.interior, mesh.edge_cells[:, 1], mesh.n_cells)
-    return ((mesh.tau * data.a_edge)[active],
-            edge_steady_weight(mesh, data, scheme, f_inf)[active],
-            mesh.edge_cells[active, 0], neighbour[active])
+                        f_inf: np.ndarray) -> sp.csc_matrix:
+    """The symmetric two-point matrix K of :func:`phi_dissipation`, fixed by
+    the mesh and the steady state and assembled once per run: edge weight
+    ``tau * a * w(f_inf)`` (the steady edge weight) on the edges that are not
+    no-flux, Dirichlet edges on the diagonal, on the FP operator's pattern."""
+    weight = mesh.tau * data.a_edge * edge_steady_weight(mesh, data, scheme, f_inf)
+    return two_point_matrix(mesh, weight)
 
 
-def phi_dissipation(mesh: Mesh, factors: tuple[np.ndarray, ...],
+def phi_dissipation(mesh: Mesh, factors: sp.csc_matrix,
                     f: np.ndarray, f_inf: np.ndarray, phi: PhiFunction) -> float:
-    """Edge sum tau * a * D(h) * D(phi'(h)) * steady edge weight, h = f/f_inf.
+    """Edge sum tau * a * D(h) * D(phi'(h)) * steady edge weight, h = f/f_inf,
+    computed as the bilinear form phi'(h)^T K (h - 1).
 
-    ``factors`` is ``steady_edge_factors(mesh, data, scheme, f_inf)``.  The
-    normalized field h takes the value 1 on Dirichlet edges, where phi'(h)
-    is 0, and no-flux edges add nothing.  Nonnegative for every admissible
-    phi because phi' is monotone.
+    ``factors`` is K = ``steady_edge_factors(mesh, data, scheme, f_inf)``.
+    The normalized field h takes the value 1 on Dirichlet edges, where
+    phi'(h) is 0 (hence the two forms agree), and no-flux edges add nothing.
+    Nonnegative for every admissible phi because phi' is monotone.
     """
     _check_reference(f_inf)
-    tau_a, weight, first, neighbour = factors
-    h = np.asarray(f, dtype=float) / f_inf
-    d1 = np.append(phi.d1(h), 0.0)
-    dh = np.append(h, 1.0)[neighbour] - h[first]
-    dphi = d1[neighbour] - d1[first]
-    return float(np.sum(tau_a * dh * dphi * weight))
+    return _dissipation(factors, np.asarray(f, dtype=float) / f_inf, phi)
+
+
+class FpDiagnostics:
+    """The linear model's trace record against one steady state, which is
+    checked once: every record forms h = f / f_inf and f - f_inf once."""
+
+    columns = ("H_phi1", "H_phi2", "D_phi2", "L1", "L2")
+
+    def __init__(self, mesh: Mesh, data: TransportData, scheme: BScheme,
+                 f_inf: np.ndarray):
+        _check_reference(f_inf)
+        self.mesh, self.f_inf = mesh, f_inf
+        self.dissipation_matrix = steady_edge_factors(mesh, data, scheme, f_inf)
+
+    def __call__(self, f: np.ndarray) -> dict:
+        f = _nonnegative(f)
+        h = np.maximum(f, 0.0) / self.f_inf
+        diff = np.abs(f - self.f_inf)
+        return {"H_phi1": _phi_entropy(self.mesh, h, self.f_inf, PHI1),
+                "H_phi2": _phi_entropy(self.mesh, h, self.f_inf, PHI2),
+                "D_phi2": _dissipation(self.dissipation_matrix, h, PHI2),
+                "L1": _lp(self.mesh, diff, 1), "L2": _lp(self.mesh, diff, 2)}
 
 
 def entrophy(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray, m: float) -> float:
@@ -182,14 +209,14 @@ def entrophy(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray, m: float) -> float:
 
 def entrophy_dissipation(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray,
                          m: float) -> float:
-    """Edge sum tau * (D(f^m - f_inf^m))^2; the difference vanishes on the
+    """Edge sum tau * (D(f^m - f_inf^m))^2, computed as g^T L g with
+    g = f^m - f_inf^m and the mesh's stored Laplacian L; g vanishes on the
     Dirichlet boundary because both states share it."""
     if m <= 1:
         raise DataError("exponent must exceed 1")
     g = signed_power(np.asarray(f, dtype=float), m) \
         - signed_power(np.asarray(f_inf, dtype=float), m)
-    dg = edge_differences(mesh, g, np.zeros(mesh.n_edges))
-    return float(np.sum(mesh.tau * dg * dg))
+    return float(g @ (laplacian(mesh) @ g))
 
 
 def dd_entropy(mesh: Mesh, state, ref, lam: float) -> float:
@@ -198,8 +225,8 @@ def dd_entropy(mesh: Mesh, state, ref, lam: float) -> float:
     Density part uses H(x) = x log x - x + 1, for which
     H(N) - H(Nr) - log(Nr)(N - Nr) = Nr * phi1(N / Nr); the potential part is
     the gradient-like edge sum of V - V_ref scaled by half the squared Debye
-    length.  Both states share the Dirichlet data, so the boundary values of
-    V - V_ref vanish.
+    length, a quadratic form of the mesh's stored Laplacian.  Both states
+    share the Dirichlet data, so the boundary values of V - V_ref vanish.
     """
     n_field, p_field, v_field = (np.asarray(x, dtype=float) for x in state)
     n_ref, p_ref, v_ref = (np.asarray(x, dtype=float) for x in ref)
@@ -208,8 +235,8 @@ def dd_entropy(mesh: Mesh, state, ref, lam: float) -> float:
             raise DataError("densities must be positive")
     density = (n_ref * _boltzmann_value(n_field / n_ref)
                + p_ref * _boltzmann_value(p_field / p_ref))
-    dv = edge_differences(mesh, v_field - v_ref, np.zeros(mesh.n_edges))
-    potential = 0.5 * lam * lam * np.sum(mesh.tau * dv * dv)
+    dv = v_field - v_ref
+    potential = 0.5 * lam * lam * float(dv @ (laplacian(mesh) @ dv))
     return float(np.sum(mesh.cell_area * density) + potential)
 
 
@@ -217,8 +244,7 @@ def lp_distance(mesh: Mesh, f: np.ndarray, g: np.ndarray, p: float) -> float:
     """Area-weighted distance (sum m(K) |f - g|^p) ** (1/p)."""
     if p < 1:
         raise DataError("p must be at least 1")
-    diff = np.abs(np.asarray(f, dtype=float) - np.asarray(g, dtype=float))
-    return float(np.sum(mesh.cell_area * diff ** p) ** (1.0 / p))
+    return _lp(mesh, np.abs(np.asarray(f, dtype=float) - np.asarray(g, dtype=float)), p)
 
 
 class EntropyTrace:

@@ -7,6 +7,7 @@ factorization goes through :func:`factorize` and every solve through
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -54,6 +55,14 @@ class PermutedLU:
         return self.lu.solve(b[self.order])[self.perm]
 
 
+def with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
+    """Shallow copy of ``template`` holding ``data``: it shares the index
+    arrays and the format flags scipy checked once, on the template."""
+    matrix = copy.copy(template)
+    matrix.data = data
+    return matrix
+
+
 def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
     """Sparse LU factors of a square matrix, CSC already when assembled.  The
     first factorization of a matrix from ``SparsityPattern.fill`` stores the
@@ -74,10 +83,12 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
             cols = np.repeat(perm, np.diff(a.indptr))  # each slot's permuted column
             gather = np.argsort(cols, kind="stable")
             indptr = np.searchsorted(cols[gather], np.arange(a.shape[0] + 1)).astype(np.intc)
-            known.setdefault("permuted", (np.argsort(perm), gather, perm[a.indices[gather]], indptr))
-        order, gather, indices, indptr = known["permuted"]
-        permuted = sp.csc_matrix((a.data[gather], indices, indptr), shape=a.shape)
-        permuted.has_canonical_format = True  # unsorted rows, kept so on purpose
+            template = sp.csc_matrix((np.zeros(gather.size), perm[a.indices[gather]], indptr),
+                                     shape=a.shape)
+            template.has_canonical_format = True  # unsorted rows, kept so on purpose
+            known.setdefault("permuted", (np.argsort(perm), gather, template))
+        order, gather, template = known["permuted"]
+        permuted = with_data(template, a.data[gather])
         lu = spla.splu(permuted, permc_spec="NATURAL", panel_size=PANEL_SIZE, relax=RELAX)
         return PermutedLU(lu, perm, order, lu.nnz)
     except RuntimeError as err:  # SuperLU reports exact singularity this way

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+from .linalg import with_data
 from .mesh import NEUMANN, Mesh
 
 
@@ -188,6 +189,21 @@ def _neighbor_index(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return index, dirichlet
 
 
+def _dirichlet_values(mesh: Mesh, dirichlet_values: Optional[np.ndarray]):
+    """The Dirichlet edge ids and their values; a missing one raises."""
+    dirichlet = mesh.derived("neighbor_index", _neighbor_index)[1]
+    if not dirichlet.size:
+        return dirichlet, np.zeros(0)
+    if dirichlet_values is None:
+        raise AssemblyError("mesh has Dirichlet edges but no Dirichlet values supplied")
+    vals = np.asarray(dirichlet_values, dtype=float)[dirichlet]
+    missing = ~np.isfinite(vals)
+    if np.any(missing):
+        raise AssemblyError(f"missing Dirichlet value on edge "
+                            f"{int(dirichlet[np.argmax(missing)])}")
+    return dirichlet, vals
+
+
 def neighbor_values(mesh: Mesh, f: np.ndarray,
                     dirichlet_values: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-edge neighbor value seen from the first incident cell.
@@ -195,18 +211,17 @@ def neighbor_values(mesh: Mesh, f: np.ndarray,
     Interior edges take the second cell's value, Dirichlet edges the supplied
     boundary value and Neumann edges mirror the cell value.
     """
-    index, dirichlet = mesh.derived("neighbor_index", _neighbor_index)
-    f = np.asarray(f, dtype=float)
-    if dirichlet.size:
-        if dirichlet_values is None:
-            raise AssemblyError("mesh has Dirichlet edges but no Dirichlet values supplied")
-        vals = np.asarray(dirichlet_values, dtype=float)[dirichlet]
-        missing = ~np.isfinite(vals)
-        if np.any(missing):
-            raise AssemblyError(f"missing Dirichlet value on edge "
-                                f"{int(dirichlet[np.argmax(missing)])}")
-        f = np.concatenate([f, vals])
-    return f[index]
+    index = mesh.derived("neighbor_index", _neighbor_index)[0]
+    vals = _dirichlet_values(mesh, dirichlet_values)[1]
+    return np.concatenate([np.asarray(f, dtype=float), vals])[index]
+
+
+def dirichlet_sums(mesh: Mesh, weight: np.ndarray,
+                   dirichlet_values: Optional[np.ndarray]) -> np.ndarray:
+    """Per cell, the sum of ``weight * value`` over its Dirichlet edges."""
+    dirichlet, vals = _dirichlet_values(mesh, dirichlet_values)
+    return np.bincount(mesh.edge_cells[dirichlet, 0], weights=weight[dirichlet] * vals,
+                       minlength=mesh.n_cells)
 
 
 def edge_differences(mesh: Mesh, f: np.ndarray,
@@ -347,13 +362,24 @@ def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme,
 class SparsityPattern:
     """CSC structure of a square matrix with duplicate entries summed, and
     for every entry the assembly emits, the slot of the data array it adds to.
-    ``ordering`` holds what ``linalg.factorize`` learns about the structure."""
+    ``ordering`` holds what ``linalg.factorize`` learns about the structure;
+    ``template``, checked by scipy once, lends its structure to every fill."""
 
     size: int
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
     ordering: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    template: sp.csc_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in (self.indptr, self.indices, self.slots):
+            arr.setflags(write=False)
+        template = sp.csc_matrix((np.zeros(self.indices.size), self.indices, self.indptr),
+                                 shape=(self.size, self.size))
+        template.has_canonical_format = True  # rows sorted, no repeats: np.unique keys
+        template.pattern = self
+        object.__setattr__(self, "template", template)
 
     @staticmethod
     def from_pairs(rows: np.ndarray, cols: np.ndarray, size: int) -> "SparsityPattern":
@@ -361,22 +387,16 @@ class SparsityPattern:
         keys, slots = np.unique(np.asarray(cols, dtype=np.int64) * size + rows,
                                 return_inverse=True)
         indptr = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
-        pattern = SparsityPattern(size, indptr.astype(np.intc),
-                                  (keys % size).astype(np.intc), slots)
-        for arr in (pattern.indptr, pattern.indices, pattern.slots):
-            arr.setflags(write=False)
-        return pattern
+        return SparsityPattern(size, indptr.astype(np.intc), (keys % size).astype(np.intc),
+                               slots)
 
     def fill(self, values: np.ndarray) -> sp.csc_matrix:
         """Matrix with the emitted ``values`` summed into their slots."""
         if values.shape != self.slots.shape:
             raise AssemblyError(f"{values.size} values for {self.slots.size} "
                                 "pattern entries")
-        data = np.bincount(self.slots, weights=values, minlength=self.indices.size)
-        matrix = sp.csc_matrix((data, self.indices, self.indptr),
-                               shape=(self.size, self.size))
-        matrix.pattern = self
-        return matrix
+        return with_data(self.template, np.bincount(self.slots, weights=values,
+                                                    minlength=self.indices.size))
 
 
 def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -420,6 +440,25 @@ def _assemble(mesh: Mesh, blocks: list) -> sp.csc_matrix:
     return pattern.fill(np.concatenate([block[3] for block in blocks]))
 
 
+def two_point_matrix(mesh: Mesh, weight: np.ndarray) -> sp.csc_matrix:
+    """Symmetric A with u^T A v = sum over edges of ``weight`` (u_K - u_L)(v_K - v_L),
+    taking u_L = v_L = 0 on Dirichlet edges and leaving no-flux edges out."""
+    return _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, weight, weight))])
+
+
+def laplacian(mesh: Mesh) -> sp.csc_matrix:
+    """``two_point_matrix(mesh, mesh.tau)``, built once per mesh."""
+    return mesh.derived("laplacian", lambda m: two_point_matrix(m, m.tau))
+
+
+def _pme_laplacian(mesh: Mesh) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The Laplacian on the porous-medium Jacobian's pattern, which has every
+    diagonal slot, and the column of each stored entry."""
+    lap = _assemble(mesh, [("diag", 0, 0, np.zeros(mesh.n_cells)),
+                           ("tpfa", 0, 0, _tpfa_values(mesh, mesh.tau, mesh.tau))])
+    return lap, np.repeat(np.arange(mesh.n_cells), np.diff(lap.indptr))
+
+
 def add_diagonal(mesh: Mesh, op: sp.csc_matrix, diagonal: np.ndarray) -> sp.csc_matrix:
     """``op + diag(diagonal)`` for ``op`` from :func:`assemble_fp_operator` or
     :func:`assemble_poisson` on this mesh."""
@@ -439,12 +478,8 @@ def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
     bm, bp = b_coefficients(mesh, data, scheme)
     ta = mesh.tau * data.a_edge
 
-    dmask = mesh.dirichlet
-
     m = _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, ta * bm, ta * bp))])
-    b = np.zeros(mesh.n_cells)
-    np.add.at(b, mesh.edge_cells[dmask, 0], (ta * bp)[dmask] * data.f_dirichlet[dmask])
-    return m, b
+    return m, dirichlet_sums(mesh, ta * bp, data.f_dirichlet)
 
 
 def edge_fluxes(mesh: Mesh, data: TransportData, scheme: BScheme,
@@ -490,23 +525,20 @@ def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
                           m: float, dt: float, f_dirichlet: np.ndarray):
     """Backward-Euler residual and exact Jacobian for the nonlinear diffusion step.
 
-    residual_K = area (f - f_prev) / dt - sum_edges tau * D(f^m); the flux sign
-    makes the operator diffusive (mass flows from high f^m to low f^m).
+    residual_K = area (f - f_prev) / dt - sum_edges tau * D(f^m), computed as
+    area (f - f_prev) / dt + L f^m - (Dirichlet sums of tau f_D^m) with the
+    Laplacian L stored per mesh on the Jacobian's pattern; the Jacobian is
+    L diag(m |f|^(m-1)) plus area / dt on the diagonal.  The flux sign makes the
+    operator diffusive (mass flows from high f^m to low f^m).
     """
     if m <= 1:
         raise DataError("nonlinearity exponent must exceed 1")
-    g = signed_power(f, m)
-    g_dir = np.where(np.isfinite(f_dirichlet), signed_power(f_dirichlet, m), np.nan)
-    dg = edge_differences(mesh, g, g_dir)
-
-    residual = mesh.cell_area * (f - f_prev) / dt - cell_sums(mesh, mesh.tau * dg)
-
-    dpow = m * np.abs(f) ** (m - 1.0)
-    t = mesh.tau
-    return residual, _assemble(mesh, [
-        ("diag", 0, 0, mesh.cell_area / dt),
-        ("tpfa", 0, 0, _tpfa_values(mesh, t * dpow[mesh.edge_cells[:, 0]],
-                                    t * dpow[mesh.edge_cells[:, 1]]))])
+    lap, columns = mesh.derived("pme_laplacian", _pme_laplacian)
+    residual = (mesh.cell_area * (f - f_prev) / dt + lap @ signed_power(f, m)
+                - dirichlet_sums(mesh, mesh.tau, signed_power(f_dirichlet, m)))
+    values = lap.data * (m * np.abs(f) ** (m - 1.0))[columns]
+    values[lap.pattern.slots[:mesh.n_cells]] += mesh.cell_area / dt  # the "diag" block
+    return residual, with_data(lap, values)
 
 
 @dataclass(frozen=True)
@@ -532,17 +564,12 @@ def assemble_poisson(mesh: Mesh, lam: float) -> sp.csc_matrix:
     """Scaled TPFA Laplacian with Dirichlet edges eliminated, Neumann absent."""
     if lam <= 0:
         raise DataError("Debye length must be positive")
-    t = lam * lam * mesh.tau
-    return _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, t, t))])
+    return two_point_matrix(mesh, lam * lam * mesh.tau)
 
 
 def poisson_dirichlet_rhs(mesh: Mesh, lam: float, v_dirichlet: np.ndarray) -> np.ndarray:
     """Boundary vector matching ``assemble_poisson``."""
-    b = np.zeros(mesh.n_cells)
-    dmask = mesh.dirichlet
-    np.add.at(b, mesh.edge_cells[dmask, 0],
-              lam * lam * mesh.tau[dmask] * v_dirichlet[dmask])
-    return b
+    return dirichlet_sums(mesh, lam * lam * mesh.tau, v_dirichlet)
 
 
 def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,

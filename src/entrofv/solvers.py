@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import entropy as ent
-from .entropy import PHI1, PHI2, EntropyTrace
+from .entropy import EntropyTrace
 from .linalg import (FactorStore, NewtonConfig, NonConvergence, factorize,
                      newton_solve, solve_linear)
 from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
                       TransportData, add_diagonal, assemble_dd_residual,
-                      assemble_fp_operator,
-                      assemble_pme_residual, assemble_poisson,
-                      poisson_dirichlet_rhs, signed_power, transport_data)
+                      assemble_fp_operator, assemble_pme_residual, assemble_poisson,
+                      dirichlet_sums, laplacian, poisson_dirichlet_rhs, signed_power,
+                      transport_data)
 
 
 class SolverError(Exception):
@@ -115,12 +116,11 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float,
             raise SolverError("all-Neumann steady state needs the initial data")
         avg = float(np.sum(mesh.cell_area * initial) / mesh.cell_area.sum())
         return np.full(mesh.n_cells, avg)
-    u_dir = np.where(np.isfinite(f_dirichlet), signed_power(f_dirichlet, m), np.nan)
-    laplace_data = transport_data(mesh, np.ones(mesh.n_edges),
-                                  np.zeros(mesh.n_edges), u_dir)
-    # without advection every flux family assembles the same Laplacian
-    m_op, b = assemble_fp_operator(mesh, laplace_data, SCHARFETTER_GUMMEL)
-    u = solve_linear(m_op, b)
+    u_dir = signed_power(np.asarray(f_dirichlet, dtype=float), m)
+    boundary = u_dir[mesh.dirichlet]
+    if not np.all((boundary > 0) & np.isfinite(boundary)):
+        raise DataError("Dirichlet values must be positive on every Dirichlet edge")
+    u = solve_linear(laplacian(mesh), dirichlet_sums(mesh, mesh.tau, u_dir))
     if np.any(u <= 0):
         raise SolverError("steady state lost positivity")
     return u ** (1.0 / m)
@@ -338,10 +338,11 @@ def adaptive_time_loop(state, cfg: StepperConfig, try_step: Callable,
     return the diagnostics record; ``stop(record)`` may end the run early.
     Returns (state, t, abort_reason or None).
     """
-    t = 0.0
+    t = low = 0.0  # the accepted steps sum to t + low, and t is that rounded once
     dt_prev: Optional[float] = None
-    # round-off the running sum t may gather: a final gap this close to the
-    # proposed step is taken as that step, so fixed-step runs keep one dt
+    # equal steps still miss t_final by the round-off of their sum: a final
+    # gap this close to the proposed step is taken as that step, so fixed-step
+    # runs keep one dt
     slack = 1e-12 * cfg.t_final
     while t < cfg.t_final:
         dt = cfg.dt0 if dt_prev is None else min(cfg.grow * dt_prev, cfg.dt_max)
@@ -355,7 +356,9 @@ def adaptive_time_loop(state, cfg: StepperConfig, try_step: Callable,
                 return state, t, f"time step would fall below {cfg.dt_min:g}: {result}"
             dt = max(dt / cfg.shrink, cfg.dt_min)
         state = result
-        t = cfg.t_final if cfg.t_final - t <= dt + slack else t + dt
+        steps = (t, low, dt)
+        t = cfg.t_final if cfg.t_final - t <= dt + slack else math.fsum(steps)
+        low = math.fsum((*steps, -t))
         dt_prev = dt
         rec = record(t, dt, state)
         if stop is not None and stop(rec):
@@ -397,20 +400,14 @@ def run_transient(problem, scheme: BScheme, cfg: StepperConfig,
                                  beta=problem.beta, force=problem.force_peclet)
         stepper = FpStepper(mesh, data, scheme,
                             beta=problem.beta, force=problem.force_peclet)
-        factors = ent.steady_edge_factors(mesh, data, scheme, steady)
+        fp_diag = ent.FpDiagnostics(mesh, data, scheme, steady)
 
         def diag(f):
-            rec = {
-                "H_phi1": ent.relative_phi_entropy(mesh, f, steady, PHI1),
-                "H_phi2": ent.relative_phi_entropy(mesh, f, steady, PHI2),
-                "D_phi2": ent.phi_dissipation(mesh, factors, f, steady, PHI2),
-                "L1": ent.lp_distance(mesh, f, steady, 1),
-                "L2": ent.lp_distance(mesh, f, steady, 2),
-            }
+            rec = fp_diag(f)
             rec.update({k: fn(f) for k, fn in extras.items()})
             return rec
 
-        columns = ("t", "dt", "H_phi1", "H_phi2", "D_phi2", "L1", "L2", *extras)
+        columns = ("t", "dt", *fp_diag.columns, *extras)
         return _run_generic(columns, np.asarray(problem.f0, dtype=float), diag, cfg,
                             lambda f, dt: stepper.step(f, dt), steady, "H_phi2")
 

@@ -304,3 +304,110 @@ def test_elementary_power_inequalities(rng):
         bracket = z ** (m + 1.0) - (m + 1.0) * z + m
         assert np.all(lhs >= bracket / (m + 1.0) - 1e-12)
         assert np.all(np.abs(z - 1.0) ** (m + 1.0) <= bracket + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# two-point sums as products with stored matrices
+
+EPS = np.finfo(float).eps
+TWO_POINT_MESHES = ("two_cell_mesh", "single_cell_mesh", "mesh0", "mesh1")
+
+
+def _two_point_data(mesh, rng):
+    fd = np.where(mesh.dirichlet, rng.uniform(0.5, 2.0, mesh.n_edges), np.nan)
+    return transport_data(mesh, rng.uniform(0.5, 2.0, mesh.n_edges),
+                          rng.uniform(-1.0, 1.0, mesh.n_edges), fd)
+
+
+def _edge_sum_dissipation(mesh, data, scheme, f, f_inf, phi):
+    """The per-edge gather formula phi_dissipation used before: the terms
+    tau * a * D(h) * D(phi'(h)) * steady weight over the non-Neumann edges."""
+    from entrofv.schemes import edge_steady_weight
+    active = ~mesh.neumann
+    first = mesh.edge_cells[active, 0]
+    neighbour = np.where(mesh.interior, mesh.edge_cells[:, 1], mesh.n_cells)[active]
+    h = f / f_inf
+    d1 = np.append(phi.d1(h), 0.0)
+    dh = np.append(h, 1.0)[neighbour] - h[first]
+    dphi = d1[neighbour] - d1[first]
+    weight = edge_steady_weight(mesh, data, scheme, f_inf)[active]
+    return (mesh.tau * data.a_edge)[active] * dh * dphi * weight
+
+
+def _edge_square_sum(mesh, g):
+    """sum over edges of tau * (D g)^2 with g = 0 on the Dirichlet boundary,
+    as the gather formula computed it."""
+    from entrofv.schemes import edge_differences
+    dg = edge_differences(mesh, g, np.zeros(mesh.n_edges))
+    return mesh.tau * dg * dg
+
+
+@pytest.mark.parametrize("mesh_name", TWO_POINT_MESHES)
+def test_bilinear_dissipation_matches_edge_sum(mesh_name, request, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    data = _two_point_data(mesh, rng)
+    for scheme in (SCHEMES["upwind"], SCHEMES["sg"]):
+        for _ in range(5):
+            f_inf = rng.uniform(0.5, 2.0, mesh.n_cells)
+            f = rng.uniform(0.05, 5.0, mesh.n_cells)
+            factors = steady_edge_factors(mesh, data, scheme, f_inf)
+            for phi in (PHI1, PHI2, PHI32):
+                terms = _edge_sum_dissipation(mesh, data, scheme, f, f_inf, phi)
+                got = phi_dissipation(mesh, factors, f, f_inf, phi)
+                assert abs(got - terms.sum()) <= 8 * EPS * np.abs(terms).sum()
+
+
+@pytest.mark.parametrize("mesh_name", TWO_POINT_MESHES)
+def test_quadratic_forms_match_edge_sums(mesh_name, request, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    n = mesh.n_cells
+    for m in (2.0, 3.5):
+        f, f_inf = rng.uniform(0.0, 3.0, n), rng.uniform(0.5, 2.0, n)
+        terms = _edge_square_sum(mesh, f ** m - f_inf ** m)
+        got = entrophy_dissipation(mesh, f, f_inf, m)
+        assert abs(got - terms.sum()) <= 8 * EPS * terms.sum()
+
+    for lam in (0.3, 1.0):
+        state = tuple(rng.uniform(0.1, 5.0, n) for _ in range(3))
+        ref = tuple(rng.uniform(0.1, 5.0, n) for _ in range(3))
+        density = mesh.cell_area * sum(r * _boltzmann_value(s / r)
+                                       for s, r in zip(state[:2], ref[:2]))
+        potential = 0.5 * lam * lam * _edge_square_sum(mesh, state[2] - ref[2])
+        expected = density.sum() + potential.sum()
+        got = dd_entropy(mesh, state, ref, lam)
+        assert abs(got - expected) <= 8 * EPS * (density.sum() + potential.sum())
+
+
+def test_fp_diagnostics_match_public_functions(mesh1, rng):
+    from entrofv.entropy import FpDiagnostics
+    data = _two_point_data(mesh1, rng)
+    f_inf = rng.uniform(0.5, 2.0, mesh1.n_cells)
+    for scheme in SCHEMES.values():
+        record = FpDiagnostics(mesh1, data, scheme, f_inf)
+        factors = steady_edge_factors(mesh1, data, scheme, f_inf)
+        for f in (rng.uniform(0.0, 4.0, mesh1.n_cells), f_inf, np.zeros(mesh1.n_cells)):
+            got = record(f)
+            assert tuple(got) == FpDiagnostics.columns
+            assert got["H_phi1"] == relative_phi_entropy(mesh1, f, f_inf, PHI1)
+            assert got["H_phi2"] == relative_phi_entropy(mesh1, f, f_inf, PHI2)
+            assert got["L1"] == lp_distance(mesh1, f, f_inf, 1)
+            assert got["L2"] == lp_distance(mesh1, f, f_inf, 2)
+            terms = _edge_sum_dissipation(mesh1, data, scheme, f, f_inf, PHI2)
+            assert abs(got["D_phi2"] - phi_dissipation(mesh1, factors, f, f_inf, PHI2)) \
+                <= 8 * EPS * np.abs(terms).sum()
+
+
+def test_fp_diagnostics_reject_bad_states(mesh0, rng):
+    from entrofv.entropy import FpDiagnostics
+    data = _two_point_data(mesh0, rng)
+    f_inf = rng.uniform(0.5, 2.0, mesh0.n_cells)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        steady = f_inf.copy()
+        steady[3] = bad
+        with pytest.raises(DataError):
+            FpDiagnostics(mesh0, data, SCHEMES["sg"], steady)
+    record = FpDiagnostics(mesh0, data, SCHEMES["sg"], f_inf)
+    f = f_inf.copy()
+    f[5] = -1e-3
+    with pytest.raises(DataError, match="non-negative"):
+        record(f)

@@ -787,3 +787,59 @@ def test_neighbor_values_equal_masked_reference(mesh_name, request, rng):
     expected[mesh.interior] = f[mesh.edge_cells[mesh.interior, 1]]
     expected[mesh.dirichlet] = dvals[mesh.dirichlet]
     np.testing.assert_array_equal(neighbor_values(mesh, f, dvals), expected)
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_pme_residual_matches_gather_reference(mesh_name, request, rng):
+    from entrofv.schemes import cell_sums, signed_power
+    mesh = request.getfixturevalue(mesh_name)
+    n = mesh.n_cells
+    f_dir = np.where(mesh.dirichlet, rng.uniform(0.5, 2.0, mesh.n_edges), np.nan)
+    for m, dt in ((2.0, 1e-3), (4.0, 0.3)):
+        f_prev, f = rng.uniform(0.0, 3.0, n), rng.uniform(-0.1, 3.0, n)
+        got, _ = assemble_pme_residual(mesh, f_prev, f, m, dt, f_dir)
+        # the gather/bincount residual: area (f - f_prev) / dt - sum tau D(f^m)
+        flux = mesh.tau * edge_differences(mesh, signed_power(f, m), signed_power(f_dir, m))
+        expected = mesh.cell_area * (f - f_prev) / dt - cell_sums(mesh, flux)
+        g_nb = neighbor_values(mesh, np.abs(f) ** m, np.abs(f_dir) ** m)
+        size = np.where(mesh.neumann, 0.0, mesh.tau * (np.abs(f[mesh.edge_cells[:, 0]]) ** m
+                                                       + g_nb))
+        inter = mesh.interior  # magnitudes summed over both incidences of an edge
+        scale = np.abs(mesh.cell_area * (f - f_prev) / dt) + np.bincount(
+            np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[inter, 1]]),
+            weights=np.concatenate([size, size[inter]]), minlength=n)
+        assert np.all(np.abs(got - expected) <= 8 * np.finfo(float).eps * scale)
+
+
+def test_pme_residual_names_missing_dirichlet_edge(mesh0):
+    f = np.ones(mesh0.n_cells)
+    f_dir = np.where(mesh0.dirichlet, 1.0, np.nan)
+    edge = int(np.flatnonzero(mesh0.dirichlet)[2])
+    f_dir[edge] = np.nan
+    with pytest.raises(AssemblyError, match=f"edge {edge}$"):
+        assemble_pme_residual(mesh0, f, f, 2.0, 1e-2, f_dir)
+
+
+def test_pme_steps_validate_each_structure_once(monkeypatch):
+    """scipy checks a CSC structure each time it builds a matrix from index
+    arrays; fixed-pattern matrices are shallow copies of one checked matrix
+    per pattern and one per permuted structure."""
+    from entrofv.presets import fill_problem
+    from entrofv.solvers import step_pme
+    built = []
+    init = sp.csc_matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csc_matrix, "__init__", counting)
+    prob = fill_problem(0)  # a fresh mesh: no pattern built yet
+    f = prob.f0
+    for _ in range(2):
+        f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
+    # the Jacobian pattern's structure, then its permuted copy
+    assert len(built) == 2
+    for _ in range(3):
+        f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
+    assert len(built) == 2

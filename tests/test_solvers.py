@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from entrofv.linalg import (FactorStore, LinAlgError, NewtonConfig, NonConvergen
 from entrofv.mesh import BoundarySpec, reference_mesh
 from entrofv.presets import (RunConfig, fill_problem, hetero_problem, pn_problem,
                              run, sweep_problem, toy_problem)
-from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DdData,
+from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DataError, DdData,
                              advection_from_potential, assemble_dd_residual,
                              assemble_pme_residual, edge_differences,
                              signed_power, transport_data)
@@ -191,6 +193,14 @@ def _dense_laplace_oracle(mesh, u_dirichlet):
             a[i, i] += tau
             b[i] += tau * u_dirichlet[e]
     return np.linalg.solve(a, b)
+
+
+def test_pme_steady_rejects_bad_dirichlet_values(mesh0):
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        fd = np.where(mesh0.dirichlet, 1.5, np.nan)
+        fd[np.flatnonzero(mesh0.dirichlet)[1]] = bad
+        with pytest.raises(DataError, match="Dirichlet values must be positive"):
+            solve_pme_steady(mesh0, fd, 2.0)
 
 
 def test_pme_steady_filling_against_dense_oracle():
@@ -494,6 +504,21 @@ def test_dd_reruns_in_one_process_are_byte_identical(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_fp_and_pme_reruns_in_one_process_are_byte_identical(tmp_path):
+    """Each run builds a fresh mesh, so its patterns, stored matrices and
+    orderings are made anew; the outputs must not depend on that."""
+    for cfg in (RunConfig(preset="fp-hetero", level=1),
+                RunConfig(preset="pme-sweep", level=1, m=3.0, m_dirichlet=1.0)):
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"{cfg.preset}-{k}"
+            assert run(replace(cfg, out=str(out))) == 0
+            texts.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(texts[0]) >= 2
+        assert texts[0] == texts[1]
+
+
 def test_dd_steady_with_bias_converges():
     prob = pn_problem(0, bias=2.5)
     for scheme in SCHEMES.values():
@@ -519,6 +544,33 @@ def test_adaptive_loop_growth_sequence():
     adaptive_time_loop(0.0, cfg, try_step, record)
     expected = [min(1e-2, 1e-3 * 2 ** k) for k in range(8)]
     np.testing.assert_allclose(seen[:8], expected, rtol=1e-12)
+
+
+def test_adaptive_loop_times_are_rounded_sums_of_the_steps():
+    """Every recorded time is the accepted steps' exact sum rounded once, not
+    a running sum that gathers round-off, and the last is t_final itself."""
+    import math
+    for t_final, dt0, dt_max in ((0.4, 1e-3, 1e-2), (1.7, 1e-2, 1e-2), (0.35, 3e-3, 0.05)):
+        cfg = StepperConfig(t_final=t_final, dt0=dt0, dt_max=dt_max)
+        times, steps = [], []
+        attempts = []
+
+        def try_step(state, dt):
+            attempts.append(dt)
+            if len(attempts) % 7 == 3:  # some rejections, so steps vary
+                return NonConvergence(iterations=1, residual_norm=1.0,
+                                      last_iterate=np.zeros(1))
+            return state
+
+        def record(t, dt, state):
+            times.append(t)
+            steps.append(dt)
+            return {"t": t, "dt": dt}
+
+        adaptive_time_loop(0.0, cfg, try_step, record)
+        assert times[-1] == t_final
+        for k, t in enumerate(times[:-1]):
+            assert t == math.fsum(steps[:k + 1]), (t_final, k)
 
 
 def test_adaptive_loop_halves_once_on_failure():
