@@ -255,8 +255,6 @@ class EntropyTrace:
         if self.columns[:2] != ("t", "dt"):
             raise ValueError("trace columns must start with t and dt")
         self._data: dict[str, list[float]] = {c: [] for c in self.columns}
-        self.aborted = False
-        self.abort_reason = ""
 
     def append(self, record: dict):
         t = record["t"]

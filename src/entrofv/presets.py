@@ -13,7 +13,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .mesh import (BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, Mesh, Segment,
 from .schemes import SCHEMES, AssemblyError, BScheme, DataError, DdData, \
     advection_from_potential, discretize_coefficients
 from .solvers import (DdProblem, FpProblem, PmeProblem, SolverError,
-                      StepperConfig, run_transient, solve_fp_steady)
+                      StepperConfig, TransientResult, run_transient, solve_fp_steady)
 
 THREADS_ENV = "ENTROFV_THREADS"
 
@@ -182,11 +182,15 @@ class RunConfig:
         return SCHEMES[name]
 
 
+def _or(value, default):
+    return default if value is None else value
+
+
 @dataclass(frozen=True)
 class Preset:
     name: str
     description: str
-    model: str
+    build: Callable[[RunConfig, int], object]  # (config, level) -> problem
     level: int
     dt: float
     t_final: float
@@ -196,20 +200,30 @@ class Preset:
 
 _CATALOG = (
     Preset("fp-toy", "linear advection-diffusion with the exact exponential "
-           "steady state; boundary values 1 and e", "fokker-planck",
+           "steady state; boundary values 1 and e",
+           lambda cfg, level: replace(toy_problem(level), force_peclet=cfg.force_peclet),
            level=0, dt=1e-2, t_final=4.0),
     Preset("fp-hetero", "heterogeneous drain/barrier diffusion (3 vs 0.01) "
-           "with constant drift (-1/2, 0)", "fokker-planck",
+           "with constant drift (-1/2, 0)",
+           lambda cfg, level: replace(hetero_problem(level),
+                                      force_peclet=cfg.force_peclet),
            level=4, dt=1e-2, t_final=2.0, scheme="upwind"),
     Preset("pme-fill", "porous-medium filling, exponent 4, piecewise "
-           "boundary values 2.5 / 1 on the right edge", "pme",
+           "boundary values 2.5 / 1 on the right edge",
+           lambda cfg, level: fill_problem(level, m=_or(cfg.m, 4.0)),
            level=3, dt=1e-3, t_final=15.0, adaptive=True),
     Preset("pme-sweep", "porous-medium decay-rate sweep over the exponent "
-           "and the boundary level", "pme",
+           "and the boundary level",
+           lambda cfg, level: sweep_problem(level, m=_or(cfg.m, 2.0),
+                                            m_dirichlet=_or(cfg.m_dirichlet, 1.0)),
            level=2, dt=1e-3, t_final=60.0, adaptive=True),
-    Preset("dd-pn", "junction diode with thermal contacts", "drift-diffusion",
+    Preset("dd-pn", "junction diode with thermal contacts",
+           lambda cfg, level: pn_problem(level, lam=cfg.debye,
+                                         doping_magnitude=cfg.doping),
            level=3, dt=1e-2, t_final=10.0),
-    Preset("dd-bias", "junction diode with applied bias 2.5", "drift-diffusion",
+    Preset("dd-bias", "junction diode with applied bias 2.5",
+           lambda cfg, level: pn_problem(level, lam=cfg.debye, bias=_or(cfg.bias, 2.5),
+                                         doping_magnitude=cfg.doping),
            level=2, dt=1e-2, t_final=10.0),
 )
 
@@ -222,8 +236,7 @@ def presets() -> dict[str, Preset]:
 
 
 def _stepper(preset: Preset, cfg: RunConfig) -> StepperConfig:
-    dt = cfg.dt if cfg.dt is not None else preset.dt
-    t_final = cfg.t_final if cfg.t_final is not None else preset.t_final
+    dt, t_final = _or(cfg.dt, preset.dt), _or(cfg.t_final, preset.t_final)
     newton = NewtonConfig()
     if preset.adaptive:
         return StepperConfig(t_final=t_final, dt0=min(dt, 1e-2), newton=newton,
@@ -239,31 +252,8 @@ def build_problem(cfg: RunConfig):
         raise UsageError(f"unknown preset {cfg.preset!r}; "
                          f"choose from {sorted(catalog)}")
     preset = catalog[cfg.preset]
-    level = cfg.level if cfg.level is not None else preset.level
     scheme = cfg.resolved_scheme(preset.scheme)
-
-    if cfg.preset == "fp-toy":
-        problem = toy_problem(level)
-    elif cfg.preset == "fp-hetero":
-        problem = hetero_problem(level)
-    elif cfg.preset == "pme-fill":
-        problem = fill_problem(level, m=cfg.m if cfg.m is not None else 4.0)
-    elif cfg.preset == "pme-sweep":
-        problem = sweep_problem(level,
-                                m=cfg.m if cfg.m is not None else 2.0,
-                                m_dirichlet=cfg.m_dirichlet
-                                if cfg.m_dirichlet is not None else 1.0)
-    elif cfg.preset == "dd-pn":
-        problem = pn_problem(level, lam=cfg.debye, doping_magnitude=cfg.doping)
-    elif cfg.preset == "dd-bias":
-        bias = cfg.bias if cfg.bias is not None else 2.5
-        problem = pn_problem(level, lam=cfg.debye, bias=bias,
-                             doping_magnitude=cfg.doping)
-    else:  # pragma: no cover
-        raise UsageError(f"preset {cfg.preset} has no builder")
-
-    if isinstance(problem, FpProblem) and cfg.force_peclet:
-        problem = replace(problem, force_peclet=True)
+    problem = preset.build(cfg, _or(cfg.level, preset.level))
     return problem, scheme, _stepper(preset, cfg)
 
 
@@ -272,35 +262,40 @@ def build_problem(cfg: RunConfig):
 
 
 def _write_steady(path: Path, steady) -> None:
-    lines = []
-    if hasattr(steady, "n"):
-        for k, (nk, pk, vk) in enumerate(zip(steady.n, steady.p, steady.v)):
-            lines.append(f"{k} {nk:.17g} {pk:.17g} {vk:.17g}")
-    else:
-        for k, val in enumerate(steady):
-            lines.append(f"{k} {val:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    """One line per cell: its index and the steady state's values there."""
+    rows = np.atleast_2d(steady).T
+    n, k = rows.shape
+    flat = np.column_stack((np.arange(n), rows)).ravel().tolist()
+    path.write_text(("%d" + " %.17g" * k + "\n") * n % tuple(flat))
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one preset run; emits trace.csv and steady.txt, returns the
-    exit status (0 success, 1 solver abort)."""
-    out = Path(cfg.out if cfg.out is not None
-               else f"runs/{cfg.preset}-{cfg.scheme or 'default'}")
+def _run_into(out: Path, problem, scheme: BScheme,
+              stepper: StepperConfig) -> Optional[TransientResult]:
+    """Run one transient and write its trace.csv and steady.txt under
+    ``out``, or error.txt on a solver failure (then None is returned)."""
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.preset == "pme-sweep":
-        return _run_sweep(cfg, out)
-    problem, scheme, stepper = build_problem(cfg)
     try:
         result = run_transient(problem, scheme, stepper)
     except (SolverError, AssemblyError, DataError, LinAlgError) as err:
         (out / "error.txt").write_text(str(err) + "\n")
-        print(f"solver failure: {err}")
-        return 1
+        print(f"{out}: solver failure: {err}")
+        return None
     (out / "trace.csv").write_text(result.trace.to_csv())
     _write_steady(out / "steady.txt", result.steady)
     if result.aborted:
-        print(f"run aborted: {result.abort_reason} (partial trace flushed)")
+        print(f"{out}: run aborted: {result.abort_reason} (partial trace flushed)")
+    return result
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute one preset run; emits trace.csv and steady.txt, returns the
+    exit status (0 success, 1 solver failure or abort)."""
+    out = Path(cfg.out if cfg.out is not None
+               else f"runs/{cfg.preset}-{cfg.scheme or 'default'}")
+    if cfg.preset == "pme-sweep":
+        return _run_sweep(cfg, out)
+    result = _run_into(out, *build_problem(cfg))
+    if result is None or result.aborted:
         return 1
     print(f"wrote {out / 'trace.csv'} ({len(result.trace)} records) "
           f"and {out / 'steady.txt'}")
@@ -330,42 +325,36 @@ def sweep_rate(trace: EntropyTrace) -> float:
 
 
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
+    """Run every sweep point into its own directory and write rates.csv; a
+    point that fails or aborts gets no rate row and makes the status 1."""
     points = _sweep_points(cfg)
     threads = cfg.threads or int(os.environ.get(THREADS_ENV, "1"))
-    catalog = presets()
-    preset = catalog["pme-sweep"]
-    level = cfg.level if cfg.level is not None else preset.level
+    preset = presets()["pme-sweep"]
+    level = _or(cfg.level, preset.level)
+    stepper = _stepper(preset, cfg)
 
-    def one(point):
+    def one(point) -> Optional[str]:
         m, md = point
-        problem = sweep_problem(level, m=m, m_dirichlet=md)
-        stepper = _stepper(preset, cfg)
-        return point, run_transient(problem, SCHEMES["sg"], stepper)
+        result = _run_into(out / f"m{m:g}-md{md:g}",
+                           sweep_problem(level, m=m, m_dirichlet=md), SCHEMES["sg"],
+                           stepper)
+        if result is None or result.aborted:
+            return None
+        try:
+            return f"{m:.17g},{md:.17g},{sweep_rate(result.trace):.17g}"
+        except SolverError:
+            return f"{m:.17g},{md:.17g},"  # run too short to fit
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, points))
+            rows = list(pool.map(one, points))
     else:
-        results = [one(p) for p in points]
+        rows = [one(p) for p in points]
 
-    status = 0
-    rate_rows = ["m,m_dirichlet,rate"]
-    for (m, md), result in results:
-        subdir = out / f"m{m:g}-md{md:g}"
-        subdir.mkdir(parents=True, exist_ok=True)
-        (subdir / "trace.csv").write_text(result.trace.to_csv())
-        _write_steady(subdir / "steady.txt", result.steady)
-        if result.aborted:
-            status = 1
-            print(f"sweep point m={m:g} md={md:g} aborted: {result.abort_reason}")
-            continue
-        try:
-            rate_rows.append(f"{m:.17g},{md:.17g},{sweep_rate(result.trace):.17g}")
-        except SolverError:
-            rate_rows.append(f"{m:.17g},{md:.17g},")  # run too short to fit
+    rate_rows = ["m,m_dirichlet,rate", *(row for row in rows if row is not None)]
     (out / "rates.csv").write_text("\n".join(rate_rows) + "\n")
-    print(f"wrote {len(results)} sweep traces under {out}")
-    return status
+    print(f"ran {len(rows)} sweep points under {out}")
+    return 1 if None in rows else 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -52,8 +52,7 @@ class StepperConfig:
                              dt_min=min(1e-8, dt), **kw)
 
 
-@dataclass(frozen=True)
-class DdState:
+class DdState(NamedTuple):
     n: np.ndarray
     p: np.ndarray
     v: np.ndarray
@@ -205,8 +204,7 @@ def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
         return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt,
                                     jacobian=jacobian)
 
-    x0 = np.concatenate([start.n, start.p, start.v])
-    result = newton_solve(system, x0, newton,
+    result = newton_solve(system, np.concatenate(start), newton,
                           None if store is None else store.for_dt(dt))
     if isinstance(result, NonConvergence):
         return result
@@ -294,6 +292,10 @@ def step_dd(mesh: Mesh, dd: DdData, scheme: BScheme, state_prev: DdState,
 
 # ---------------------------------------------------------------------------
 # transient problems and the adaptive driver
+#
+# Each problem type names its primary trace column and, in start(scheme,
+# newton), solves its steady state and returns (steady, initial state,
+# step(state, dt), diagnostics(state) -> trace record).
 
 
 @dataclass(frozen=True)
@@ -303,6 +305,14 @@ class FpProblem:
     f0: np.ndarray
     beta: float = 0.05
     force_peclet: bool = False
+    primary = "H_phi2"
+
+    def start(self, scheme: BScheme, newton: NewtonConfig):
+        kw = dict(beta=self.beta, force=self.force_peclet)
+        steady = solve_fp_steady(self.mesh, self.data, scheme, **kw)
+        stepper = FpStepper(self.mesh, self.data, scheme, **kw)
+        return (steady, np.asarray(self.f0, dtype=float), stepper.step,
+                ent.FpDiagnostics(self.mesh, self.data, scheme, steady))
 
 
 @dataclass(frozen=True)
@@ -311,6 +321,23 @@ class PmeProblem:
     m: float
     f_dirichlet: np.ndarray
     f0: np.ndarray
+    primary = "N_m"
+
+    def start(self, scheme: BScheme, newton: NewtonConfig):
+        mesh, m = self.mesh, self.m
+        steady = solve_pme_steady(mesh, self.f_dirichlet, m, initial=self.f0)
+
+        # no FactorStore here: the rates and traces are resolved only to the
+        # Newton tolerance, and reused factors move them beyond 1e-9
+        def step(f, dt):
+            return step_pme(mesh, f, m, dt, self.f_dirichlet, newton)
+
+        def diagnostics(f):
+            return {"N_m": ent.entrophy(mesh, f, steady, m),
+                    "D_m": ent.entrophy_dissipation(mesh, f, steady, m),
+                    "Lmp1": ent.lp_distance(mesh, f, steady, m + 1.0)}
+
+        return steady, np.asarray(self.f0, dtype=float), step, diagnostics
 
 
 @dataclass(frozen=True)
@@ -319,6 +346,28 @@ class DdProblem:
     dd: DdData
     n0: np.ndarray
     p0: np.ndarray
+    primary = "E_inf"
+
+    def start(self, scheme: BScheme, newton: NewtonConfig):
+        mesh, dd = self.mesh, self.dd
+        offsets = dd_equilibrium_offsets(mesh, dd)
+        thermal = None if offsets is None \
+            else solve_dd_thermal(mesh, dd, *offsets, newton=newton)
+        steady = solve_dd_steady(mesh, dd, scheme, newton=newton, initial=thermal)
+        state0 = DdState(np.asarray(self.n0, dtype=float), np.asarray(self.p0, dtype=float),
+                         solve_dd_poisson(mesh, dd, self.n0, self.p0))
+        # factors shared by the steps of this run only; runs may go in threads
+        store = FactorStore()
+
+        def step(state, dt):
+            return step_dd(mesh, dd, scheme, state, dt, newton, store)
+
+        def diagnostics(state):
+            return {"E_inf": ent.dd_entropy(mesh, state, steady, dd.debye),
+                    "E_eq": float("nan") if thermal is None
+                    else ent.dd_entropy(mesh, state, thermal, dd.debye)}
+
+        return steady, state0, step, diagnostics
 
 
 @dataclass
@@ -366,99 +415,31 @@ def adaptive_time_loop(state, cfg: StepperConfig, try_step: Callable,
     return state, t, None
 
 
-def _run_generic(columns, state0, diag, cfg, try_step, steady, primary):
-    trace = EntropyTrace(columns)
-    first = {"t": 0.0, "dt": 0.0}
-    first.update(diag(state0))
-    trace.append(first)
-    floor = cfg.entropy_floor * max(first[primary], 1e-300)
-
-    def record(t, dt, state):
-        rec = {"t": t, "dt": dt}
-        rec.update(diag(state))
-        trace.append(rec)
-        return rec
-
-    def stop(rec):
-        return rec[primary] < floor
-
-    final, _, abort = adaptive_time_loop(state0, cfg, try_step, record, stop)
-    return TransientResult(trace=trace, steady=steady, final=final,
-                           aborted=abort is not None, abort_reason=abort or "")
-
-
 def run_transient(problem, scheme: BScheme, cfg: StepperConfig,
                   diagnostics: Optional[dict[str, Callable]] = None) -> TransientResult:
     """Integrate a problem to the final time, recording entropies relative to
     the steady state computed up front.  The run also stops once the primary
-    entropy falls below ``cfg.entropy_floor`` times its initial value."""
+    entropy falls below ``cfg.entropy_floor`` times its initial value.
+    ``diagnostics`` adds trace columns, each a function of the state."""
+    steady, state0, step, diagnose = problem.start(scheme, cfg.newton)
     extras = diagnostics or {}
 
-    if isinstance(problem, FpProblem):
-        mesh, data = problem.mesh, problem.data
-        steady = solve_fp_steady(mesh, data, scheme,
-                                 beta=problem.beta, force=problem.force_peclet)
-        stepper = FpStepper(mesh, data, scheme,
-                            beta=problem.beta, force=problem.force_peclet)
-        fp_diag = ent.FpDiagnostics(mesh, data, scheme, steady)
+    def observe(t, dt, state):
+        rec = {"t": t, "dt": dt, **diagnose(state)}
+        rec.update((name, fn(state)) for name, fn in extras.items())
+        return rec
 
-        def diag(f):
-            rec = fp_diag(f)
-            rec.update({k: fn(f) for k, fn in extras.items()})
-            return rec
+    first = observe(0.0, 0.0, state0)
+    trace = EntropyTrace(first)
+    trace.append(first)
+    floor = cfg.entropy_floor * max(first[problem.primary], 1e-300)
 
-        columns = ("t", "dt", *fp_diag.columns, *extras)
-        return _run_generic(columns, np.asarray(problem.f0, dtype=float), diag, cfg,
-                            lambda f, dt: stepper.step(f, dt), steady, "H_phi2")
+    def record(t, dt, state):
+        rec = observe(t, dt, state)
+        trace.append(rec)
+        return rec
 
-    if isinstance(problem, PmeProblem):
-        mesh, m = problem.mesh, problem.m
-        steady = solve_pme_steady(mesh, problem.f_dirichlet, m, initial=problem.f0)
-
-        def diag(f):
-            rec = {
-                "N_m": ent.entrophy(mesh, f, steady, m),
-                "D_m": ent.entrophy_dissipation(mesh, f, steady, m),
-                "Lmp1": ent.lp_distance(mesh, f, steady, m + 1.0),
-            }
-            rec.update({k: fn(f) for k, fn in extras.items()})
-            return rec
-
-        # no FactorStore here: the rates and traces are resolved only to the
-        # Newton tolerance, and reused factors move them beyond 1e-9
-        columns = ("t", "dt", "N_m", "D_m", "Lmp1", *extras)
-        return _run_generic(columns, np.asarray(problem.f0, dtype=float), diag, cfg,
-                            lambda f, dt: step_pme(mesh, f, m, dt,
-                                                   problem.f_dirichlet, cfg.newton),
-                            steady, "N_m")
-
-    if isinstance(problem, DdProblem):
-        mesh, dd = problem.mesh, problem.dd
-        steady = solve_dd_steady(mesh, dd, scheme, newton=cfg.newton)
-        offsets = dd_equilibrium_offsets(mesh, dd)
-        thermal = solve_dd_thermal(mesh, dd, *offsets, newton=cfg.newton) \
-            if offsets is not None else None
-        v0 = solve_dd_poisson(mesh, dd, problem.n0, problem.p0)
-        state0 = DdState(n=np.asarray(problem.n0, dtype=float),
-                         p=np.asarray(problem.p0, dtype=float), v=v0)
-
-        def diag(state):
-            triple = (state.n, state.p, state.v)
-            rec = {
-                "E_inf": ent.dd_entropy(mesh, triple, (steady.n, steady.p, steady.v),
-                                        dd.debye),
-                "E_eq": ent.dd_entropy(mesh, triple, (thermal.n, thermal.p, thermal.v),
-                                       dd.debye) if thermal is not None else float("nan"),
-            }
-            rec.update({k: fn(state) for k, fn in extras.items()})
-            return rec
-
-        columns = ("t", "dt", "E_inf", "E_eq", *extras)
-        # factors shared by the steps of this run only; runs may go in threads
-        store = FactorStore()
-        return _run_generic(columns, state0, diag, cfg,
-                            lambda s, dt: step_dd(mesh, dd, scheme, s, dt, cfg.newton,
-                                                  store),
-                            steady, "E_inf")
-
-    raise TypeError(f"unknown problem type {type(problem).__name__}")
+    final, _, abort = adaptive_time_loop(state0, cfg, step, record,
+                                         lambda rec: rec[problem.primary] < floor)
+    return TransientResult(trace=trace, steady=steady, final=final,
+                           aborted=abort is not None, abort_reason=abort or "")

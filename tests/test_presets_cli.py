@@ -10,9 +10,10 @@ import pytest
 import entrofv
 from entrofv.cli import BOUNDARY_NAMES, main, parse_config_text
 from entrofv.mesh import load_mesh, validate
-from entrofv.presets import (RunConfig, UsageError, build_problem,
+from entrofv.presets import (RunConfig, UsageError, _write_steady, build_problem,
                              convergence_study, fill_problem, hetero_problem,
                              pn_problem, presets, run, toy_problem)
+from entrofv.solvers import DdState
 from entrofv.schemes import peclet_guard
 
 
@@ -148,6 +149,33 @@ def test_run_sweep_with_threads(tmp_path, monkeypatch):
     assert len(values) == 5
     assert all(v > 0 for v in values)
     assert (tmp_path / "sweep" / "m2-md0.1" / "trace.csv").exists()
+
+
+def test_failed_sweep_point_writes_error_and_exits_1(tmp_path):
+    out = tmp_path / "sweep"
+    assert run(RunConfig(preset="pme-sweep", m=1.0, level=0, out=str(out))) == 1
+    assert "exponent" in (out / "m1-md1" / "error.txt").read_text()
+    assert (out / "rates.csv").read_text() == "m,m_dirichlet,rate\n"
+
+
+def _fstring_steady(steady) -> str:
+    """The per-cell f-string formula ``steady.txt`` was first written with."""
+    if isinstance(steady, DdState):
+        lines = [f"{k} {nk:.17g} {pk:.17g} {vk:.17g}"
+                 for k, (nk, pk, vk) in enumerate(zip(steady.n, steady.p, steady.v))]
+    else:
+        lines = [f"{k} {val:.17g}" for k, val in enumerate(steady)]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_steady_matches_per_cell_format(tmp_path):
+    path = tmp_path / "steady.txt"
+    field = np.array([-0.0, 5e-324, 1 / 3, 1e300, 2.5, -7.0, 1e-300, 12345678.9])
+    state = DdState(n=field + 1.0, p=np.full(field.size, math.e), v=field[::-1].copy())
+    for steady in (field, state, field[:1]):
+        _write_steady(path, steady)
+        assert path.read_text() == _fstring_steady(steady)
+    assert path.read_text() == "0 -0\n"
 
 
 def test_run_dd_writes_triple_snapshot(tmp_path):

@@ -451,6 +451,20 @@ def test_dd_factor_reuse_matches_full_newton(monkeypatch):
     assert 4 * reused_count <= len(factors)
 
 
+def test_dd_run_solves_thermal_equilibrium_once(monkeypatch):
+    calls = []
+    thermal = solvers.solve_dd_thermal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return thermal(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_dd_thermal", counting)
+    result = run_transient(pn_problem(0), SCHARFETTER_GUMMEL, StepperConfig.fixed(1e-2, 0.02))
+    assert len(calls) == 1
+    assert np.all(np.isfinite(result.trace.column("E_eq")))
+
+
 def _pn_start(prob):
     v0 = solve_dd_poisson(prob.mesh, prob.dd, prob.n0, prob.p0)
     return DdState(n=prob.n0, p=prob.p0, v=v0)
