@@ -28,7 +28,6 @@ _CONFIG_KEYS = {
     "preset": str, "scheme": str, "level": int, "dt": float, "t_final": float,
     "entropy_floor": float, "out": str, "force_peclet": bool, "m": float,
     "m_dirichlet": float, "debye": float, "bias": float, "doping": float,
-    "threads": int,
 }
 
 
@@ -85,7 +84,7 @@ def _config_from_target(target: str, args) -> RunConfig:
         if "preset" not in values:
             raise UsageError(f"config file {target} does not select a preset")
     for key in ("scheme", "level", "dt", "out", "bias", "m", "m_dirichlet",
-                "debye", "t_final", "entropy_floor", "threads"):
+                "debye", "t_final", "entropy_floor"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -130,7 +129,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--m", type=float)
     p_run.add_argument("--m-dirichlet", dest="m_dirichlet", type=float)
     p_run.add_argument("--lambda", dest="debye", type=float)
-    p_run.add_argument("--threads", type=int)
 
     p_conv = sub.add_parser("convergence", help="steady-state error study")
     p_conv.add_argument("preset")

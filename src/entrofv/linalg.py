@@ -105,7 +105,10 @@ def solve_linear(a: sp.spmatrix, b: np.ndarray,
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise LinAlgError(f"rhs shape {b.shape} does not match matrix size {a.shape[0]}")
-    x = (lu if lu is not None else factorize(a)).solve(b)
+    return _checked(a, b, (lu if lu is not None else factorize(a)).solve(b))
+
+
+def _checked(a: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("factorization produced non-finite solution")
     resid = np.max(np.abs(a @ x - b))
@@ -211,12 +214,29 @@ NewtonResult = Union[tuple[np.ndarray, int], NonConvergence]
 REUSE_CONTRACTION = 0.1
 
 
+#: Iterative refinement on stored factors (Higham, *Accuracy and Stability of
+#: Numerical Algorithms*, ch. 12) accepts x once the componentwise backward
+#: error max |b - A x| / (|A| |x| + |b|) is at most REFINE_EPS.  It gives up,
+#: and the matrix is factored, when a sweep cuts that error by less than
+#: REFINE_CONTRACTION or after REFINE_SWEEPS sweeps; from x = 0, where the
+#: error is 1, four sweeps at 1e-4 reach REFINE_EPS.  On ``pme-sweep`` this
+#: makes 599 factorizations and 3229 triangular solves; 1e-3 or 1e-2, with up
+#: to 8 sweeps, make 506 or 417 factorizations but 4082 or 5381 solves, and
+#: run no faster: one factorization of its 896-unknown Jacobian costs about
+#: as much as ten sweeps (2 vCPUs).
+REFINE_EPS = 2.0 * np.finfo(float).eps
+REFINE_CONTRACTION = 1e-4
+REFINE_SWEEPS = 4
+
+
 @dataclass(eq=False)
 class FactorStore:
-    """A matrix and its factors for one step size ``dt``, dropped when
-    another is asked for: the Jacobian that :func:`newton_solve` may reuse
-    across iterates and calls, or a linear stepping matrix.  One caller owns
-    it (one transient run or one stepper)."""
+    """A matrix and its factors: the Jacobian that :func:`newton_solve`
+    reuses across iterates and calls, for simplified steps or to refine full
+    ones on (:meth:`solve`), or a linear stepping matrix.  ``for_dt`` drops
+    them when another step size is asked for, as the simplified steps and
+    the stepping matrix need.  One caller owns it (one transient run or one
+    stepper)."""
 
     dt: Optional[float] = None
     jac: Optional[sp.spmatrix] = None
@@ -231,6 +251,28 @@ class FactorStore:
             self.dt = dt
         return self
 
+    def solve(self, a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+        """Checked solve of ``a x = b``, ``a`` CSC or CSR, by iterative
+        refinement on the stored factors, which may be those of a nearby
+        matrix; when the refinement stalls (see :data:`REFINE_CONTRACTION`)
+        or no factors are stored, ``a`` is factored into the store and solved
+        directly."""
+        if self.lu is not None:  # sweeps from x = 0, whose backward error is 1
+            x, r, omega_prev = 0.0, b, 1.0
+            # |A| on the pattern of A; tiny keeps the rows where b and x vanish at 0
+            scale, abs_b = with_data(a, np.abs(a.data)), np.abs(b) + np.finfo(float).tiny
+            for _ in range(REFINE_SWEEPS):
+                x = x + self.lu.solve(r)
+                r = b - a @ x
+                omega = np.max(np.abs(r) / (scale @ np.abs(x) + abs_b))
+                if omega <= REFINE_EPS:
+                    return _checked(a, b, x)
+                if not omega <= REFINE_CONTRACTION * omega_prev:
+                    break
+                omega_prev = omega
+        self.lu, self.jac = factorize(a), a
+        return solve_linear(a, b, self.lu)
+
 
 def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]],
                  x0: np.ndarray,
@@ -243,35 +285,32 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
     iterate, ``iterations + 1`` times in all on success, and each iterate
     factors its own Jacobian.
 
-    With a store the factors in it are reused (simplified Newton), and
-    ``system(x, jacobian=False)`` must return the residual alone (its second
-    item is ignored); the Jacobian is asked for only when Newton factors.  A
-    reused-factor iterate is kept only if it contracts the residual by
+    With a store, ``system(x, jacobian=False)`` is called instead, and its
+    second item is either the Jacobian at ``x`` or None.  A Jacobian makes a
+    full Newton step, solved by :meth:`FactorStore.solve` on the stored
+    factors.  None makes a simplified Newton step on the stored factors, and
+    the Jacobian is asked for (``system(x)``) only when Newton factors.  Such
+    a reused-factor iterate is kept only if it contracts the residual by
     :data:`REUSE_CONTRACTION`; otherwise the factors are dropped and Newton
     refactors at the current iterate, which stays the previous one when the
-    residual grew or is not finite.  Fresh-factor iterates fail as without a
-    store.  ``iterations`` counts every linear solve, and ``cfg.max_iter``
-    bounds it.
+    residual grew or is not finite.  Full steps fail as without a store.
+    ``iterations`` counts every Newton step, and ``cfg.max_iter`` bounds it.
     """
     x = np.asarray(x0, dtype=float).copy()
     reuse = store is not None and store.lu is not None
-    r, jac = (system(x, jacobian=False)[0], None) if reuse else system(x)
+    r, jac = system(x, jacobian=False) if reuse else system(x)
     norm = np.max(np.abs(r)) if r.size else 0.0
     if norm <= cfg.tol:
         return x, 0
     for it in range(1, cfg.max_iter + 1):
-        reuse = store is not None and store.lu is not None
+        reuse = jac is None and store is not None and store.lu is not None
         try:
             if reuse:
                 dx = solve_linear(store.jac, -r, store.lu)
             else:
                 if jac is None:
                     r, jac = system(x)
-                if store is None:
-                    dx = solve_linear(jac, -r)
-                else:
-                    store.lu, store.jac = factorize(jac), jac
-                    dx = solve_linear(jac, -r, store.lu)
+                dx = solve_linear(jac, -r) if store is None else store.solve(jac, -r)
         except LinAlgError:
             if store is not None:
                 store.drop()
@@ -280,10 +319,7 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
             return NonConvergence(iterations=it, residual_norm=norm,
                                   last_iterate=x, reason="singular Jacobian")
         x_new = x + dx
-        if store is None:
-            r_new, jac = system(x_new)
-        else:
-            r_new, jac = system(x_new, jacobian=False)[0], None
+        r_new, jac = system(x_new) if store is None else system(x_new, jacobian=False)
         finite = np.all(np.isfinite(r_new))
         norm_new = np.max(np.abs(r_new)) if finite else np.inf
         if norm_new <= cfg.tol:
@@ -291,6 +327,7 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
         if reuse and not norm_new <= REUSE_CONTRACTION * norm:
             store.drop()
             if not norm_new <= norm:
+                jac = None
                 continue  # discard the iterate; refactor where it started
         elif not finite:
             return NonConvergence(iterations=it, residual_norm=np.inf,

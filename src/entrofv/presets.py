@@ -9,8 +9,6 @@ data and cellwise coefficients at cell centroids.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -19,14 +17,12 @@ import numpy as np
 
 from .entropy import EntropyTrace, fit_decay_rate
 from .linalg import LinAlgError, NewtonConfig
-from .mesh import (BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, Mesh, Segment,
-                   reference_mesh)
+from .mesh import (BOTTOM, LEFT, MAX_REFERENCE_LEVEL, RIGHT, TOP, BoundarySpec,
+                   Mesh, Segment, reference_mesh)
 from .schemes import SCHEMES, AssemblyError, BScheme, DataError, DdData, \
     advection_from_potential, discretize_coefficients
 from .solvers import (DdProblem, FpProblem, PmeProblem, SolverError,
                       StepperConfig, TransientResult, run_transient, solve_fp_steady)
-
-THREADS_ENV = "ENTROFV_THREADS"
 
 
 class UsageError(Exception):
@@ -173,7 +169,16 @@ class RunConfig:
     debye: float = 1.0
     bias: Optional[float] = None
     doping: float = 1.0
-    threads: Optional[int] = None
+
+    def __post_init__(self):
+        for name, value in (("dt", self.dt), ("t_final", self.t_final),
+                            ("lambda", self.debye)):
+            if value is not None and not 0 < value < math.inf:
+                raise UsageError(f"{name} must be positive and finite, got {value:g}")
+        if self.level is not None and not 0 <= self.level <= MAX_REFERENCE_LEVEL:
+            raise UsageError(f"level must lie in 0..{MAX_REFERENCE_LEVEL}, got {self.level}")
+        if self.bias is not None and not math.isfinite(self.bias):
+            raise UsageError(f"bias must be finite, got {self.bias:g}")
 
     def resolved_scheme(self, default: str) -> BScheme:
         name = self.scheme if self.scheme is not None else default
@@ -327,8 +332,6 @@ def sweep_rate(trace: EntropyTrace) -> float:
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
     """Run every sweep point into its own directory and write rates.csv; a
     point that fails or aborts gets no rate row and makes the status 1."""
-    points = _sweep_points(cfg)
-    threads = cfg.threads or int(os.environ.get(THREADS_ENV, "1"))
     preset = presets()["pme-sweep"]
     level = _or(cfg.level, preset.level)
     stepper = _stepper(preset, cfg)
@@ -345,12 +348,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
         except SolverError:
             return f"{m:.17g},{md:.17g},"  # run too short to fit
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(p) for p in points]
-
+    rows = [one(p) for p in _sweep_points(cfg)]
     rate_rows = ["m,m_dirichlet,rate", *(row for row in rows if row is not None)]
     (out / "rates.csv").write_text("\n".join(rate_rows) + "\n")
     print(f"ran {len(rows)} sweep points under {out}")

@@ -38,12 +38,12 @@ class StepperConfig:
     entropy_floor: float = 1e-14
 
     def __post_init__(self):
+        if not (0 < self.dt0 < math.inf and 0 < self.t_final < math.inf):
+            raise ValueError("initial time step and final time must be positive and finite")
         if not (self.dt_min <= self.dt0 <= self.dt_max):
             raise ValueError("need dt_min <= dt0 <= dt_max")
         if self.grow <= 1 or self.shrink <= 1:
             raise ValueError("grow and shrink factors must exceed 1")
-        if self.t_final <= 0:
-            raise ValueError("final time must be positive")
 
     @staticmethod
     def fixed(dt: float, t_final: float, **kw) -> "StepperConfig":
@@ -126,15 +126,17 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float,
 
 
 def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
-             f_dirichlet: np.ndarray,
-             newton: NewtonConfig = NewtonConfig()) -> Union[np.ndarray, NonConvergence]:
-    """One implicit step via Newton started from the previous state."""
+             f_dirichlet: np.ndarray, newton: NewtonConfig = NewtonConfig(),
+             store: Optional[FactorStore] = None) -> Union[np.ndarray, NonConvergence]:
+    """One implicit step via Newton started from the previous state; with a
+    ``store``, each iterate's solve refines on the factors it holds (see
+    :meth:`FactorStore.solve`) and leaves the latest ones there."""
     f_prev = np.asarray(f_prev, dtype=float)
 
-    def system(f):
+    def system(f, jacobian=True):  # the Jacobian is a scaled copy, always formed
         return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet)
 
-    result = newton_solve(system, f_prev, newton)
+    result = newton_solve(system, f_prev, newton, store)
     if isinstance(result, NonConvergence):
         return result
     f, iterations = result
@@ -327,10 +329,13 @@ class PmeProblem:
         mesh, m = self.mesh, self.m
         steady = solve_pme_steady(mesh, self.f_dirichlet, m, initial=self.f0)
 
-        # no FactorStore here: the rates and traces are resolved only to the
-        # Newton tolerance, and reused factors move them beyond 1e-9
+        # factors shared by the steps of this run only.  Every Newton step
+        # still solves with its own Jacobian, refined to round-off on these:
+        # simplified Newton would move the rates beyond 1e-9
+        store = FactorStore()
+
         def step(f, dt):
-            return step_pme(mesh, f, m, dt, self.f_dirichlet, newton)
+            return step_pme(mesh, f, m, dt, self.f_dirichlet, newton, store)
 
         def diagnostics(f):
             return {"N_m": ent.entrophy(mesh, f, steady, m),
@@ -356,7 +361,7 @@ class DdProblem:
         steady = solve_dd_steady(mesh, dd, scheme, newton=newton, initial=thermal)
         state0 = DdState(np.asarray(self.n0, dtype=float), np.asarray(self.p0, dtype=float),
                          solve_dd_poisson(mesh, dd, self.n0, self.p0))
-        # factors shared by the steps of this run only; runs may go in threads
+        # factors shared by the steps of this run only
         store = FactorStore()
 
         def step(state, dt):

@@ -3,11 +3,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from entrofv.linalg import (FactorStore, NewtonConfig, NonConvergence,
+from entrofv import linalg
+from entrofv.linalg import (REFINE_EPS, FactorStore, NewtonConfig, NonConvergence,
                             SingularMatrixError, check_m_matrix_structure,
                             factorize, newton_solve, solve_linear)
+from entrofv.mesh import BoundarySpec, reference_mesh
 from entrofv.schemes import (CENTERED, UPWIND, SparsityPattern, assemble_fp_operator,
-                             transport_data)
+                             assemble_pme_residual, transport_data)
 
 
 def dense(entries, n):
@@ -179,8 +181,73 @@ def test_newton_store_reuses_factors_across_calls():
     assert store.for_dt(0.5).lu is None and store.dt == 0.5
 
 
+# ---------------------------------------------------------------------------
+# iterative refinement on stored factors
+
+
+def _pme_jacobian(f, dt=1e-2):
+    mesh = reference_mesh(1, BoundarySpec.all_dirichlet())
+    f_dir = np.where(mesh.dirichlet, 1.0, np.nan)
+    return mesh, assemble_pme_residual(mesh, f, f, 2.0, dt, f_dir)[1]
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    splu = linalg.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counting)
+    return calls
+
+
+def _backward_error(a, x, b):
+    return np.max(np.abs(b - a @ x) / (abs(a) @ np.abs(x) + np.abs(b)))
+
+
+def test_refined_solve_on_nearby_factors_reaches_round_off(monkeypatch, rng):
+    mesh, stored = _pme_jacobian(np.linspace(0.5, 1.5, 224))
+    _, jac = _pme_jacobian(np.linspace(0.5, 1.5, 224) * (1 + 1e-6 * rng.random(224)))
+    store = FactorStore(jac=stored, lu=factorize(stored))
+    kept = store.lu
+    calls = _count_splu(monkeypatch)
+    b = rng.standard_normal(mesh.n_cells)
+    x = store.solve(jac, b)
+    assert calls == [] and store.lu is kept and store.jac is stored
+    assert _backward_error(jac, x, b) <= REFINE_EPS
+    # the first solve alone is only as good as the stored factors
+    assert _backward_error(jac, kept.solve(b), b) > 1e3 * REFINE_EPS
+
+
+def test_refined_solve_on_far_factors_refactors_once(monkeypatch, rng):
+    mesh, jac = _pme_jacobian(np.linspace(0.5, 1.5, 224))
+    far = (jac + sp.diags(9.0 * jac.diagonal())).tocsc()  # diagonal times 10
+    store = FactorStore(jac=far, lu=factorize(far))
+    stale = store.lu
+    calls = _count_splu(monkeypatch)
+    b = rng.standard_normal(mesh.n_cells)
+    x = store.solve(jac, b)
+    assert len(calls) == 1
+    assert store.jac is jac and store.lu is not stale
+    np.testing.assert_array_equal(x, store.lu.solve(b))
+
+
+@pytest.mark.parametrize("stored", [None, 1.0], ids=["empty", "stale"])
+def test_newton_store_singular_jacobian_is_nonconvergence(stored):
+    store = FactorStore()
+    if stored is not None:
+        store.jac = sp.csr_matrix([[stored]])
+        store.lu = factorize(store.jac)
+    result = newton_solve(lambda x, jacobian=True: (x ** 2, sp.csr_matrix([[0.0]])),
+                          np.array([1.0]), NewtonConfig(), store)
+    assert isinstance(result, NonConvergence)
+    assert result.reason == "singular Jacobian"
+    assert store.lu is None
+
+
 def test_factorize_passes_supernode_constants(monkeypatch):
-    from entrofv import linalg
     seen = []
     splu = linalg.spla.splu
 

@@ -138,8 +138,7 @@ def test_force_peclet_mild_violation_succeeds(two_cell_mesh):
     assert np.all(steady > 0)
 
 
-def test_run_sweep_with_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("ENTROFV_THREADS", "2")
+def test_run_sweep_writes_a_rate_per_point(tmp_path):
     cfg = RunConfig(preset="pme-sweep", level=1, out=str(tmp_path / "sweep"))
     assert run(cfg) == 0
     rates = (tmp_path / "sweep" / "rates.csv").read_text().splitlines()
@@ -244,6 +243,26 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path / "m1.tpfa")]) == 0
     mesh = load_mesh((tmp_path / "m1.tpfa").read_text())
     assert mesh.n_cells == 224
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["dd-bias", "--lambda", "0"], "lambda"),
+    (["dd-bias", "--lambda", "-1"], "lambda"),
+    (["fp-toy", "--level", "-1"], "level"),
+    (["fp-toy", "--t-final", "-1"], "t_final"),
+    (["pme-fill", "--dt", "0"], "dt"),
+    (["fp-toy", "--dt", "0"], "dt"),
+    (["dd-bias", "--dt", "0"], "dt"),
+    (["fp-toy", "--dt", "-0.01"], "dt"),
+    (["dd-bias", "--bias", "nan"], "bias"),
+    (["pme-sweep", "--t-final", "inf"], "t_final"),
+])
+def test_cli_bad_run_parameter_is_usage_error(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} ")
+    assert not list(tmp_path.rglob("trace.csv"))
 
 
 def test_cli_entry_point_runs():

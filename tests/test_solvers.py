@@ -451,6 +451,38 @@ def test_dd_factor_reuse_matches_full_newton(monkeypatch):
     assert 4 * reused_count <= len(factors)
 
 
+def test_pme_refined_newton_matches_full_newton(monkeypatch):
+    """Refinement on stored factors keeps every Newton iterate exact to
+    round-off: same iterations per step, same trace, fewer factorizations."""
+    factors, iterations = [], []
+    splu, newton = linalg.spla.splu, solvers.newton_solve
+
+    def counting_splu(*args, **kwargs):
+        factors.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    def counting_newton(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        iterations.append(result[1])
+        return result
+
+    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(solvers, "newton_solve", counting_newton)
+    cfg = StepperConfig(t_final=60.0, dt0=1e-3)
+    refined = run_transient(sweep_problem(1, m=2.0, m_dirichlet=1.0), SCHARFETTER_GUMMEL, cfg)
+    refined_counts = (len(factors), list(iterations))
+
+    del factors[:], iterations[:]
+    monkeypatch.setattr(solvers, "FactorStore", lambda: None)
+    full = run_transient(sweep_problem(1, m=2.0, m_dirichlet=1.0), SCHARFETTER_GUMMEL, cfg)
+    assert refined_counts[1] == iterations and len(iterations) > 40
+    for name in full.trace.columns:
+        ref = full.trace.column(name)
+        got = refined.trace.column(name)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+    assert refined_counts[0] <= 0.6 * len(factors)
+
+
 def test_dd_run_solves_thermal_equilibrium_once(monkeypatch):
     calls = []
     thermal = solvers.solve_dd_thermal
@@ -632,6 +664,11 @@ def test_stepper_config_validation():
         StepperConfig(t_final=1.0, grow=1.0)
     with pytest.raises(ValueError):
         StepperConfig(t_final=-1.0)
+    for bad in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            StepperConfig.fixed(bad, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            StepperConfig(t_final=bad)
 
 
 def test_run_transient_fp_records_expected_columns():
