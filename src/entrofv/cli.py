@@ -11,8 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .mesh import (BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, MeshError, Segment,
-                   UnsupportedGeometryError, load_mesh, reference_mesh, refine,
-                   save_mesh, validate)
+                   load_mesh, reference_mesh, refine, save_mesh, validate)
 from .presets import RunConfig, UsageError, convergence_study, presets, run
 
 BOUNDARY_NAMES = {
@@ -102,11 +101,22 @@ def _levels_arg(text: str) -> list[int]:
 
 
 def _mesh_source(args):
+    """The ``--level`` reference mesh, or else the FILE that ``check`` takes."""
     if args.level is not None:
         return reference_mesh(args.level, BOUNDARY_NAMES[args.boundary])
-    if args.file is not None:
+    if getattr(args, "file", None) is not None:
         return load_mesh(Path(args.file).read_text())
-    raise UsageError("give either --level or a mesh file")
+    raise UsageError("gen and refine need --level; check needs --level or a mesh file")
+
+
+def _write_mesh(args, mesh) -> int:
+    text = save_mesh(mesh)
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out} ({mesh.n_cells} cells)")
+    else:
+        print(text, end="")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -142,11 +152,13 @@ def main(argv=None) -> int:
                             ("check", "validate admissibility"),
                             ("refine", "refine a generated mesh")):
         p = mesh_sub.add_parser(name, help=help_text)
-        p.add_argument("file", nargs="?", help="TPFA graph file")
+        if name == "check":
+            p.add_argument("file", nargs="?", help="TPFA graph file")
         p.add_argument("--level", type=int)
         p.add_argument("--boundary", choices=sorted(BOUNDARY_NAMES),
                        default="all-dirichlet")
-        p.add_argument("--out")
+        if name != "check":
+            p.add_argument("--out")
 
     try:
         args = parser.parse_args(argv)
@@ -169,31 +181,13 @@ def main(argv=None) -> int:
 
         if args.command == "mesh":
             if args.mesh_command == "gen":
-                if args.level is None:
-                    raise UsageError("mesh gen needs --level")
-                mesh = reference_mesh(args.level, BOUNDARY_NAMES[args.boundary])
-                text = save_mesh(mesh)
-                if args.out:
-                    Path(args.out).write_text(text)
-                    print(f"wrote {args.out} ({mesh.n_cells} cells)")
-                else:
-                    print(text, end="")
-                return 0
+                return _write_mesh(args, _mesh_source(args))
             if args.mesh_command == "check":
-                mesh = _mesh_source(args)
-                report = validate(mesh)
+                report = validate(_mesh_source(args))
                 print(report)
                 return 0 if report.ok else 1
             if args.mesh_command == "refine":
-                mesh = _mesh_source(args)
-                refined = refine(mesh)
-                text = save_mesh(refined)
-                if args.out:
-                    Path(args.out).write_text(text)
-                    print(f"wrote {args.out} ({refined.n_cells} cells)")
-                else:
-                    print(text, end="")
-                return 0
+                return _write_mesh(args, refine(_mesh_source(args)))
             raise UsageError("mesh needs a subcommand: gen, check or refine")
 
         parser.print_help()
@@ -202,9 +196,6 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except UnsupportedGeometryError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except MeshError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

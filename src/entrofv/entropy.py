@@ -269,9 +269,6 @@ class EntropyTrace:
     def __len__(self):
         return len(self._data["t"])
 
-    def last(self, name: str) -> float:
-        return self._data[name][-1]
-
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
         for i in range(len(self)):

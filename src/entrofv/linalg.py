@@ -177,18 +177,10 @@ def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int],
     return MMatrixReport(tuple(bad))
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Residual tolerance is an absolute max-norm bound."""
-
-    tol: float = 1e-11
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+#: Newton stops once the max-norm of the residual is at most NEWTON_TOL (an
+#: absolute bound), and fails after NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -276,9 +268,9 @@ class FactorStore:
 
 def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]],
                  x0: np.ndarray,
-                 cfg: NewtonConfig = NewtonConfig(),
                  store: Optional[FactorStore] = None) -> NewtonResult:
-    """Newton iteration; returns (solution, iterations) on success.
+    """Newton iteration; returns (solution, iterations) on success, once the
+    residual max-norm is at most :data:`NEWTON_TOL`.
 
     ``system(x)`` returns the residual and its Jacobian at ``x``.  Without a
     store every iterate is a full Newton step: ``system`` is called once per
@@ -294,15 +286,16 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
     :data:`REUSE_CONTRACTION`; otherwise the factors are dropped and Newton
     refactors at the current iterate, which stays the previous one when the
     residual grew or is not finite.  Full steps fail as without a store.
-    ``iterations`` counts every Newton step, and ``cfg.max_iter`` bounds it.
+    ``iterations`` counts every Newton step, and :data:`NEWTON_MAX_ITER`
+    bounds it.  Both constants are read at each call.
     """
     x = np.asarray(x0, dtype=float).copy()
     reuse = store is not None and store.lu is not None
     r, jac = system(x, jacobian=False) if reuse else system(x)
     norm = np.max(np.abs(r)) if r.size else 0.0
-    if norm <= cfg.tol:
+    if norm <= NEWTON_TOL:
         return x, 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         reuse = jac is None and store is not None and store.lu is not None
         try:
             if reuse:
@@ -322,7 +315,7 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
         r_new, jac = system(x_new) if store is None else system(x_new, jacobian=False)
         finite = np.all(np.isfinite(r_new))
         norm_new = np.max(np.abs(r_new)) if finite else np.inf
-        if norm_new <= cfg.tol:
+        if norm_new <= NEWTON_TOL:
             return x_new, it
         if reuse and not norm_new <= REUSE_CONTRACTION * norm:
             store.drop()
@@ -333,4 +326,4 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
             return NonConvergence(iterations=it, residual_norm=np.inf,
                                   last_iterate=x_new, reason="non-finite residual")
         x, r, norm = x_new, r_new, norm_new
-    return NonConvergence(iterations=cfg.max_iter, residual_norm=norm, last_iterate=x)
+    return NonConvergence(iterations=NEWTON_MAX_ITER, residual_norm=norm, last_iterate=x)

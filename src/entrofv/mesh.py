@@ -155,10 +155,6 @@ class Mesh:
         except KeyError:
             return self._derived.setdefault(key, build(self))
 
-    def cell_edges(self, cell: int) -> np.ndarray:
-        """Edge ids incident to one cell."""
-        return np.nonzero((self.edge_cells[:, 0] == cell) | (self.edge_cells[:, 1] == cell))[0]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -349,7 +345,9 @@ def _refine_triangulation(vertices: np.ndarray, triangles: np.ndarray):
 
 
 def refine(mesh: Mesh) -> Mesh:
-    """One refinement: tile four half-scale copies into the unit square."""
+    """One refinement: tile four half-scale copies into the unit square.
+    Like :func:`reference_mesh`, it refuses more cells than level
+    :data:`MAX_REFERENCE_LEVEL` has."""
     geo = mesh.geometry
     if geo is None:
         raise UnsupportedGeometryError(
@@ -359,6 +357,10 @@ def refine(mesh: Mesh) -> Mesh:
     if (verts.min() < -1e-12 or verts.max() > 1 + 1e-12
             or abs(mesh.domain_measure - 1.0) > 1e-9):
         raise UnsupportedGeometryError("refinement is defined for the unit-square family only")
+    cells = 4 * mesh.n_cells
+    if cells > 56 * 4 ** MAX_REFERENCE_LEVEL:
+        raise MeshError(f"refusing to refine beyond level {MAX_REFERENCE_LEVEL}: "
+                        f"{cells} cells would exhaust memory")
     return build_from_triangulation(*_refine_triangulation(verts, geo.triangles),
                                     geo.boundary)
 

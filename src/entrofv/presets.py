@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .entropy import EntropyTrace, fit_decay_rate
-from .linalg import LinAlgError, NewtonConfig
+from .linalg import LinAlgError
 from .mesh import (BOTTOM, LEFT, MAX_REFERENCE_LEVEL, RIGHT, TOP, BoundarySpec,
                    Mesh, Segment, reference_mesh)
 from .schemes import SCHEMES, AssemblyError, BScheme, DataError, DdData, \
@@ -172,13 +172,17 @@ class RunConfig:
 
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("t_final", self.t_final),
-                            ("lambda", self.debye)):
+                            ("lambda", self.debye), ("m_dirichlet", self.m_dirichlet)):
             if value is not None and not 0 < value < math.inf:
                 raise UsageError(f"{name} must be positive and finite, got {value:g}")
         if self.level is not None and not 0 <= self.level <= MAX_REFERENCE_LEVEL:
             raise UsageError(f"level must lie in 0..{MAX_REFERENCE_LEVEL}, got {self.level}")
-        if self.bias is not None and not math.isfinite(self.bias):
-            raise UsageError(f"bias must be finite, got {self.bias:g}")
+        for name, value in (("bias", self.bias), ("m", self.m)):
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value:g}")
+        if not 0 <= self.entropy_floor < math.inf:
+            raise UsageError(f"entropy_floor must be non-negative and finite, "
+                             f"got {self.entropy_floor:g}")
 
     def resolved_scheme(self, default: str) -> BScheme:
         name = self.scheme if self.scheme is not None else default
@@ -242,12 +246,10 @@ def presets() -> dict[str, Preset]:
 
 def _stepper(preset: Preset, cfg: RunConfig) -> StepperConfig:
     dt, t_final = _or(cfg.dt, preset.dt), _or(cfg.t_final, preset.t_final)
-    newton = NewtonConfig()
     if preset.adaptive:
-        return StepperConfig(t_final=t_final, dt0=min(dt, 1e-2), newton=newton,
+        return StepperConfig(t_final=t_final, dt0=min(dt, 1e-2),
                              entropy_floor=cfg.entropy_floor)
-    return StepperConfig.fixed(dt, t_final, newton=newton,
-                               entropy_floor=cfg.entropy_floor)
+    return StepperConfig.fixed(dt, t_final, entropy_floor=cfg.entropy_floor)
 
 
 def build_problem(cfg: RunConfig):
@@ -287,7 +289,7 @@ def _run_into(out: Path, problem, scheme: BScheme,
         return None
     (out / "trace.csv").write_text(result.trace.to_csv())
     _write_steady(out / "steady.txt", result.steady)
-    if result.aborted:
+    if result.abort_reason is not None:
         print(f"{out}: run aborted: {result.abort_reason} (partial trace flushed)")
     return result
 
@@ -300,7 +302,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.preset == "pme-sweep":
         return _run_sweep(cfg, out)
     result = _run_into(out, *build_problem(cfg))
-    if result is None or result.aborted:
+    if result is None or result.abort_reason is not None:
         return 1
     print(f"wrote {out / 'trace.csv'} ({len(result.trace)} records) "
           f"and {out / 'steady.txt'}")
@@ -341,7 +343,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
         result = _run_into(out / f"m{m:g}-md{md:g}",
                            sweep_problem(level, m=m, m_dirichlet=md), SCHEMES["sg"],
                            stepper)
-        if result is None or result.aborted:
+        if result is None or result.abort_reason is not None:
             return None
         try:
             return f"{m:.17g},{md:.17g},{sweep_rate(result.trace):.17g}"

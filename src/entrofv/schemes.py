@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linalg import with_data
-from .mesh import NEUMANN, Mesh
+from .mesh import Mesh
 
 
 class DataError(Exception):
@@ -142,11 +142,6 @@ CENTERED = BScheme.centered()
 SCHARFETTER_GUMMEL = BScheme.scharfetter_gummel()
 
 SCHEMES = {"upwind": UPWIND, "centered": CENTERED, "sg": SCHARFETTER_GUMMEL}
-
-
-def eval_b(scheme: BScheme, x) -> Union[float, np.ndarray]:
-    out = scheme.b(x)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -466,13 +461,14 @@ def add_diagonal(mesh: Mesh, op: sp.csc_matrix, diagonal: np.ndarray) -> sp.csc_
 
 
 def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
-                         beta: float = 0.05, force: bool = False):
+                         force: bool = False):
     """Stationary convection-diffusion operator M and boundary vector b.
 
     Row K of M holds the outgoing flux sum of the unit fields; M f - b is the
-    per-cell steady flux balance.
+    per-cell steady flux balance.  A :func:`peclet_guard` violation raises
+    :class:`PecletError` unless ``force`` is set.
     """
-    guard = peclet_guard(mesh, data, scheme, beta)
+    guard = peclet_guard(mesh, data, scheme)
     if not guard.ok and not force:
         raise PecletError(str(guard))
     bm, bp = b_coefficients(mesh, data, scheme)
@@ -488,19 +484,6 @@ def edge_fluxes(mesh: Mesh, data: TransportData, scheme: BScheme,
     bm, bp = b_coefficients(mesh, data, scheme)
     f_opp = neighbor_values(mesh, f, data.f_dirichlet)
     return mesh.tau * data.a_edge * (bm * f[mesh.edge_cells[:, 0]] - bp * f_opp)
-
-
-def flux_fp(mesh: Mesh, data: TransportData, scheme: BScheme,
-            f: np.ndarray, cell: int, edge: int) -> float:
-    """Flux leaving ``cell`` through ``edge``; zero on Neumann edges."""
-    if mesh.edge_tag[edge] == NEUMANN:
-        return 0.0
-    value = float(edge_fluxes(mesh, data, scheme, f)[edge])
-    if mesh.edge_cells[edge, 0] == cell:
-        return value
-    if mesh.edge_cells[edge, 1] == cell:
-        return -value
-    raise AssemblyError(f"cell {cell} is not incident to edge {edge}")
 
 
 def edge_steady_weight(mesh: Mesh, data: TransportData, scheme: BScheme,

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import entropy as ent
 from .entropy import EntropyTrace
-from .linalg import (FactorStore, NewtonConfig, NonConvergence, factorize,
-                     newton_solve, solve_linear)
+from .linalg import FactorStore, NonConvergence, factorize, newton_solve, solve_linear
 from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
                       TransportData, add_diagonal, assemble_dd_residual,
@@ -26,15 +25,15 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Adaptive policy: double after success, halve on failure, clamp."""
+    """Adaptive policy: start at ``dt0``, double the step after each
+    accepted one and halve it after each failed one, within ``dt_min`` and
+    ``dt_max``.  Newton's tolerance and iteration bound are the
+    ``linalg.NEWTON_*`` constants."""
 
     t_final: float
     dt0: float = 1e-3
     dt_min: float = 1e-8
     dt_max: float = 1e-2
-    grow: float = 2.0
-    shrink: float = 2.0
-    newton: NewtonConfig = NewtonConfig()
     entropy_floor: float = 1e-14
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class StepperConfig:
             raise ValueError("initial time step and final time must be positive and finite")
         if not (self.dt_min <= self.dt0 <= self.dt_max):
             raise ValueError("need dt_min <= dt0 <= dt_max")
-        if self.grow <= 1 or self.shrink <= 1:
-            raise ValueError("grow and shrink factors must exceed 1")
 
     @staticmethod
     def fixed(dt: float, t_final: float, **kw) -> "StepperConfig":
@@ -63,9 +60,9 @@ class DdState(NamedTuple):
 
 
 def solve_fp_steady(mesh: Mesh, data: TransportData, scheme: BScheme,
-                    beta: float = 0.05, force: bool = False) -> np.ndarray:
+                    force: bool = False) -> np.ndarray:
     """Unique steady state of the flux scheme; strictly positive."""
-    m_op, b = assemble_fp_operator(mesh, data, scheme, beta=beta, force=force)
+    m_op, b = assemble_fp_operator(mesh, data, scheme, force=force)
     f = solve_linear(m_op, b)  # checks the flux balance M f - b
     if np.any(f <= 0):
         raise SolverError("steady state is not strictly positive")
@@ -77,10 +74,9 @@ class FpStepper:
     of equal step sizes; only the factors of the latest step size are kept."""
 
     def __init__(self, mesh: Mesh, data: TransportData, scheme: BScheme,
-                 beta: float = 0.05, force: bool = False):
+                 force: bool = False):
         self.mesh = mesh
-        self.operator, self.boundary = assemble_fp_operator(
-            mesh, data, scheme, beta=beta, force=force)
+        self.operator, self.boundary = assemble_fp_operator(mesh, data, scheme, force=force)
         self.factors = FactorStore()
 
     def step(self, f_prev: np.ndarray, dt: float) -> np.ndarray:
@@ -90,14 +86,6 @@ class FpStepper:
             store.lu = factorize(store.jac)
         return solve_linear(store.jac, self.mesh.cell_area * f_prev / dt + self.boundary,
                             store.lu)
-
-
-def step_fp(mesh: Mesh, data: TransportData, scheme: BScheme,
-            f_prev: np.ndarray, dt: float, **kw) -> np.ndarray:
-    """One implicit step of the linear model; monotone, hence sign-preserving."""
-    if dt <= 0:
-        raise ValueError("time step must be positive")
-    return FpStepper(mesh, data, scheme, **kw).step(np.asarray(f_prev, dtype=float), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +114,7 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float,
 
 
 def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
-             f_dirichlet: np.ndarray, newton: NewtonConfig = NewtonConfig(),
+             f_dirichlet: np.ndarray,
              store: Optional[FactorStore] = None) -> Union[np.ndarray, NonConvergence]:
     """One implicit step via Newton started from the previous state; with a
     ``store``, each iterate's solve refines on the factors it holds (see
@@ -136,7 +124,7 @@ def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
     def system(f, jacobian=True):  # the Jacobian is a scaled copy, always formed
         return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet)
 
-    result = newton_solve(system, f_prev, newton, store)
+    result = newton_solve(system, f_prev, store)
     if isinstance(result, NonConvergence):
         return result
     f, iterations = result
@@ -165,16 +153,15 @@ def dd_equilibrium_offsets(mesh: Mesh, dd: DdData,
     return None
 
 
-def solve_dd_thermal(mesh: Mesh, dd: DdData, alpha_n: float, alpha_p: float,
-                     newton: NewtonConfig = NewtonConfig(),
-                     v0: Optional[np.ndarray] = None) -> DdState:
-    """Current-free steady state from the nonlinear Poisson equation."""
+def solve_dd_thermal(mesh: Mesh, dd: DdData) -> DdState:
+    """Current-free steady state from the nonlinear Poisson equation, with
+    the offsets (alpha_N, alpha_P) of :func:`dd_equilibrium_offsets`; raises
+    when the boundary data admits no current-free state.  Newton starts from
+    zero potential."""
     offsets = dd_equilibrium_offsets(mesh, dd)
     if offsets is None:
         raise SolverError("boundary data is incompatible with a current-free steady state")
-    if abs(offsets[0] - alpha_n) > 1e-8 or abs(offsets[1] - alpha_p) > 1e-8:
-        raise SolverError(f"boundary offsets {offsets} do not match "
-                          f"({alpha_n}, {alpha_p})")
+    alpha_n, alpha_p = offsets
     a_mat = assemble_poisson(mesh, dd.debye)
     b_dir = poisson_dirichlet_rhs(mesh, dd.debye, dd.v_dirichlet)
     area = mesh.cell_area
@@ -184,10 +171,7 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData, alpha_n: float, alpha_p: float,
         return (a_mat @ v - b_dir - area * (e_p - e_n + dd.doping),
                 add_diagonal(mesh, a_mat, area * (e_p + e_n)))
 
-    start = np.zeros(mesh.n_cells) if v0 is None else np.asarray(v0, dtype=float)
-    result = newton_solve(system, start, newton)
-    if isinstance(result, NonConvergence) and v0 is not None:
-        result = newton_solve(system, np.zeros(mesh.n_cells), newton)
+    result = newton_solve(system, np.zeros(mesh.n_cells))
     if isinstance(result, NonConvergence):
         raise SolverError(f"thermal equilibrium solve failed: {result}")
     v, _ = result
@@ -195,7 +179,7 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData, alpha_n: float, alpha_p: float,
 
 
 def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
-               newton: NewtonConfig, state_prev=None, dt=None,
+               state_prev=None, dt=None,
                store: Optional[FactorStore] = None):
     n = mesh.n_cells
 
@@ -206,7 +190,7 @@ def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
         return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt,
                                     jacobian=jacobian)
 
-    result = newton_solve(system, np.concatenate(start), newton,
+    result = newton_solve(system, np.concatenate(start),
                           None if store is None else store.for_dt(dt))
     if isinstance(result, NonConvergence):
         return result
@@ -245,19 +229,17 @@ def solve_dd_poisson(mesh: Mesh, dd: DdData, n_field: np.ndarray,
 
 
 def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
-                    newton: NewtonConfig = NewtonConfig(),
                     initial: Optional[DdState] = None) -> DdState:
     """Coupled steady state; falls back to a homotopy that ramps the applied
     potential from its current-free part when plain Newton stalls."""
-    offsets = dd_equilibrium_offsets(mesh, dd)
     if initial is not None:
         start = initial
-    elif offsets is not None:
-        start = solve_dd_thermal(mesh, dd, *offsets, newton=newton)
+    elif dd_equilibrium_offsets(mesh, dd) is not None:
+        start = solve_dd_thermal(mesh, dd)
     else:
         start = _dd_initial_guess(mesh, dd)
 
-    result = _dd_newton(mesh, dd, scheme, start, newton)
+    result = _dd_newton(mesh, dd, scheme, start)
     if not isinstance(result, NonConvergence):
         return result
 
@@ -271,7 +253,7 @@ def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
         dd_s = DdData(doping=dd.doping, debye=dd.debye, n_dirichlet=dd.n_dirichlet,
                       p_dirichlet=dd.p_dirichlet, v_dirichlet=v_dir)
         guess = state if state is not None else _dd_initial_guess(mesh, dd_s)
-        step = _dd_newton(mesh, dd_s, scheme, guess, newton)
+        step = _dd_newton(mesh, dd_s, scheme, guess)
         if isinstance(step, NonConvergence):
             raise SolverError(f"steady drift-diffusion solve failed at "
                               f"bias fraction {s:g}: {step}")
@@ -280,7 +262,7 @@ def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
 
 
 def step_dd(mesh: Mesh, dd: DdData, scheme: BScheme, state_prev: DdState,
-            dt: float, newton: NewtonConfig = NewtonConfig(),
+            dt: float,
             store: Optional[FactorStore] = None) -> Union[DdState, NonConvergence]:
     """One fully implicit step of the coupled system from the previous state.
 
@@ -288,15 +270,15 @@ def step_dd(mesh: Mesh, dd: DdData, scheme: BScheme, state_prev: DdState,
     was made for the same ``dt`` (see :func:`newton_solve`), and leaves its
     last factors there for the next step.
     """
-    return _dd_newton(mesh, dd, scheme, state_prev, newton,
+    return _dd_newton(mesh, dd, scheme, state_prev,
                       state_prev=(state_prev.n, state_prev.p), dt=dt, store=store)
 
 
 # ---------------------------------------------------------------------------
 # transient problems and the adaptive driver
 #
-# Each problem type names its primary trace column and, in start(scheme,
-# newton), solves its steady state and returns (steady, initial state,
+# Each problem type names its primary trace column and, in start(scheme),
+# solves its steady state and returns (steady, initial state,
 # step(state, dt), diagnostics(state) -> trace record).
 
 
@@ -305,14 +287,12 @@ class FpProblem:
     mesh: Mesh
     data: TransportData
     f0: np.ndarray
-    beta: float = 0.05
     force_peclet: bool = False
     primary = "H_phi2"
 
-    def start(self, scheme: BScheme, newton: NewtonConfig):
-        kw = dict(beta=self.beta, force=self.force_peclet)
-        steady = solve_fp_steady(self.mesh, self.data, scheme, **kw)
-        stepper = FpStepper(self.mesh, self.data, scheme, **kw)
+    def start(self, scheme: BScheme):
+        steady = solve_fp_steady(self.mesh, self.data, scheme, force=self.force_peclet)
+        stepper = FpStepper(self.mesh, self.data, scheme, force=self.force_peclet)
         return (steady, np.asarray(self.f0, dtype=float), stepper.step,
                 ent.FpDiagnostics(self.mesh, self.data, scheme, steady))
 
@@ -325,7 +305,7 @@ class PmeProblem:
     f0: np.ndarray
     primary = "N_m"
 
-    def start(self, scheme: BScheme, newton: NewtonConfig):
+    def start(self, scheme: BScheme):
         mesh, m = self.mesh, self.m
         steady = solve_pme_steady(mesh, self.f_dirichlet, m, initial=self.f0)
 
@@ -335,7 +315,7 @@ class PmeProblem:
         store = FactorStore()
 
         def step(f, dt):
-            return step_pme(mesh, f, m, dt, self.f_dirichlet, newton, store)
+            return step_pme(mesh, f, m, dt, self.f_dirichlet, store)
 
         def diagnostics(f):
             return {"N_m": ent.entrophy(mesh, f, steady, m),
@@ -353,19 +333,18 @@ class DdProblem:
     p0: np.ndarray
     primary = "E_inf"
 
-    def start(self, scheme: BScheme, newton: NewtonConfig):
+    def start(self, scheme: BScheme):
         mesh, dd = self.mesh, self.dd
-        offsets = dd_equilibrium_offsets(mesh, dd)
-        thermal = None if offsets is None \
-            else solve_dd_thermal(mesh, dd, *offsets, newton=newton)
-        steady = solve_dd_steady(mesh, dd, scheme, newton=newton, initial=thermal)
+        thermal = None if dd_equilibrium_offsets(mesh, dd) is None \
+            else solve_dd_thermal(mesh, dd)
+        steady = solve_dd_steady(mesh, dd, scheme, initial=thermal)
         state0 = DdState(np.asarray(self.n0, dtype=float), np.asarray(self.p0, dtype=float),
                          solve_dd_poisson(mesh, dd, self.n0, self.p0))
         # factors shared by the steps of this run only
         store = FactorStore()
 
         def step(state, dt):
-            return step_dd(mesh, dd, scheme, state, dt, newton, store)
+            return step_dd(mesh, dd, scheme, state, dt, store)
 
         def diagnostics(state):
             return {"E_inf": ent.dd_entropy(mesh, state, steady, dd.debye),
@@ -380,8 +359,7 @@ class TransientResult:
     trace: EntropyTrace
     steady: object
     final: object
-    aborted: bool = False
-    abort_reason: str = ""
+    abort_reason: Optional[str] = None
 
 
 def adaptive_time_loop(state, cfg: StepperConfig, try_step: Callable,
@@ -399,7 +377,7 @@ def adaptive_time_loop(state, cfg: StepperConfig, try_step: Callable,
     # runs keep one dt
     slack = 1e-12 * cfg.t_final
     while t < cfg.t_final:
-        dt = cfg.dt0 if dt_prev is None else min(cfg.grow * dt_prev, cfg.dt_max)
+        dt = cfg.dt0 if dt_prev is None else min(2.0 * dt_prev, cfg.dt_max)
         if cfg.t_final - t < dt - slack:
             dt = cfg.t_final - t
         while True:
@@ -408,7 +386,7 @@ def adaptive_time_loop(state, cfg: StepperConfig, try_step: Callable,
                 break
             if dt <= cfg.dt_min * (1.0 + 1e-12):
                 return state, t, f"time step would fall below {cfg.dt_min:g}: {result}"
-            dt = max(dt / cfg.shrink, cfg.dt_min)
+            dt = max(dt / 2.0, cfg.dt_min)
         state = result
         steps = (t, low, dt)
         t = cfg.t_final if cfg.t_final - t <= dt + slack else math.fsum(steps)
@@ -426,7 +404,7 @@ def run_transient(problem, scheme: BScheme, cfg: StepperConfig,
     the steady state computed up front.  The run also stops once the primary
     entropy falls below ``cfg.entropy_floor`` times its initial value.
     ``diagnostics`` adds trace columns, each a function of the state."""
-    steady, state0, step, diagnose = problem.start(scheme, cfg.newton)
+    steady, state0, step, diagnose = problem.start(scheme)
     extras = diagnostics or {}
 
     def observe(t, dt, state):
@@ -446,5 +424,4 @@ def run_transient(problem, scheme: BScheme, cfg: StepperConfig,
 
     final, _, abort = adaptive_time_loop(state0, cfg, step, record,
                                          lambda rec: rec[problem.primary] < floor)
-    return TransientResult(trace=trace, steady=steady, final=final,
-                           aborted=abort is not None, abort_reason=abort or "")
+    return TransientResult(trace=trace, steady=steady, final=final, abort_reason=abort)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from entrofv import linalg
-from entrofv.linalg import (REFINE_EPS, FactorStore, NewtonConfig, NonConvergence,
+from entrofv.linalg import (REFINE_EPS, FactorStore, NonConvergence,
                             SingularMatrixError, check_m_matrix_structure,
                             factorize, newton_solve, solve_linear)
 from entrofv.mesh import BoundarySpec, reference_mesh
@@ -93,7 +93,7 @@ def test_m_matrix_flags_column_without_chain():
 def test_newton_linear_one_iteration():
     target = np.array([3.0, -1.0])
     result = newton_solve(lambda x: (x - target, sp.identity(2, format="csr")),
-                          np.zeros(2), NewtonConfig())
+                          np.zeros(2))
     assert not isinstance(result, NonConvergence)
     x, iters = result
     np.testing.assert_allclose(x, target, atol=1e-12)
@@ -118,7 +118,7 @@ def _cubic(x):
 
 
 def test_newton_cubic_matches_bisection():
-    result = newton_solve(_cubic, np.array([3.0]), NewtonConfig())
+    result = newton_solve(_cubic, np.array([3.0]))
     assert not isinstance(result, NonConvergence)
     x, _ = result
     oracle = _bisection_root(lambda t: t ** 3 - 8.0, 0.0, 4.0)
@@ -126,31 +126,25 @@ def test_newton_cubic_matches_bisection():
     assert x[0] == pytest.approx(2.0, abs=1e-11)
 
 
-def test_newton_budget_exhaustion_returns_nonconvergence():
-    result = newton_solve(_cubic, np.array([3.0]), NewtonConfig(max_iter=1))
+def test_newton_budget_exhaustion_returns_nonconvergence(monkeypatch):
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 1)
+    result = newton_solve(_cubic, np.array([3.0]))
     assert isinstance(result, NonConvergence)
     assert result.iterations == 1
 
 
 def test_newton_zero_residual_start():
     result = newton_solve(lambda x: (x - 2.0, sp.identity(1, format="csr")),
-                          np.array([2.0]), NewtonConfig())
+                          np.array([2.0]))
     x, iters = result
     assert iters == 0
 
 
 def test_newton_singular_jacobian_is_nonconvergence():
     result = newton_solve(lambda x: (x ** 2, sp.csr_matrix([[0.0]])),
-                          np.array([1.0]), NewtonConfig())
+                          np.array([1.0]))
     assert isinstance(result, NonConvergence)
     assert "singular" in result.reason
-
-
-def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iter=0)
 
 
 def _store_cubic(x, jacobian=True):
@@ -164,7 +158,7 @@ def test_newton_store_refactors_after_bad_reused_steps():
         jac = sp.csr_matrix([[slope]])
         store = FactorStore(dt=1.0, jac=jac, lu=factorize(jac))
         stale = store.lu
-        result = newton_solve(_store_cubic, np.array([3.0]), NewtonConfig(), store)
+        result = newton_solve(_store_cubic, np.array([3.0]), store)
         assert not isinstance(result, NonConvergence)
         assert result[0][0] == pytest.approx(2.0, abs=1e-11)
         assert store.lu is not stale and store.dt == 1.0
@@ -172,9 +166,9 @@ def test_newton_store_refactors_after_bad_reused_steps():
 
 def test_newton_store_reuses_factors_across_calls():
     store = FactorStore()
-    first = newton_solve(_store_cubic, np.array([3.0]), NewtonConfig(), store)
+    first = newton_solve(_store_cubic, np.array([3.0]), store)
     kept = store.lu
-    again = newton_solve(_store_cubic, np.array([2.0 + 1e-6]), NewtonConfig(), store)
+    again = newton_solve(_store_cubic, np.array([2.0 + 1e-6]), store)
     assert first[0][0] == pytest.approx(2.0, abs=1e-11)
     assert again[0][0] == pytest.approx(2.0, abs=1e-11)
     assert store.lu is kept
@@ -241,7 +235,7 @@ def test_newton_store_singular_jacobian_is_nonconvergence(stored):
         store.jac = sp.csr_matrix([[stored]])
         store.lu = factorize(store.jac)
     result = newton_solve(lambda x, jacobian=True: (x ** 2, sp.csr_matrix([[0.0]])),
-                          np.array([1.0]), NewtonConfig(), store)
+                          np.array([1.0]), store)
     assert isinstance(result, NonConvergence)
     assert result.reason == "singular Jacobian"
     assert store.lu is None

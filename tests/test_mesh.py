@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from entrofv import mesh as mesh_module
 from entrofv.cli import BOUNDARY_NAMES
 from entrofv.mesh import (DIRICHLET, INTERIOR, NEUMANN, BOTTOM, LEFT, RIGHT, TOP,
                           BoundarySpec, Mesh, MeshError, MeshFormatError,
@@ -101,6 +102,14 @@ def test_refine_needs_geometry(mesh0):
         refine(loaded)
 
 
+def test_refine_keeps_the_level_bound(mesh0, monkeypatch):
+    monkeypatch.setattr(mesh_module, "MAX_REFERENCE_LEVEL", 0)
+    with pytest.raises(MeshError, match="224 cells would exhaust memory"):
+        refine(mesh0)
+    monkeypatch.setattr(mesh_module, "MAX_REFERENCE_LEVEL", 1)
+    assert refine(mesh0).n_cells == 224
+
+
 def test_validate_reference_meshes_admissible(mesh0, mesh1):
     assert validate(mesh0).ok
     assert validate(mesh1).ok
@@ -123,13 +132,6 @@ def test_validate_flags_all_neumann():
     bnd = BoundarySpec(dirichlet=(), neumann=(LEFT, RIGHT, TOP, BOTTOM))
     report = validate(reference_mesh(0, bnd))
     assert any(v.hypothesis == "H1" for v in report.violations)
-
-
-def test_cell_edges_lookup(two_cell_mesh):
-    left = two_cell_mesh.cell_edges(0)
-    assert set(left.tolist()) == {0, 1, 3, 5}
-    right = two_cell_mesh.cell_edges(1)
-    assert set(right.tolist()) == {0, 2, 4, 6}
 
 
 def test_report_rendering(mesh0):

@@ -238,7 +238,8 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path / "m.tpfa")]) == 0
     assert main(["mesh", "check", str(tmp_path / "m.tpfa")]) == 0
     assert main(["mesh", "refine", str(tmp_path / "m.tpfa"),
-                 "--out", str(tmp_path / "m1.tpfa")]) == 1  # no geometry
+                 "--out", str(tmp_path / "m1.tpfa")]) == 2  # refine takes no FILE
+    assert main(["mesh", "gen", str(tmp_path / "m.tpfa"), "--level", "0"]) == 2
     assert main(["mesh", "refine", "--level", "0",
                  "--out", str(tmp_path / "m1.tpfa")]) == 0
     mesh = load_mesh((tmp_path / "m1.tpfa").read_text())
@@ -256,13 +257,20 @@ def test_cli_exit_codes(tmp_path):
     (["fp-toy", "--dt", "-0.01"], "dt"),
     (["dd-bias", "--bias", "nan"], "bias"),
     (["pme-sweep", "--t-final", "inf"], "t_final"),
+    (["pme-fill", "--m", "nan"], "m"),
+    (["pme-sweep", "--m", "inf"], "m"),
+    (["pme-sweep", "--m-dirichlet", "0"], "m_dirichlet"),
+    (["pme-sweep", "--m-dirichlet", "inf"], "m_dirichlet"),
+    (["pme-sweep", "--m-dirichlet", "-1"], "m_dirichlet"),
+    (["fp-toy", "--entropy-floor", "nan"], "entropy_floor"),
+    (["fp-toy", "--entropy-floor", "-1"], "entropy_floor"),
 ])
 def test_cli_bad_run_parameter_is_usage_error(tmp_path, capsys, argv, name):
     out = tmp_path / "out"
     assert main(["run", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {name} ")
-    assert not list(tmp_path.rglob("trace.csv"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_entry_point_runs():

@@ -10,7 +10,7 @@ from entrofv.schemes import (CENTERED, SCHARFETTER_GUMMEL, SCHEMES, UPWIND,
                              assemble_pme_residual, assemble_poisson,
                              b_coefficients, discretize_coefficients,
                              edge_differences, edge_fluxes, edge_steady_weight,
-                             eval_b, flux_fp, neighbor_values, peclet_guard,
+                             neighbor_values, peclet_guard,
                              poisson_dirichlet_rhs, transport_data)
 
 ALL_SCHEMES = sorted(SCHEMES.items())
@@ -22,21 +22,21 @@ ALL_SCHEMES = sorted(SCHEMES.items())
 
 @pytest.mark.parametrize("name,scheme", ALL_SCHEMES)
 def test_b_at_zero(name, scheme):
-    assert eval_b(scheme, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert scheme.b(0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_upwind_catalog_value():
-    assert eval_b(UPWIND, -2.0) == 3.0
-    assert eval_b(UPWIND, 2.0) == 1.0
+    assert UPWIND.b(-2.0) == 3.0
+    assert UPWIND.b(2.0) == 1.0
 
 
 def test_centered_catalog_value():
-    assert eval_b(CENTERED, 1.9) == pytest.approx(0.05)
-    assert eval_b(CENTERED, -3.0) == 2.5
+    assert CENTERED.b(1.9) == pytest.approx(0.05)
+    assert CENTERED.b(-3.0) == 2.5
 
 
 def test_sg_difference_identity_at_one():
-    gap = eval_b(SCHARFETTER_GUMMEL, -1.0) - eval_b(SCHARFETTER_GUMMEL, 1.0)
+    gap = SCHARFETTER_GUMMEL.b(-1.0) - SCHARFETTER_GUMMEL.b(1.0)
     assert gap == pytest.approx(1.0, abs=1e-14)
 
 
@@ -57,7 +57,7 @@ def test_sg_series_branch_matches_direct_formula():
     # just inside the series window the direct formula is still accurate
     # enough to cross-check the expansion
     for x in (9e-6, -9e-6, 5e-6):
-        series = eval_b(SCHARFETTER_GUMMEL, x)
+        series = SCHARFETTER_GUMMEL.b(x)
         direct = x / np.expm1(x)
         assert series == pytest.approx(direct, rel=1e-10)
     xs = np.array([-1e-7, -1e-9, 0.0, 1e-9, 1e-7])
@@ -145,7 +145,7 @@ def test_flux_function_evaluated_once_per_call(mesh1, rng):
 
 def test_custom_scheme_accepts_sg_clone_and_rejects_junk():
     clone = BScheme.custom(SCHARFETTER_GUMMEL.fn, name="clone")
-    assert eval_b(clone, 0.3) == pytest.approx(eval_b(SCHARFETTER_GUMMEL, 0.3))
+    assert clone.b(0.3) == pytest.approx(SCHARFETTER_GUMMEL.b(0.3))
     # default derivative comes from central differences
     assert clone.db(np.array(0.7)) == pytest.approx(
         float(SCHARFETTER_GUMMEL.db(np.array(0.7))), abs=1e-6)
@@ -303,7 +303,7 @@ def test_flux_formula_oracle(two_cell_mesh):
     # 2 * (B(-1) * 2 - B(1) * 1) = 2 * (2 * 2 - 1) = 6
     data = _two_cell_data(two_cell_mesh, u_int=2.0)
     f = np.array([2.0, 1.0])
-    assert flux_fp(two_cell_mesh, data, UPWIND, f, 0, 0) == pytest.approx(6.0)
+    assert edge_fluxes(two_cell_mesh, data, UPWIND, f)[0] == pytest.approx(6.0)
 
 
 def _brute_force_fp_operator(mesh, data, scheme):
@@ -356,14 +356,21 @@ def test_flux_matches_operator_action(mesh0, rng):
         np.testing.assert_allclose(flux_sum, m_op @ f - b, atol=1e-12)
 
 
+def _flux_from_second_cell(mesh, data, scheme, f, e):
+    """Flux leaving the second cell of interior edge ``e``, from its own
+    advection ``u[e, 1]``."""
+    k, l = mesh.edge_cells[e]
+    bm, bp = scheme.both_sides(np.array([data.u[e, 1] * mesh.edge_d[e] / data.a_edge[e]]))
+    return mesh.tau[e] * data.a_edge[e] * (bm[0] * f[l] - bp[0] * f[k])
+
+
 def test_flux_neumann_zero_and_conservative(two_cell_mesh, rng):
     data = _two_cell_data(two_cell_mesh, u_int=1.3)
     for scheme in SCHEMES.values():
         f = rng.uniform(0.1, 5.0, 2)
-        assert flux_fp(two_cell_mesh, data, scheme, f, 0, 3) == 0.0
-        out = flux_fp(two_cell_mesh, data, scheme, f, 0, 0)
-        back = flux_fp(two_cell_mesh, data, scheme, f, 1, 0)
-        assert out + back == 0.0
+        flux = edge_fluxes(two_cell_mesh, data, scheme, f)
+        assert flux[3] == 0.0
+        assert flux[0] + _flux_from_second_cell(two_cell_mesh, data, scheme, f, 0) == 0.0
 
 
 @pytest.mark.parametrize("name,scheme", ALL_SCHEMES)
