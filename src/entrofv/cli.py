@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .mesh import (BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, MeshError, Segment,
-                   load_mesh, reference_mesh, refine, save_mesh, validate)
+                   load_mesh, reference_mesh, save_mesh, validate)
 from .presets import RunConfig, UsageError, convergence_study, presets, run
 
 BOUNDARY_NAMES = {
@@ -100,10 +100,13 @@ def _levels_arg(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _mesh_source(args):
-    """The ``--level`` reference mesh, or else the FILE that ``check`` takes."""
+def _mesh_source(args, refinements: int = 0):
+    """The ``--level`` reference mesh refined ``refinements`` times, built as
+    that finer level of the family, or else the FILE that ``check`` takes."""
     if args.level is not None:
-        return reference_mesh(args.level, BOUNDARY_NAMES[args.boundary])
+        if args.level < 0:
+            raise UsageError("--level must be non-negative")
+        return reference_mesh(args.level + refinements, BOUNDARY_NAMES[args.boundary])
     if getattr(args, "file", None) is not None:
         return load_mesh(Path(args.file).read_text())
     raise UsageError("gen and refine need --level; check needs --level or a mesh file")
@@ -187,7 +190,7 @@ def main(argv=None) -> int:
                 print(report)
                 return 0 if report.ok else 1
             if args.mesh_command == "refine":
-                return _write_mesh(args, refine(_mesh_source(args)))
+                return _write_mesh(args, _mesh_source(args, refinements=1))
             raise UsageError("mesh needs a subcommand: gen, check or refine")
 
         parser.print_help()

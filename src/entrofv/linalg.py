@@ -80,13 +80,18 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
             return lu
         perm = known["perm"]
         if "permuted" not in known:  # threads that race store equal values
-            cols = np.repeat(perm, np.diff(a.indptr))  # each slot's permuted column
-            gather = np.argsort(cols, kind="stable")
-            indptr = np.searchsorted(cols[gather], np.arange(a.shape[0] + 1)).astype(np.intc)
+            # column j of the permuted matrix is column order[j] of a, with
+            # its slots in stored order: no sort
+            order = np.argsort(perm)
+            lengths = np.diff(a.indptr)[order]
+            indptr = np.zeros(a.shape[0] + 1, dtype=np.intc)
+            np.cumsum(lengths, out=indptr[1:])
+            gather = np.repeat(a.indptr[order].astype(np.intp) - indptr[:-1], lengths)
+            gather += np.arange(gather.size)
             template = sp.csc_matrix((np.zeros(gather.size), perm[a.indices[gather]], indptr),
                                      shape=a.shape)
             template.has_canonical_format = True  # unsorted rows, kept so on purpose
-            known.setdefault("permuted", (np.argsort(perm), gather, template))
+            known.setdefault("permuted", (order, gather, template))
         order, gather, template = known["permuted"]
         permuted = with_data(template, a.data[gather])
         lu = spla.splu(permuted, permc_spec="NATURAL", panel_size=PANEL_SIZE, relax=RELAX)

@@ -57,10 +57,11 @@ class Segment:
     lo: float
     hi: float
 
-    def contains(self, point: np.ndarray, tol: float = _MATCH_TOL) -> bool:
-        on_line = abs(point[self.axis] - self.value) <= tol
-        t = point[1 - self.axis]
-        return on_line and (self.lo - tol) <= t <= (self.hi + tol)
+    def contains(self, points: np.ndarray, tol: float = _MATCH_TOL) -> np.ndarray:
+        """Whether each point (the last axis holds x, y) lies on the segment."""
+        t = points[..., 1 - self.axis]
+        return ((np.abs(points[..., self.axis] - self.value) <= tol)
+                & (self.lo - tol <= t) & (t <= self.hi + tol))
 
 
 LEFT = Segment(0, 0.0, 0.0, 1.0)
@@ -80,16 +81,21 @@ class BoundarySpec:
     def all_dirichlet() -> "BoundarySpec":
         return BoundarySpec(dirichlet=(LEFT, RIGHT, BOTTOM, TOP))
 
-    def tag_for(self, midpoint: np.ndarray) -> int:
-        in_d = any(s.contains(midpoint) for s in self.dirichlet)
-        in_n = any(s.contains(midpoint) for s in self.neumann)
-        if in_d and in_n:
-            raise MeshError(f"boundary point {tuple(midpoint)} tagged both Dirichlet and Neumann")
-        if in_d:
-            return DIRICHLET
-        if in_n:
-            return NEUMANN
-        raise MeshError(f"boundary point {tuple(midpoint)} matches no boundary segment")
+    def tags(self, midpoints: np.ndarray) -> np.ndarray:
+        """DIRICHLET or NEUMANN for each exterior edge midpoint; the first
+        midpoint on both kinds of segment, or on none, raises."""
+        in_d = np.zeros(len(midpoints), dtype=bool)
+        in_n = np.zeros(len(midpoints), dtype=bool)
+        for segments, hit in ((self.dirichlet, in_d), (self.neumann, in_n)):
+            for s in segments:
+                hit |= s.contains(midpoints)
+        bad = np.flatnonzero(in_d == in_n)
+        if bad.size:
+            point = tuple(midpoints[bad[0]])
+            if in_d[bad[0]]:
+                raise MeshError(f"boundary point {point} tagged both Dirichlet and Neumann")
+            raise MeshError(f"boundary point {point} matches no boundary segment")
+        return np.where(in_d, DIRICHLET, NEUMANN).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -244,12 +250,24 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def _center_distances(midpoint: np.ndarray, normal: np.ndarray, cells: np.ndarray,
+                      centers: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Signed distance from the center of each edge's cell to the edge line,
+    along the edge normal turned to point out of the cell (away from its
+    centroid); one (E, 2) gather at a time."""
+    outward = np.where(_row_dot(midpoint - centroids[cells], normal) > 0, 1.0, -1.0)
+    return outward * _row_dot(midpoint - centers[cells], normal)
+
+
 def build_from_triangulation(vertices: np.ndarray, triangles: np.ndarray,
                              boundary: BoundarySpec) -> Mesh:
     """Assemble the TPFA graph of a triangulation with circumcenter points.
 
     Edges are numbered in lexicographic order of their sorted vertex pairs,
-    and the cells of an interior edge in ascending order.
+    and the cells of an interior edge in ascending order.  One stable argsort
+    of the sides' edge keys gives both: it groups the sides edge by edge in
+    key order, and within an edge keeps them in side order, in which side
+    s = 3 t + i belongs to triangle t = s // 3, so the owners ascend.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -259,26 +277,26 @@ def build_from_triangulation(vertices: np.ndarray, triangles: np.ndarray,
     centers = _circumcenters(vertices, triangles)
     centroids = vertices[triangles].mean(axis=1)
 
-    # side i of triangle t joins tri[i] and tri[i + 1]; sides sharing a sorted
-    # vertex pair (a, b) share the key a * V + b, whose order is that of (a, b)
+    # side s = 3 t + i of triangle t joins tri[i] and tri[i + 1]; sides
+    # sharing a sorted vertex pair (a, b) share the key a * V + b, whose order
+    # is that of (a, b)
     ends = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
     ends.sort(axis=1)
-    _, first, side_edge = np.unique(ends[:, 0] * vertices.shape[0] + ends[:, 1],
-                                    return_index=True, return_inverse=True)
-    edge_vertices = ends[first]
-    n_edges = edge_vertices.shape[0]
-    count = np.bincount(side_edge, minlength=n_edges)
+    keys = ends[:, 0] * vertices.shape[0] + ends[:, 1]
+    sides = np.argsort(keys, kind="stable")
+    start = np.flatnonzero(np.diff(keys[sides], prepend=-1))  # first side of each edge
+    del keys  # temporaries go once used: with the kept arrays they set the peak
+    edge_vertices = ends[sides[start]]
+    n_edges = start.size
+    count = np.diff(start, append=sides.size)
     if np.any(count > 2):
         key = tuple(int(v) for v in edge_vertices[np.argmax(count > 2)])
         raise MeshError(f"edge {key} shared by more than two triangles")
-    # sides grouped by edge, owners ascending within each group
-    owner = np.repeat(np.arange(triangles.shape[0]), 3)
-    by_edge = owner[np.lexsort((owner, side_edge))]
-    start = np.cumsum(count) - count
     interior = count == 2
     edge_cells = np.full((n_edges, 2), -1, dtype=np.int64)
-    edge_cells[:, 0] = by_edge[start]
-    edge_cells[interior, 1] = by_edge[start[interior] + 1]
+    edge_cells[:, 0] = sides[start] // 3
+    edge_cells[interior, 1] = sides[start[interior] + 1] // 3
+    del ends, sides, start, count
 
     ev_a = vertices[edge_vertices[:, 0]]
     ev_b = vertices[edge_vertices[:, 1]]
@@ -287,19 +305,20 @@ def build_from_triangulation(vertices: np.ndarray, triangles: np.ndarray,
     # unit normals of the edges; sign fixed per incident cell below
     tang = (ev_b - ev_a) / edge_length[:, None]
     normal = np.column_stack([-tang[:, 1], tang[:, 0]])
+    del ev_a, ev_b, tang
 
     # signed distance from each cell center to the edge line, measured along
     # the outward normal; must be positive for admissibility
-    mid, nrm = midpoint[:, None], normal[:, None]
-    outward = np.where(_row_dot(mid - centroids[edge_cells], nrm) > 0, 1.0, -1.0)
-    edge_dcell = np.where(edge_cells >= 0,
-                          outward * _row_dot(mid - centers[edge_cells], nrm), np.nan)
+    edge_dcell = np.full((n_edges, 2), np.nan)
+    edge_dcell[:, 0] = _center_distances(midpoint, normal, edge_cells[:, 0],
+                                         centers, centroids)
+    edge_dcell[interior, 1] = _center_distances(midpoint[interior], normal[interior],
+                                                edge_cells[interior, 1], centers, centroids)
     c0, c1 = edge_cells[interior, 0], edge_cells[interior, 1]
     edge_d = edge_dcell[:, 0].copy()
     edge_d[interior] = np.hypot(*(centers[c0] - centers[c1]).T)
     edge_tag = np.full(n_edges, INTERIOR, dtype=np.uint8)
-    for e in np.nonzero(~interior)[0]:
-        edge_tag[e] = boundary.tag_for(midpoint[e])
+    edge_tag[~interior] = boundary.tags(midpoint[~interior])
 
     if np.any(edge_dcell[~np.isnan(edge_dcell)] <= 0):
         raise MeshError("a cell center falls on the wrong side of an edge")
@@ -332,15 +351,21 @@ def reference_mesh(level: int, boundary: Optional[BoundarySpec] = None) -> Mesh:
 
 def _refine_triangulation(vertices: np.ndarray, triangles: np.ndarray):
     """Four half-scale copies tiling the unit square; vertices shared by
-    copies are merged and numbered in order of first appearance."""
+    copies are merged and numbered in order of first appearance.
+
+    Copies match on their coordinates in units of 2**-30.  Those integers lie
+    in [0, 2**30], below 2**31, so the one key kx * 2**31 + ky orders the
+    vertices as the pairs (kx, ky) do, and ``np.unique`` finds the same
+    vertices in the same order as over the pairs, without a sort of rows."""
     offsets = np.array([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
     copies = (vertices * 0.5 + offsets[:, None]).reshape(-1, 2)
     keys = np.rint(copies * 2 ** 30).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    keys = keys[:, 0] * 2 ** 31 + keys[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    remap = rank[inverse.ravel()].reshape(len(offsets), -1)
+    remap = rank[inverse].reshape(len(offsets), -1)
     return copies[first[order]], remap[:, triangles].reshape(-1, 3)
 
 

@@ -353,37 +353,41 @@ def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme,
 # the block layout only, so each mesh builds it once per layout.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsityPattern:
     """CSC structure of a square matrix with duplicate entries summed, and
     for every entry the assembly emits, the slot of the data array it adds to.
-    ``ordering`` holds what ``linalg.factorize`` learns about the structure;
-    ``template``, checked by scipy once, lends its structure to every fill."""
+    ``template``, checked by scipy once, holds the structure and lends it to
+    every fill; ``ordering`` holds what ``linalg.factorize`` learns about it."""
 
-    size: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    template: sp.csc_matrix
     slots: np.ndarray
-    ordering: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    template: sp.csc_matrix = field(init=False, repr=False, compare=False)
+    ordering: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.indptr, self.indices, self.slots):
+        for arr in (self.template.indptr, self.template.indices, self.slots):
             arr.setflags(write=False)
-        template = sp.csc_matrix((np.zeros(self.indices.size), self.indices, self.indptr),
-                                 shape=(self.size, self.size))
-        template.has_canonical_format = True  # rows sorted, no repeats: np.unique keys
-        template.pattern = self
-        object.__setattr__(self, "template", template)
+        self.template.pattern = self
 
     @staticmethod
     def from_pairs(rows: np.ndarray, cols: np.ndarray, size: int) -> "SparsityPattern":
-        """Pattern of the given (row, col) entries, repeats included."""
-        keys, slots = np.unique(np.asarray(cols, dtype=np.int64) * size + rows,
-                                return_inverse=True)
-        indptr = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
-        return SparsityPattern(size, indptr.astype(np.intc), (keys % size).astype(np.intc),
-                               slots)
+        """Pattern of the given (row, col) entries, repeats included.
+
+        scipy's COO to CSC conversion compresses the entries column by column
+        with a counting sort, then sorts the rows of each column and sums
+        repeats in place (Davis, *Direct Methods for Sparse Linear Systems*,
+        SIAM 2006, section 2.4): no general sort over all entries.  Column by
+        column with rows ascending, the stored entries are in ascending order
+        of the key ``col * size + row``, so each emitted entry finds its slot
+        by binary search on those keys."""
+        # a checked, canonical CSC; one byte a value, as every fill brings its own
+        template = sp.coo_matrix((np.zeros(len(rows), dtype=np.int8), (rows, cols)),
+                                 shape=(size, size)).tocsc()
+        keys = np.repeat(np.arange(size, dtype=np.int64) * size, np.diff(template.indptr))
+        keys += template.indices
+        emitted = np.asarray(cols, dtype=np.int64) * size
+        emitted += rows
+        return SparsityPattern(template, np.searchsorted(keys, emitted))
 
     def fill(self, values: np.ndarray) -> sp.csc_matrix:
         """Matrix with the emitted ``values`` summed into their slots."""
@@ -391,7 +395,7 @@ class SparsityPattern:
             raise AssemblyError(f"{values.size} values for {self.slots.size} "
                                 "pattern entries")
         return with_data(self.template, np.bincount(self.slots, weights=values,
-                                                    minlength=self.indices.size))
+                                                    minlength=self.template.indices.size))
 
 
 def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -402,27 +406,34 @@ def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _block_entries(mesh: Mesh, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a block's entries in the order its values come."""
     if kind == "diag":
-        eye = np.arange(mesh.n_cells)
+        eye = np.arange(mesh.n_cells, dtype=np.intc)
         return eye, eye
     if kind == "op":
-        base = _pattern(mesh, (("tpfa", 0, 0),))
-        return base.indices, np.repeat(np.arange(base.size), np.diff(base.indptr))
+        base = _pattern(mesh, (("tpfa", 0, 0),)).template
+        return base.indices, np.repeat(np.arange(mesh.n_cells, dtype=np.intc),
+                                       np.diff(base.indptr))
     c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
     active, inter = ~mesh.neumann, mesh.interior
-    return (np.concatenate([c0[active], c0[inter], c1[inter], c1[inter]]),
-            np.concatenate([c0[active], c1[inter], c1[inter], c0[inter]]))
+    return (np.concatenate([c0[active], c0[inter], c1[inter], c1[inter]], dtype=np.intc),
+            np.concatenate([c0[active], c1[inter], c1[inter], c0[inter]], dtype=np.intc))
 
 
 def _build_pattern(mesh: Mesh, layout: tuple) -> SparsityPattern:
     n = mesh.n_cells
+    size = n * (1 + max(max(r, c) for _, r, c in layout))
     rows, cols = [], []
     for kind, block_row, block_col in layout:
         r, c = _block_entries(mesh, kind)
-        rows.append(r + block_row * n)
-        cols.append(c + block_col * n)
-    size = n * (1 + max(max(r, c) for _, r, c in layout))
-    return SparsityPattern.from_pairs(np.concatenate(rows), np.concatenate(cols), size)
+        rows.append(r + block_row * n if block_row else r)
+        cols.append(c + block_col * n if block_col else c)
+    del r, c
+    if len(layout) == 1:  # its arrays serve as they are
+        (rows,), (cols,) = rows, cols
+    else:  # the block arrays are dropped once joined
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return SparsityPattern.from_pairs(rows, cols, size)
 
 
 def _pattern(mesh: Mesh, layout: tuple) -> SparsityPattern:
@@ -504,21 +515,31 @@ def signed_power(f: np.ndarray, m: float) -> np.ndarray:
     return np.sign(f) * np.abs(f) ** m
 
 
+def pme_boundary_term(mesh: Mesh, f_dirichlet: np.ndarray, m: float) -> np.ndarray:
+    """Per cell, the sum of tau f_D^m over its Dirichlet edges: the boundary
+    part of the porous-medium flux balance, fixed by the data of a run."""
+    return dirichlet_sums(mesh, mesh.tau, signed_power(f_dirichlet, m))
+
+
 def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
-                          m: float, dt: float, f_dirichlet: np.ndarray):
+                          m: float, dt: float, f_dirichlet: np.ndarray,
+                          boundary: Optional[np.ndarray] = None):
     """Backward-Euler residual and exact Jacobian for the nonlinear diffusion step.
 
     residual_K = area (f - f_prev) / dt - sum_edges tau * D(f^m), computed as
     area (f - f_prev) / dt + L f^m - (Dirichlet sums of tau f_D^m) with the
     Laplacian L stored per mesh on the Jacobian's pattern; the Jacobian is
     L diag(m |f|^(m-1)) plus area / dt on the diagonal.  The flux sign makes the
-    operator diffusive (mass flows from high f^m to low f^m).
+    operator diffusive (mass flows from high f^m to low f^m).  ``boundary``,
+    when given, must be ``pme_boundary_term(mesh, f_dirichlet, m)``, which
+    callers that assemble many times on the same data form once.
     """
     if m <= 1:
         raise DataError("nonlinearity exponent must exceed 1")
+    if boundary is None:
+        boundary = pme_boundary_term(mesh, f_dirichlet, m)
     lap, columns = mesh.derived("pme_laplacian", _pme_laplacian)
-    residual = (mesh.cell_area * (f - f_prev) / dt + lap @ signed_power(f, m)
-                - dirichlet_sums(mesh, mesh.tau, signed_power(f_dirichlet, m)))
+    residual = mesh.cell_area * (f - f_prev) / dt + lap @ signed_power(f, m) - boundary
     values = lap.data * (m * np.abs(f) ** (m - 1.0))[columns]
     values[lap.pattern.slots[:mesh.n_cells]] += mesh.cell_area / dt  # the "diag" block
     return residual, with_data(lap, values)

@@ -15,8 +15,8 @@ from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
                       TransportData, add_diagonal, assemble_dd_residual,
                       assemble_fp_operator, assemble_pme_residual, assemble_poisson,
-                      dirichlet_sums, laplacian, poisson_dirichlet_rhs, signed_power,
-                      transport_data)
+                      dirichlet_sums, laplacian, pme_boundary_term, poisson_dirichlet_rhs,
+                      signed_power, transport_data)
 
 
 class SolverError(Exception):
@@ -114,15 +114,19 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float,
 
 
 def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
-             f_dirichlet: np.ndarray,
-             store: Optional[FactorStore] = None) -> Union[np.ndarray, NonConvergence]:
+             f_dirichlet: np.ndarray, store: Optional[FactorStore] = None,
+             boundary: Optional[np.ndarray] = None) -> Union[np.ndarray, NonConvergence]:
     """One implicit step via Newton started from the previous state; with a
     ``store``, each iterate's solve refines on the factors it holds (see
-    :meth:`FactorStore.solve`) and leaves the latest ones there."""
+    :meth:`FactorStore.solve`) and leaves the latest ones there.
+    ``boundary``, when given, must be ``pme_boundary_term(mesh, f_dirichlet,
+    m)``; otherwise the step forms it once for all its iterates."""
     f_prev = np.asarray(f_prev, dtype=float)
+    if boundary is None:
+        boundary = pme_boundary_term(mesh, f_dirichlet, m)
 
     def system(f, jacobian=True):  # the Jacobian is a scaled copy, always formed
-        return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet)
+        return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet, boundary)
 
     result = newton_solve(system, f_prev, store)
     if isinstance(result, NonConvergence):
@@ -313,9 +317,10 @@ class PmeProblem:
         # still solves with its own Jacobian, refined to round-off on these:
         # simplified Newton would move the rates beyond 1e-9
         store = FactorStore()
+        boundary = pme_boundary_term(mesh, self.f_dirichlet, m)
 
         def step(f, dt):
-            return step_pme(mesh, f, m, dt, self.f_dirichlet, store)
+            return step_pme(mesh, f, m, dt, self.f_dirichlet, store, boundary)
 
         def diagnostics(f):
             return {"N_m": ent.entrophy(mesh, f, steady, m),

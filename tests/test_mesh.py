@@ -13,7 +13,8 @@ from entrofv.mesh import (DIRICHLET, INTERIOR, NEUMANN, BOTTOM, LEFT, RIGHT, TOP
 
 
 # sha256 of save_mesh(reference_mesh(level, BOUNDARY_NAMES[name])) for levels
-# 0..4; pins the TPFA graph text, including the sorted edge order
+# 0..4, and 5 for all-dirichlet (the size of the benchmark's largest mesh);
+# pins the TPFA graph text, including the sorted edge order
 _SAVED_MESH_SHA256 = {
     "all-dirichlet": (
         "39c15f178de68059273f09e1199840e6770849ece75efe81b991ede25a081fb9",
@@ -21,6 +22,7 @@ _SAVED_MESH_SHA256 = {
         "5b14e5cf593ad971d93826c93e1013da882e0bb46ab7720c7af160d877e9e145",
         "ac848cb79c61e09212ec115aa4169ce64b57f9045b8599faa68fc7bf31935537",
         "431051959c3f5d2912c25cdb6e579d1ce5fd7d6ee5a44fada217576b15535679",
+        "f00dd17ff85ac8af413a1d62ef106f5d26cc8ae58010b857ef3459f690877300",
     ),
     "left-right": (
         "b13cbbd815028de823f284a2824735889cbab53a1764a23dbb75dc7e74825519",

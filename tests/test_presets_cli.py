@@ -9,7 +9,8 @@ import pytest
 
 import entrofv
 from entrofv.cli import BOUNDARY_NAMES, main, parse_config_text
-from entrofv.mesh import load_mesh, validate
+from entrofv import mesh as mesh_module
+from entrofv.mesh import load_mesh, reference_mesh, refine, save_mesh, validate
 from entrofv.presets import (RunConfig, UsageError, _write_steady, build_problem,
                              convergence_study, fill_problem, hetero_problem,
                              pn_problem, presets, run, toy_problem)
@@ -244,6 +245,34 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path / "m1.tpfa")]) == 0
     mesh = load_mesh((tmp_path / "m1.tpfa").read_text())
     assert mesh.n_cells == 224
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_NAMES))
+def test_cli_mesh_refine_writes_the_refined_mesh(tmp_path, name):
+    """``mesh refine --level L`` builds level L + 1 directly; its text is
+    that of refining the level-L mesh."""
+    for level in range(3):
+        out = tmp_path / f"{name}-{level}.tpfa"
+        assert main(["mesh", "refine", "--level", str(level), "--boundary", name,
+                     "--out", str(out)]) == 0
+        coarse = reference_mesh(level, BOUNDARY_NAMES[name])
+        assert out.read_text() == save_mesh(refine(coarse)), level
+
+
+def test_cli_mesh_refine_refuses_before_building(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(mesh_module, "MAX_REFERENCE_LEVEL", 1)
+    monkeypatch.setattr(mesh_module, "build_from_triangulation",
+                        lambda *args: built.append(args))
+    assert main(["mesh", "refine", "--level", "1"]) == 1
+    assert "refusing level 2 > 1" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["gen", "refine", "check"])
+def test_cli_mesh_negative_level_is_usage_error(capsys, command):
+    assert main(["mesh", command, "--level", "-1"]) == 2
+    assert "--level must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, name", [

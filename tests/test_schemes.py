@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -850,3 +853,95 @@ def test_pme_steps_validate_each_structure_once(monkeypatch):
     for _ in range(3):
         f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
     assert len(built) == 2
+
+
+def _unique_pattern(rows, cols, size):
+    """The construction ``from_pairs`` replaced, kept as its reference: one
+    ``np.unique`` over the int64 keys col * size + row."""
+    keys, slots = np.unique(np.asarray(cols, dtype=np.int64) * size + rows,
+                            return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
+    return indptr.astype(np.intc), (keys % size).astype(np.intc), slots
+
+
+def _assert_unique_pattern(pattern, rows, cols):
+    template = pattern.template
+    indptr, indices, slots = _unique_pattern(rows, cols, template.shape[0])
+    np.testing.assert_array_equal(template.indptr, indptr)
+    np.testing.assert_array_equal(template.indices, indices)
+    np.testing.assert_array_equal(pattern.slots, slots)
+    assert template.indptr.dtype == template.indices.dtype == np.intc
+    assert template.has_canonical_format
+
+
+def test_from_pairs_matches_unique_on_random_pairs(rng):
+    from entrofv.schemes import SparsityPattern
+    for size, count in ((1, 4), (7, 60), (50, 400), (200, 300)):
+        rows, cols = rng.integers(0, size, count), rng.integers(0, size, count)
+        _assert_unique_pattern(SparsityPattern.from_pairs(rows, cols, size), rows, cols)
+    # every third column empty
+    cols = np.repeat(np.arange(0, 30, 3), 4)
+    rows = rng.integers(0, 30, cols.size)
+    _assert_unique_pattern(SparsityPattern.from_pairs(rows, cols, 30), rows, cols)
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_package_patterns_match_unique(mesh_name, request, rng):
+    """Every block layout the package assembles: the FP operator ("tpfa"),
+    the porous-medium Jacobian ("diag" and "tpfa"), a shifted operator
+    ("diag" and "op") and the steady and transient DD Jacobians."""
+    from entrofv.schemes import _block_entries, add_diagonal
+    mesh = request.getfixturevalue(mesh_name)
+    n = mesh.n_cells
+    f_dir = np.where(mesh.dirichlet, 1.5, np.nan)
+    data = transport_data(mesh, np.ones(mesh.n_edges), np.zeros(mesh.n_edges), f_dir)
+    m_op, _ = assemble_fp_operator(mesh, data, UPWIND)
+    add_diagonal(mesh, m_op, mesh.cell_area)
+    f = rng.uniform(0.1, 2.0, n)
+    assemble_pme_residual(mesh, f, f, 2.0, 0.1, f_dir)
+    dd = _random_dd(mesh, rng)
+    state = (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n))
+    for state_prev, dt in ((None, None), (state[:2], 0.1)):
+        assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, state_prev, state, dt)
+
+    layouts = [key[1] for key in mesh._derived
+               if isinstance(key, tuple) and key[0] == "pattern"]
+    assert len(layouts) >= 5
+    for layout in layouts:
+        rows, cols = [], []
+        for kind, block_row, block_col in layout:
+            r, c = _block_entries(mesh, kind)
+            rows.append(r + block_row * n)
+            cols.append(c + block_col * n)
+        _assert_unique_pattern(mesh._derived[("pattern", layout)],
+                               np.concatenate(rows), np.concatenate(cols))
+
+
+def _traced_peak_ratio(build):
+    """``build()`` and the ratio of the traced peak while it runs to the
+    bytes it leaves allocated."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return kept, (peak - base) / (current - base)
+
+
+def test_set_up_allocates_little_beyond_what_it_keeps():
+    """Built by general sorts (``np.unique`` over rows or int64 keys, a
+    lexsort) and (E, 2, 2) gathers, the level-4 mesh peaked at 2.6 times the
+    bytes it keeps and its "tpfa" pattern at 6.1 times; sort-free, they peak
+    at about 1.5 and 2.5 times."""
+    from entrofv.schemes import _pattern
+    mesh, mesh_ratio = _traced_peak_ratio(lambda: reference_mesh(4))
+    _, pattern_ratio = _traced_peak_ratio(lambda: _pattern(mesh, (("tpfa", 0, 0),)))
+    assert mesh_ratio < 2.0
+    assert pattern_ratio < 4.0

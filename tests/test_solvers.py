@@ -422,6 +422,30 @@ def test_newton_steps_assemble_once_per_iterate(monkeypatch):
     assert len(dd_calls) == dd_iters + 1
 
 
+def test_pme_run_forms_its_boundary_term_once(monkeypatch, rng):
+    """``PmeProblem.start`` forms the Dirichlet term of the residual; the
+    steps and their Newton iterates reuse it, and it equals the term that
+    each assembly forms by itself."""
+    from entrofv import schemes
+    prob = fill_problem(0)
+    mesh, m, f_dir = prob.mesh, prob.m, prob.f_dirichlet
+    f_prev, f = rng.uniform(0.0, 2.0, mesh.n_cells), rng.uniform(0.0, 2.0, mesh.n_cells)
+    alone, _ = assemble_pme_residual(mesh, f_prev, f, m, 1e-3, f_dir)
+    given, _ = assemble_pme_residual(mesh, f_prev, f, m, 1e-3, f_dir,
+                                     schemes.pme_boundary_term(mesh, f_dir, m))
+    assert np.array_equal(alone, given)
+
+    _, state, step, _ = prob.start(SCHARFETTER_GUMMEL)
+    sums = []
+    dirichlet_sums = schemes.dirichlet_sums
+    monkeypatch.setattr(schemes, "dirichlet_sums",
+                        lambda *args: sums.append(args) or dirichlet_sums(*args))
+    assemblies = _count_calls(monkeypatch, "assemble_pme_residual")
+    for _ in range(3):
+        state = step(state, 1e-3)
+    assert len(assemblies) > 3 and sums == []
+
+
 def _count_factorizations(monkeypatch):
     """Wrap ``linalg.factorize``, the one factorization entry point."""
     seen = []
