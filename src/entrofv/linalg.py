@@ -81,15 +81,16 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
         perm = known["perm"]
         if "permuted" not in known:  # threads that race store equal values
             # column j of the permuted matrix is column order[j] of a, with
-            # its slots in stored order: no sort
+            # its slots in stored order: no sort.  Like a pattern's template,
+            # it holds one byte a value, as every factorization brings its own
             order = np.argsort(perm)
             lengths = np.diff(a.indptr)[order]
             indptr = np.zeros(a.shape[0] + 1, dtype=np.intc)
             np.cumsum(lengths, out=indptr[1:])
-            gather = np.repeat(a.indptr[order].astype(np.intp) - indptr[:-1], lengths)
-            gather += np.arange(gather.size)
-            template = sp.csc_matrix((np.zeros(gather.size), perm[a.indices[gather]], indptr),
-                                     shape=a.shape)
+            gather = np.repeat(a.indptr[order] - indptr[:-1], lengths)
+            gather += np.arange(gather.size, dtype=np.intc)
+            template = sp.csc_matrix((np.zeros(gather.size, dtype=np.int8),
+                                      perm[a.indices[gather]], indptr), shape=a.shape)
             template.has_canonical_format = True  # unsorted rows, kept so on purpose
             known.setdefault("permuted", (order, gather, template))
         order, gather, template = known["permuted"]

@@ -15,12 +15,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entropy import EntropyTrace, fit_decay_rate
+from .entropy import EntropyTrace, fit_decay_rate, lp_distance
 from .linalg import LinAlgError
 from .mesh import (BOTTOM, LEFT, MAX_REFERENCE_LEVEL, RIGHT, TOP, BoundarySpec,
                    Mesh, Segment, reference_mesh)
 from .schemes import SCHEMES, AssemblyError, BScheme, DataError, DdData, \
-    advection_from_potential, discretize_coefficients
+    advection_from_potential, assemble_fp_operator, discretize_coefficients
 from .solvers import (DdProblem, FpProblem, PmeProblem, SolverError,
                       StepperConfig, TransientResult, run_transient, solve_fp_steady)
 
@@ -380,8 +380,8 @@ def convergence_study(preset: str, levels, schemes) -> tuple[str, str]:
         problem = toy_problem(level)
         reference = toy_real_steady(problem.mesh)
         for s in names:
-            steady = solve_fp_steady(problem.mesh, problem.data, SCHEMES[s])
-            from .entropy import lp_distance
+            steady = solve_fp_steady(*assemble_fp_operator(problem.mesh, problem.data,
+                                                           SCHEMES[s]))
             errors[s].append(lp_distance(problem.mesh, steady, reference, 1))
 
     def order(e0: float, e1: float) -> Optional[float]:

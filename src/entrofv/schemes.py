@@ -348,9 +348,9 @@ def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme,
 # (first, first) for every edge that is not no-flux and entries on
 # (first, second), (second, second), (second, first) for every interior edge;
 # its values come from _tpfa_values.  A "diag" block holds one entry per cell.
-# An "op" block holds the stored entries of an operator assembled from one
-# "tpfa" block, in its storage order.  The structure depends on the mesh and
-# the block layout only, so each mesh builds it once per layout.
+# The structure depends on the mesh and the block layout only, so each mesh
+# builds it once per layout.  Every structure stores the whole diagonal, so a
+# diagonal shift (a time term, a Newton term) changes values, not the layout.
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,20 +358,25 @@ class SparsityPattern:
     """CSC structure of a square matrix with duplicate entries summed, and
     for every entry the assembly emits, the slot of the data array it adds to.
     ``template``, checked by scipy once, holds the structure and lends it to
-    every fill; ``ordering`` holds what ``linalg.factorize`` learns about it."""
+    every fill; ``diagonal`` holds the slot of every (k, k) entry, which the
+    structure always has; ``ordering`` holds what ``linalg.factorize`` learns
+    about it."""
 
     template: sp.csc_matrix
     slots: np.ndarray
+    diagonal: np.ndarray
     ordering: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.template.indptr, self.template.indices, self.slots):
+        for arr in (self.template.indptr, self.template.indices, self.slots,
+                    self.diagonal):
             arr.setflags(write=False)
         self.template.pattern = self
 
     @staticmethod
     def from_pairs(rows: np.ndarray, cols: np.ndarray, size: int) -> "SparsityPattern":
-        """Pattern of the given (row, col) entries, repeats included.
+        """Pattern of the given (row, col) entries, repeats included, and of
+        the whole diagonal.
 
         scipy's COO to CSC conversion compresses the entries column by column
         with a counting sort, then sorts the rows of each column and sums
@@ -380,14 +385,17 @@ class SparsityPattern:
         column with rows ascending, the stored entries are in ascending order
         of the key ``col * size + row``, so each emitted entry finds its slot
         by binary search on those keys."""
+        eye = np.arange(size, dtype=np.intc)
         # a checked, canonical CSC; one byte a value, as every fill brings its own
-        template = sp.coo_matrix((np.zeros(len(rows), dtype=np.int8), (rows, cols)),
+        template = sp.coo_matrix((np.zeros(len(rows) + size, dtype=np.int8),
+                                  (np.concatenate([rows, eye]), np.concatenate([cols, eye]))),
                                  shape=(size, size)).tocsc()
         keys = np.repeat(np.arange(size, dtype=np.int64) * size, np.diff(template.indptr))
         keys += template.indices
         emitted = np.asarray(cols, dtype=np.int64) * size
         emitted += rows
-        return SparsityPattern(template, np.searchsorted(keys, emitted))
+        return SparsityPattern(template, np.searchsorted(keys, emitted),
+                               np.searchsorted(keys, eye * np.int64(size + 1)))
 
     def fill(self, values: np.ndarray) -> sp.csc_matrix:
         """Matrix with the emitted ``values`` summed into their slots."""
@@ -410,10 +418,6 @@ def _block_entries(mesh: Mesh, kind: str) -> tuple[np.ndarray, np.ndarray]:
     if kind == "diag":
         eye = np.arange(mesh.n_cells, dtype=np.intc)
         return eye, eye
-    if kind == "op":
-        base = _pattern(mesh, (("tpfa", 0, 0),)).template
-        return base.indices, np.repeat(np.arange(mesh.n_cells, dtype=np.intc),
-                                       np.diff(base.indptr))
     c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
     active, inter = ~mesh.neumann, mesh.interior
     return (np.concatenate([c0[active], c0[inter], c1[inter], c1[inter]], dtype=np.intc),
@@ -428,21 +432,13 @@ def _build_pattern(mesh: Mesh, layout: tuple) -> SparsityPattern:
         r, c = _block_entries(mesh, kind)
         rows.append(r + block_row * n if block_row else r)
         cols.append(c + block_col * n if block_col else c)
-    del r, c
-    if len(layout) == 1:  # its arrays serve as they are
-        (rows,), (cols,) = rows, cols
-    else:  # the block arrays are dropped once joined
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return SparsityPattern.from_pairs(rows, cols, size)
-
-
-def _pattern(mesh: Mesh, layout: tuple) -> SparsityPattern:
-    return mesh.derived(("pattern", layout), lambda m: _build_pattern(m, layout))
+    return SparsityPattern.from_pairs(np.concatenate(rows), np.concatenate(cols), size)
 
 
 def _assemble(mesh: Mesh, blocks: list) -> sp.csc_matrix:
     """Operator from its (kind, block row, block column, values) blocks."""
-    pattern = _pattern(mesh, tuple(block[:3] for block in blocks))
+    layout = tuple(block[:3] for block in blocks)
+    pattern = mesh.derived(("pattern", layout), lambda m: _build_pattern(m, layout))
     return pattern.fill(np.concatenate([block[3] for block in blocks]))
 
 
@@ -457,18 +453,12 @@ def laplacian(mesh: Mesh) -> sp.csc_matrix:
     return mesh.derived("laplacian", lambda m: two_point_matrix(m, m.tau))
 
 
-def _pme_laplacian(mesh: Mesh) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The Laplacian on the porous-medium Jacobian's pattern, which has every
-    diagonal slot, and the column of each stored entry."""
-    lap = _assemble(mesh, [("diag", 0, 0, np.zeros(mesh.n_cells)),
-                           ("tpfa", 0, 0, _tpfa_values(mesh, mesh.tau, mesh.tau))])
-    return lap, np.repeat(np.arange(mesh.n_cells), np.diff(lap.indptr))
-
-
-def add_diagonal(mesh: Mesh, op: sp.csc_matrix, diagonal: np.ndarray) -> sp.csc_matrix:
-    """``op + diag(diagonal)`` for ``op`` from :func:`assemble_fp_operator` or
-    :func:`assemble_poisson` on this mesh."""
-    return _assemble(mesh, [("diag", 0, 0, diagonal), ("op", 0, 0, op.data)])
+def add_diagonal(op: sp.csc_matrix, diagonal: np.ndarray) -> sp.csc_matrix:
+    """``op + diag(diagonal)`` for ``op`` filled on a :class:`SparsityPattern`,
+    on the same pattern."""
+    values = op.data.astype(float)  # a copy; integers when no entry was emitted
+    values[op.pattern.diagonal] += diagonal
+    return with_data(op, values)
 
 
 def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
@@ -528,20 +518,22 @@ def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
 
     residual_K = area (f - f_prev) / dt - sum_edges tau * D(f^m), computed as
     area (f - f_prev) / dt + L f^m - (Dirichlet sums of tau f_D^m) with the
-    Laplacian L stored per mesh on the Jacobian's pattern; the Jacobian is
-    L diag(m |f|^(m-1)) plus area / dt on the diagonal.  The flux sign makes the
-    operator diffusive (mass flows from high f^m to low f^m).  ``boundary``,
-    when given, must be ``pme_boundary_term(mesh, f_dirichlet, m)``, which
-    callers that assemble many times on the same data form once.
+    mesh's Laplacian L; the Jacobian is L diag(m |f|^(m-1)) plus area / dt on
+    the diagonal, on L's pattern.  The flux sign makes the operator diffusive
+    (mass flows from high f^m to low f^m).  ``boundary``, when given, must be
+    ``pme_boundary_term(mesh, f_dirichlet, m)``, which callers that assemble
+    many times on the same data form once.
     """
     if m <= 1:
         raise DataError("nonlinearity exponent must exceed 1")
     if boundary is None:
         boundary = pme_boundary_term(mesh, f_dirichlet, m)
-    lap, columns = mesh.derived("pme_laplacian", _pme_laplacian)
+    lap = laplacian(mesh)
+    columns = mesh.derived("laplacian_columns",
+                           lambda m: np.repeat(np.arange(m.n_cells), np.diff(lap.indptr)))
     residual = mesh.cell_area * (f - f_prev) / dt + lap @ signed_power(f, m) - boundary
     values = lap.data * (m * np.abs(f) ** (m - 1.0))[columns]
-    values[lap.pattern.slots[:mesh.n_cells]] += mesh.cell_area / dt  # the "diag" block
+    values[lap.pattern.diagonal] += mesh.cell_area / dt
     return residual, with_data(lap, values)
 
 
@@ -636,6 +628,7 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
               ("tpfa", 2, 2, _tpfa_values(mesh, t2, t2)),
               ("diag", 2, 0, area),
               ("diag", 2, 1, -area)]
-    if not steady:
-        blocks += [("diag", 0, 0, area / dt), ("diag", 1, 1, area / dt)]
-    return residual, _assemble(mesh, blocks)
+    jac = _assemble(mesh, blocks)
+    if not steady:  # the time terms shift the N and P diagonals
+        jac.data[jac.pattern.diagonal[:2 * mesh.n_cells]] += np.tile(area / dt, 2)
+    return residual, jac

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import entropy as ent
 from .entropy import EntropyTrace
@@ -59,30 +60,30 @@ class DdState(NamedTuple):
 # linear convection-diffusion
 
 
-def solve_fp_steady(mesh: Mesh, data: TransportData, scheme: BScheme,
-                    force: bool = False) -> np.ndarray:
-    """Unique steady state of the flux scheme; strictly positive."""
-    m_op, b = assemble_fp_operator(mesh, data, scheme, force=force)
-    f = solve_linear(m_op, b)  # checks the flux balance M f - b
+def solve_fp_steady(operator: sp.csc_matrix, boundary: np.ndarray) -> np.ndarray:
+    """Unique steady state ``M f = b`` of the operator and boundary vector from
+    :func:`assemble_fp_operator`; strictly positive."""
+    f = solve_linear(operator, boundary)  # checks the flux balance M f - b
     if np.any(f <= 0):
         raise SolverError("steady state is not strictly positive")
     return f
 
 
 class FpStepper:
-    """Backward-Euler steps with the stepping matrix factorized once per run
-    of equal step sizes; only the factors of the latest step size are kept."""
+    """Backward-Euler steps with the operator and boundary vector from
+    :func:`assemble_fp_operator`; the stepping matrix, on the operator's
+    pattern, is factorized once per run of equal step sizes, and only the
+    factors of the latest step size are kept."""
 
-    def __init__(self, mesh: Mesh, data: TransportData, scheme: BScheme,
-                 force: bool = False):
+    def __init__(self, mesh: Mesh, operator: sp.csc_matrix, boundary: np.ndarray):
         self.mesh = mesh
-        self.operator, self.boundary = assemble_fp_operator(mesh, data, scheme, force=force)
+        self.operator, self.boundary = operator, boundary
         self.factors = FactorStore()
 
     def step(self, f_prev: np.ndarray, dt: float) -> np.ndarray:
         store = self.factors.for_dt(dt)
         if store.lu is None:
-            store.jac = add_diagonal(self.mesh, self.operator, self.mesh.cell_area / dt)
+            store.jac = add_diagonal(self.operator, self.mesh.cell_area / dt)
             store.lu = factorize(store.jac)
         return solve_linear(store.jac, self.mesh.cell_area * f_prev / dt + self.boundary,
                             store.lu)
@@ -173,7 +174,7 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData) -> DdState:
     def system(v):
         e_p, e_n = np.exp(alpha_p - v), np.exp(alpha_n + v)
         return (a_mat @ v - b_dir - area * (e_p - e_n + dd.doping),
-                add_diagonal(mesh, a_mat, area * (e_p + e_n)))
+                add_diagonal(a_mat, area * (e_p + e_n)))
 
     result = newton_solve(system, np.zeros(mesh.n_cells))
     if isinstance(result, NonConvergence):
@@ -295,8 +296,10 @@ class FpProblem:
     primary = "H_phi2"
 
     def start(self, scheme: BScheme):
-        steady = solve_fp_steady(self.mesh, self.data, scheme, force=self.force_peclet)
-        stepper = FpStepper(self.mesh, self.data, scheme, force=self.force_peclet)
+        operator, boundary = assemble_fp_operator(self.mesh, self.data, scheme,
+                                                  force=self.force_peclet)
+        steady = solve_fp_steady(operator, boundary)
+        stepper = FpStepper(self.mesh, operator, boundary)
         return (steady, np.asarray(self.f0, dtype=float), stepper.step,
                 ent.FpDiagnostics(self.mesh, self.data, scheme, steady))
 

@@ -48,7 +48,7 @@ def _fp_extras(problem, schemes_needed):
     extras_for = {}
     for name in schemes_needed:
         scheme = SCHEMES[name]
-        steady = solve_fp_steady(mesh, data, scheme)
+        steady = solve_fp_steady(*assemble_fp_operator(mesh, data, scheme))
         factors = steady_edge_factors(mesh, data, scheme, steady)
         extras = {
             "H_phi1x": lambda f, s=steady: relative_phi_entropy(mesh, f, s, PHI1),
@@ -146,7 +146,7 @@ def test_criterion_01_table1_reproduction():
         problem = toy_problem(level)
         reference = toy_real_steady(problem.mesh)
         for name, scheme in SCHEMES.items():
-            steady = solve_fp_steady(problem.mesh, problem.data, scheme)
+            steady = solve_fp_steady(*assemble_fp_operator(problem.mesh, problem.data, scheme))
             errors[name].append(lp_distance(problem.mesh, steady, reference, 1))
     elapsed = time.monotonic() - start
 

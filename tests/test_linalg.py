@@ -259,9 +259,11 @@ def test_factorize_passes_supernode_constants(monkeypatch):
 
 
 def _pattern_operators(level, rng):
-    """Two fills of every factored operator layout on a fresh mesh (so no
-    earlier factorization has ordered its patterns): the PME Jacobian, the
-    steady and transient DD Jacobians and the FP step matrix."""
+    """On a fresh mesh (so no earlier factorization has ordered its
+    patterns), an operator on each of its two patterns, the FP operator and a
+    steady DD Jacobian, and two fills of every factored operator on them: the
+    PME Jacobian, the FP step matrix and the steady and transient DD
+    Jacobians."""
     from entrofv.mesh import BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, reference_mesh
     from entrofv.schemes import (SCHARFETTER_GUMMEL, DdData, add_diagonal,
                                  assemble_dd_residual, assemble_pme_residual)
@@ -275,6 +277,8 @@ def _pattern_operators(level, rng):
     data = transport_data(mesh, np.ones(mesh.n_edges), rng.uniform(-3.0, 3.0, mesh.n_edges),
                           f_dir)
     op, _ = assemble_fp_operator(mesh, data, UPWIND)
+    state = (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-3.0, 3.0, n))
+    ordered = (op, assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, None, state)[1])
 
     def fills():
         f = rng.uniform(0.1, 2.0, n)
@@ -284,19 +288,20 @@ def _pattern_operators(level, rng):
                                                   state)[1],
                 "dd-transient": assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL,
                                                      state[:2], state, 1e-2)[1],
-                "fp-step": add_diagonal(mesh, op, mesh.cell_area * rng.uniform(1.0, 1e3))}
+                "fp-step": add_diagonal(op, mesh.cell_area * rng.uniform(1.0, 1e3))}
 
-    return mesh, fills(), fills()
+    return ordered, fills(), fills()
 
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_pattern_ordering_reproduces_mmd_factors(level, rng):
     from entrofv.linalg import PANEL_SIZE, PERMC_SPEC, RELAX, PermutedLU
-    _, first, second = _pattern_operators(level, rng)
+    ordered, first, second = _pattern_operators(level, rng)
+    for a in ordered:
+        assert not isinstance(factorize(a), PermutedLU)
     for name, a in first.items():
-        assert not isinstance(factorize(a), PermutedLU), name
         b = rng.standard_normal(a.shape[0])
-        for later in (second[name], a):
+        for later in (a, second[name]):
             lu = factorize(later)
             assert isinstance(lu, PermutedLU), name
             ref = spla.splu(later, permc_spec=PERMC_SPEC, panel_size=PANEL_SIZE,
@@ -312,7 +317,7 @@ def test_pattern_ordering_reproduces_mmd_factors(level, rng):
 
 def test_pattern_factored_once_builds_no_permuted_structure(rng):
     _, first, _ = _pattern_operators(1, rng)
-    a = first["pme"]
+    a = first["pme"]  # the first factorization on the two-point pattern
     factorize(a)
     perm = a.pattern.ordering["perm"]
     assert set(a.pattern.ordering) == {"perm"}

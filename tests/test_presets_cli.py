@@ -125,7 +125,7 @@ def test_run_force_peclet_path(tmp_path):
 def test_force_peclet_mild_violation_succeeds(two_cell_mesh):
     # B(1.95) = 0.025 sits below the default guard but stays positive, so the
     # forced solve still produces a valid steady state
-    from entrofv.schemes import CENTERED, PecletError, transport_data
+    from entrofv.schemes import CENTERED, PecletError, assemble_fp_operator, transport_data
     from entrofv.solvers import solve_fp_steady
     import numpy as np
     mesh = two_cell_mesh
@@ -134,8 +134,8 @@ def test_force_peclet_mild_violation_succeeds(two_cell_mesh):
     fd[1], fd[2] = 1.0, 2.0
     data = transport_data(mesh, np.ones(mesh.n_edges), u, fd)
     with pytest.raises(PecletError):
-        solve_fp_steady(mesh, data, CENTERED)
-    steady = solve_fp_steady(mesh, data, CENTERED, force=True)
+        solve_fp_steady(*assemble_fp_operator(mesh, data, CENTERED))
+    steady = solve_fp_steady(*assemble_fp_operator(mesh, data, CENTERED, force=True))
     assert np.all(steady > 0)
 
 

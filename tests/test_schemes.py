@@ -580,14 +580,18 @@ MAX_SUMMED = 5
 
 
 def _coo(size, rows, cols, vals):
-    """The old assembly: COO triplet pieces summed by scipy's ``tocsr``; also
-    the sums of magnitudes and the number of terms in every slot."""
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    """The old assembly: COO triplet pieces summed by scipy's ``tocsr``, with
+    a stored zero on every diagonal slot, as every pattern has one; also the
+    sums of magnitudes and the number of terms in every slot."""
+    eye = np.arange(size)
+    rows, cols, vals = (np.concatenate([*x, y]) for x, y in
+                        ((rows, eye), (cols, eye), (vals, np.zeros(size))))
 
     def csr(data):
         return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
 
-    return csr(vals), csr(np.abs(vals)), csr(np.ones(vals.size))
+    return csr(vals), csr(np.abs(vals)), csr(np.concatenate([np.ones(vals.size - size),
+                                                            np.zeros(size)]))
 
 
 def _coo_tpfa(mesh, p, q):
@@ -673,7 +677,7 @@ def test_pattern_assembly_matches_coo_reference(mesh_name, request, rng):
         ref = _coo(n, *_coo_tpfa(mesh, ta * bm, ta * bp))
         _assert_same_matrix(m_op, ref)
 
-        stepper = FpStepper(mesh, data, scheme, force=True)
+        stepper = FpStepper(mesh, *assemble_fp_operator(mesh, data, scheme, force=True))
         stepper.step(rng.uniform(0.5, 2.0, n), 0.3)
         step_ref = (sp.diags(mesh.cell_area / 0.3) + ref[0]).tocsr()
         _assert_same_matrix(stepper.factors.jac,
@@ -693,7 +697,7 @@ def test_pattern_assembly_matches_coo_reference(mesh_name, request, rng):
     rows, cols, vals = _coo_tpfa(mesh, t, t)
     _assert_same_matrix(poisson, _coo(n, rows, cols, vals))
     shift = rng.uniform(0.1, 2.0, n)  # the thermal-equilibrium Jacobian
-    _assert_same_matrix(add_diagonal(mesh, poisson, shift),
+    _assert_same_matrix(add_diagonal(poisson, shift),
                         _coo(n, [np.arange(n), *rows], [np.arange(n), *cols],
                              [shift, *vals]))
 
@@ -848,7 +852,7 @@ def test_pme_steps_validate_each_structure_once(monkeypatch):
     f = prob.f0
     for _ in range(2):
         f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
-    # the Jacobian pattern's structure, then its permuted copy
+    # the two-point pattern's structure, then its permuted copy
     assert len(built) == 2
     for _ in range(3):
         f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
@@ -865,11 +869,20 @@ def _unique_pattern(rows, cols, size):
 
 
 def _assert_unique_pattern(pattern, rows, cols):
+    """``pattern`` is the reference pattern of the emitted (row, col) entries
+    and the whole diagonal, and ``pattern.diagonal`` addresses (k, k)."""
     template = pattern.template
-    indptr, indices, slots = _unique_pattern(rows, cols, template.shape[0])
+    size = template.shape[0]
+    eye = np.arange(size)
+    indptr, indices, slots = _unique_pattern(np.concatenate([rows, eye]),
+                                             np.concatenate([cols, eye]), size)
     np.testing.assert_array_equal(template.indptr, indptr)
     np.testing.assert_array_equal(template.indices, indices)
-    np.testing.assert_array_equal(pattern.slots, slots)
+    np.testing.assert_array_equal(pattern.slots, slots[:len(rows)])
+    np.testing.assert_array_equal(pattern.diagonal, slots[len(rows):])
+    np.testing.assert_array_equal(template.indices[pattern.diagonal], eye)
+    np.testing.assert_array_equal(np.searchsorted(template.indptr, pattern.diagonal,
+                                                  side="right") - 1, eye)
     assert template.indptr.dtype == template.indices.dtype == np.intc
     assert template.has_canonical_format
 
@@ -887,18 +900,21 @@ def test_from_pairs_matches_unique_on_random_pairs(rng):
 
 @pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
 def test_package_patterns_match_unique(mesh_name, request, rng):
-    """Every block layout the package assembles: the FP operator ("tpfa"),
-    the porous-medium Jacobian ("diag" and "tpfa"), a shifted operator
-    ("diag" and "op") and the steady and transient DD Jacobians."""
+    """A mesh holds two block layouts, whatever the package assembles on it:
+    the two-point one ("tpfa"), shared by the FP operator and step matrix,
+    the Laplacian, the porous-medium Jacobian and the Poisson matrix and
+    thermal-equilibrium Jacobian, and the coupled one of the steady and
+    transient DD Jacobians."""
     from entrofv.schemes import _block_entries, add_diagonal
     mesh = request.getfixturevalue(mesh_name)
     n = mesh.n_cells
     f_dir = np.where(mesh.dirichlet, 1.5, np.nan)
     data = transport_data(mesh, np.ones(mesh.n_edges), np.zeros(mesh.n_edges), f_dir)
     m_op, _ = assemble_fp_operator(mesh, data, UPWIND)
-    add_diagonal(mesh, m_op, mesh.cell_area)
+    add_diagonal(m_op, mesh.cell_area)
     f = rng.uniform(0.1, 2.0, n)
     assemble_pme_residual(mesh, f, f, 2.0, 0.1, f_dir)
+    add_diagonal(assemble_poisson(mesh, 0.5), mesh.cell_area)
     dd = _random_dd(mesh, rng)
     state = (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n))
     for state_prev, dt in ((None, None), (state[:2], 0.1)):
@@ -906,7 +922,8 @@ def test_package_patterns_match_unique(mesh_name, request, rng):
 
     layouts = [key[1] for key in mesh._derived
                if isinstance(key, tuple) and key[0] == "pattern"]
-    assert len(layouts) >= 5
+    assert sorted(map(len, layouts)) == [1, 7]
+    assert (("tpfa", 0, 0),) in layouts
     for layout in layouts:
         rows, cols = [], []
         for kind, block_row, block_col in layout:
@@ -915,6 +932,38 @@ def test_package_patterns_match_unique(mesh_name, request, rng):
             cols.append(c + block_col * n)
         _assert_unique_pattern(mesh._derived[("pattern", layout)],
                                np.concatenate(rows), np.concatenate(cols))
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_transient_dd_jacobian_is_steady_plus_time_terms(mesh_name, request, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    n, dt = mesh.n_cells, 0.1
+    dd = _random_dd(mesh, rng)
+    state = (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n))
+    for scheme in SCHEMES.values():
+        _, steady = assemble_dd_residual(mesh, dd, scheme, None, state)
+        _, transient = assemble_dd_residual(mesh, dd, scheme, state[:2], state, dt)
+        assert transient.pattern is steady.pattern
+        shift = np.concatenate([mesh.cell_area / dt, mesh.cell_area / dt, np.zeros(n)])
+        np.testing.assert_array_equal(transient.toarray(),
+                                      (steady + sp.diags(shift)).toarray())
+
+
+def test_single_cell_shifted_matrices_keep_their_diagonal(single_cell_mesh):
+    """On a cell whose edges are all no-flux, the two-point pattern holds a
+    zero on the diagonal, which the time term of a step fills."""
+    from entrofv.solvers import FpStepper
+    mesh = single_cell_mesh
+    no_data = np.full(mesh.n_edges, np.nan)
+    data = transport_data(mesh, np.ones(mesh.n_edges), np.zeros(mesh.n_edges), no_data)
+    m_op, b = assemble_fp_operator(mesh, data, UPWIND)
+    assert m_op.nnz == 1 and m_op.toarray() == 0.0
+    stepper = FpStepper(mesh, m_op, b)
+    np.testing.assert_array_equal(stepper.step(np.array([2.0]), 0.5), [2.0])
+    np.testing.assert_array_equal(stepper.factors.jac.toarray(), [[2.0]])
+    f = np.array([1.5])
+    _, jac = assemble_pme_residual(mesh, f, f, 2.0, 0.25, no_data)
+    np.testing.assert_array_equal(jac.toarray(), [[4.0]])
 
 
 def _traced_peak_ratio(build):
@@ -940,8 +989,8 @@ def test_set_up_allocates_little_beyond_what_it_keeps():
     lexsort) and (E, 2, 2) gathers, the level-4 mesh peaked at 2.6 times the
     bytes it keeps and its "tpfa" pattern at 6.1 times; sort-free, they peak
     at about 1.5 and 2.5 times."""
-    from entrofv.schemes import _pattern
+    from entrofv.schemes import _build_pattern
     mesh, mesh_ratio = _traced_peak_ratio(lambda: reference_mesh(4))
-    _, pattern_ratio = _traced_peak_ratio(lambda: _pattern(mesh, (("tpfa", 0, 0),)))
+    _, pattern_ratio = _traced_peak_ratio(lambda: _build_pattern(mesh, (("tpfa", 0, 0),)))
     assert mesh_ratio < 2.0
     assert pattern_ratio < 4.0

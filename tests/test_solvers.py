@@ -13,7 +13,7 @@ from entrofv.presets import (RunConfig, fill_problem, hetero_problem, pn_problem
                              run, sweep_problem, toy_problem)
 from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DataError, DdData,
                              advection_from_potential, assemble_dd_residual,
-                             assemble_pme_residual, edge_differences,
+                             assemble_fp_operator, assemble_pme_residual, edge_differences,
                              signed_power, transport_data)
 from entrofv.solvers import (DdState, FpStepper, SolverError, StepperConfig,
                              adaptive_time_loop, dd_equilibrium_offsets, run_transient,
@@ -34,7 +34,7 @@ def _two_cell_data(mesh, f_left=1.0, f_right=2.0):
 
 def test_fp_steady_two_cell_oracle(two_cell_mesh):
     data = _two_cell_data(two_cell_mesh)
-    f = solve_fp_steady(two_cell_mesh, data, UPWIND)
+    f = solve_fp_steady(*assemble_fp_operator(two_cell_mesh, data, UPWIND))
     np.testing.assert_allclose(f, [1.25, 1.75], rtol=1e-13)
 
 
@@ -43,13 +43,13 @@ def test_fp_steady_constant_data(mesh0, rng):
     data = transport_data(mesh0, rng.uniform(0.5, 2.0, mesh0.n_edges),
                           np.zeros(mesh0.n_edges), fd)
     for scheme in SCHEMES.values():
-        f = solve_fp_steady(mesh0, data, scheme)
+        f = solve_fp_steady(*assemble_fp_operator(mesh0, data, scheme))
         np.testing.assert_allclose(f, 4.2, rtol=1e-12)
 
 
 def test_fp_steady_sg_exact_on_toy():
     prob = toy_problem(0)
-    f = solve_fp_steady(prob.mesh, prob.data, SCHARFETTER_GUMMEL)
+    f = solve_fp_steady(*assemble_fp_operator(prob.mesh, prob.data, SCHARFETTER_GUMMEL))
     exact = np.exp(prob.mesh.cell_center[:, 0])
     assert lp_distance(prob.mesh, f, exact, 1) < 1e-12
 
@@ -66,23 +66,25 @@ def test_fp_steady_max_principle_divergence_free(rng):
     data = transport_data(mesh, np.ones(mesh.n_edges), u, fd)
     lo, hi = np.nanmin(fd), np.nanmax(fd)
     for scheme in SCHEMES.values():
-        f = solve_fp_steady(mesh, data, scheme)
+        f = solve_fp_steady(*assemble_fp_operator(mesh, data, scheme))
         assert np.all(f >= lo - 1e-12)
         assert np.all(f <= hi + 1e-12)
 
 
 def test_step_fp_fixed_point(two_cell_mesh):
     data = _two_cell_data(two_cell_mesh)
-    steady = solve_fp_steady(two_cell_mesh, data, UPWIND)
-    after = FpStepper(two_cell_mesh, data, UPWIND).step(steady, 0.3)
+    steady = solve_fp_steady(*assemble_fp_operator(two_cell_mesh, data, UPWIND))
+    stepper = FpStepper(two_cell_mesh, *assemble_fp_operator(two_cell_mesh, data, UPWIND))
+    after = stepper.step(steady, 0.3)
     np.testing.assert_allclose(after, steady, rtol=1e-12)
 
 
 def test_step_fp_large_step_reaches_steady(two_cell_mesh, rng):
     data = _two_cell_data(two_cell_mesh)
-    steady = solve_fp_steady(two_cell_mesh, data, UPWIND)
+    steady = solve_fp_steady(*assemble_fp_operator(two_cell_mesh, data, UPWIND))
     f0 = rng.uniform(0.1, 3.0, 2)
-    after = FpStepper(two_cell_mesh, data, UPWIND).step(f0, 1e6)
+    stepper = FpStepper(two_cell_mesh, *assemble_fp_operator(two_cell_mesh, data, UPWIND))
+    after = stepper.step(f0, 1e6)
     np.testing.assert_allclose(after, steady, rtol=1e-4)
 
 
@@ -90,7 +92,7 @@ def test_step_fp_preserves_sign_and_mass_balance(mesh0, rng):
     prob = toy_problem(0)
     f0 = prob.f0
     dt = 1e-2
-    f1 = FpStepper(prob.mesh, prob.data, UPWIND).step(f0, dt)
+    f1 = FpStepper(prob.mesh, *assemble_fp_operator(prob.mesh, prob.data, UPWIND)).step(f0, dt)
     assert np.all(f1 >= 0)
     # mass change equals the net boundary influx of the new state
     from entrofv.schemes import edge_fluxes
@@ -102,7 +104,7 @@ def test_step_fp_preserves_sign_and_mass_balance(mesh0, rng):
 
 def test_fp_stepper_rejects_non_finite_solve():
     prob = toy_problem(0)
-    stepper = FpStepper(prob.mesh, prob.data, UPWIND)
+    stepper = FpStepper(prob.mesh, *assemble_fp_operator(prob.mesh, prob.data, UPWIND))
     f_prev = prob.f0.copy()
     f_prev[0] = np.nan
     with pytest.raises(LinAlgError):  # SingularMatrixError is a subclass
@@ -128,7 +130,7 @@ def test_fp_stepper_holds_one_factorization(monkeypatch):
 
     monkeypatch.setattr(solvers, "factorize", tracking)
     prob = toy_problem(0)
-    stepper = FpStepper(prob.mesh, prob.data, UPWIND)
+    stepper = FpStepper(prob.mesh, *assemble_fp_operator(prob.mesh, prob.data, UPWIND))
     f = prob.f0
     for dt in (1e-2, 5e-3, 1e-2):
         f = stepper.step(f, dt)
@@ -149,7 +151,7 @@ def test_step_fp_first_order_in_time():
     for dt in (0.02, 0.01, 0.005):
         f = prob.f0.copy()
         steps = int(round(t_end / dt))
-        stepper = FpStepper(mesh, prob.data, SCHARFETTER_GUMMEL)
+        stepper = FpStepper(mesh, *assemble_fp_operator(mesh, prob.data, SCHARFETTER_GUMMEL))
         for _ in range(steps):
             f = stepper.step(f, dt)
         errors.append(lp_distance(mesh, f, exact, 1))
@@ -250,7 +252,8 @@ def test_step_pme_linear_limit_matches_step_fp(two_cell_mesh):
         return sp.coo_matrix((dense[rows, colids], (rows, colids)), shape=(2, 2)).tocsr()
 
     got = newton_solve(lambda f: (residual(f), jacobian(f)), f_prev)[0]
-    expected = FpStepper(mesh, data, SCHARFETTER_GUMMEL).step(f_prev, dt)
+    stepper = FpStepper(mesh, *assemble_fp_operator(mesh, data, SCHARFETTER_GUMMEL))
+    expected = stepper.step(f_prev, dt)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -775,10 +778,8 @@ def test_run_transient_pme_and_dd_columns():
 # column ordering reused per sparsity pattern
 
 
-def test_pme_run_orders_each_pattern_once(monkeypatch):
-    """A porous-medium run asks SuperLU for a fill-reducing ordering once per
-    sparsity pattern (the steady Laplacian and the step Jacobian) and factors
-    every later Jacobian with ``NATURAL``."""
+def _record_splu(monkeypatch) -> list:
+    """Record the ordering asked for and the pattern of every SuperLU call."""
     calls = []
     splu = linalg.spla.splu
 
@@ -787,14 +788,60 @@ def test_pme_run_orders_each_pattern_once(monkeypatch):
         return splu(a, **kwargs)
 
     monkeypatch.setattr(linalg.spla, "splu", recording)
+    return calls
+
+
+def _ordered_patterns(calls) -> list:
+    """The patterns SuperLU ordered, each once; every other call factors a
+    permuted copy, which carries no pattern, with ``NATURAL``."""
+    ordered = [pattern for spec, pattern in calls if spec == linalg.PERMC_SPEC]
+    assert None not in ordered and len({id(p) for p in ordered}) == len(ordered)
+    natural = [pattern for spec, pattern in calls if spec == "NATURAL"]
+    assert len(ordered) + len(natural) == len(calls)
+    assert natural == [None] * len(natural)
+    return ordered
+
+
+def test_pme_run_orders_each_pattern_once(monkeypatch):
+    """The steady Laplacian and the step Jacobians share the mesh's two-point
+    pattern, so a porous-medium run orders once and factors every Jacobian
+    with ``NATURAL``."""
+    calls = _record_splu(monkeypatch)
     result = run_transient(sweep_problem(1, m=2.0, m_dirichlet=1.0), SCHARFETTER_GUMMEL,
                            StepperConfig(t_final=0.05))
     assert result.abort_reason is None
-    ordered = [pattern for spec, pattern in calls if spec == linalg.PERMC_SPEC]
-    assert len(ordered) == 2 and None not in ordered and ordered[0] is not ordered[1]
-    natural = [pattern for spec, pattern in calls if spec == "NATURAL"]
-    assert len(natural) == len(calls) - 2 >= 10
-    assert natural == [None] * len(natural)  # the permuted copies carry no pattern
+    assert len(_ordered_patterns(calls)) == 1 and len(calls) >= 10
+
+
+def test_fp_run_assembles_and_orders_once(monkeypatch):
+    """A linear run assembles its operator once; the steady solve orders its
+    pattern, and the stepping matrix, shifted on that pattern, reuses it."""
+    calls = _record_splu(monkeypatch)
+    assembled = []
+    assemble = solvers.assemble_fp_operator
+
+    def counting(*args, **kwargs):
+        assembled.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "assemble_fp_operator", counting)
+    result = run_transient(toy_problem(1), SCHARFETTER_GUMMEL,
+                           StepperConfig.fixed(1e-2, 0.03))
+    assert result.abort_reason is None
+    assert len(assembled) == 1
+    assert len(_ordered_patterns(calls)) == 1 and len(calls) == 2
+
+
+def test_dd_run_orders_each_structure_once(monkeypatch):
+    """A drift-diffusion run orders two structures: the Poisson one, shared
+    by the Poisson solves and the thermal-equilibrium Jacobians, and the
+    coupled one, shared by the steady and transient Jacobians."""
+    calls = _record_splu(monkeypatch)
+    result = run_transient(pn_problem(0), SCHARFETTER_GUMMEL,
+                           StepperConfig.fixed(1e-2, 0.03))
+    assert result.abort_reason is None
+    ordered = _ordered_patterns(calls)
+    assert [p.template.shape[0] // ordered[0].template.shape[0] for p in ordered] == [1, 3]
 
 
 def test_shared_mesh_ordering_is_thread_safe():
