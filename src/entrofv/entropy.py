@@ -280,7 +280,6 @@ class EntropyTrace:
 class FitResult:
     rate: float
     residual: float
-    n_samples: int
 
 
 def fit_decay_rate(trace: EntropyTrace, field: str, window) -> FitResult:
@@ -300,7 +299,7 @@ def fit_decay_rate(trace: EntropyTrace, field: str, window) -> FitResult:
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     resid = ys - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return FitResult(rate=float(-coef[0]), residual=rms, n_samples=int(mask.sum()))
+    return FitResult(rate=float(-coef[0]), residual=rms)
 
 
 def theoretical_rate_fp(alpha: float, m_inf: float, big_m_inf: float, beta: float,

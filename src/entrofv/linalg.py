@@ -195,7 +195,6 @@ class NonConvergence:
 
     iterations: int
     residual_norm: float
-    last_iterate: np.ndarray
     reason: str = "residual above tolerance"
 
     def __str__(self):
@@ -233,8 +232,8 @@ class FactorStore:
     reuses across iterates and calls, for simplified steps or to refine full
     ones on (:meth:`solve`), or a linear stepping matrix.  ``for_dt`` drops
     them when another step size is asked for, as the simplified steps and
-    the stepping matrix need.  One caller owns it (one transient run or one
-    stepper)."""
+    the stepping matrix need.  One caller owns it (one transient run, one
+    stepper or one Newton call)."""
 
     dt: Optional[float] = None
     jac: Optional[sp.spmatrix] = None
@@ -278,47 +277,40 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
     """Newton iteration; returns (solution, iterations) on success, once the
     residual max-norm is at most :data:`NEWTON_TOL`.
 
-    ``system(x)`` returns the residual and its Jacobian at ``x``.  Without a
-    store every iterate is a full Newton step: ``system`` is called once per
-    iterate, ``iterations + 1`` times in all on success, and each iterate
-    factors its own Jacobian.
-
-    With a store, ``system(x, jacobian=False)`` is called instead, and its
-    second item is either the Jacobian at ``x`` or None.  A Jacobian makes a
-    full Newton step, solved by :meth:`FactorStore.solve` on the stored
-    factors.  None makes a simplified Newton step on the stored factors, and
-    the Jacobian is asked for (``system(x)``) only when Newton factors.  Such
-    a reused-factor iterate is kept only if it contracts the residual by
-    :data:`REUSE_CONTRACTION`; otherwise the factors are dropped and Newton
-    refactors at the current iterate, which stays the previous one when the
-    residual grew or is not finite.  Full steps fail as without a store.
+    ``system(x, jacobian)`` returns the residual at ``x`` and either its
+    Jacobian or, only when ``jacobian`` is false, None.  A Jacobian makes a
+    full Newton step, solved by :meth:`FactorStore.solve` on the factors in
+    ``store`` (a fresh one when None is given).  None makes a simplified
+    Newton step on the stored factors, and the Jacobian is asked for only
+    when Newton factors.  Such a reused-factor iterate is kept only if it
+    contracts the residual by :data:`REUSE_CONTRACTION`; otherwise the
+    factors are dropped and Newton refactors at the current iterate, which
+    stays the previous one when the residual grew or is not finite.
     ``iterations`` counts every Newton step, and :data:`NEWTON_MAX_ITER`
     bounds it.  Both constants are read at each call.
     """
+    store = FactorStore() if store is None else store
     x = np.asarray(x0, dtype=float).copy()
-    reuse = store is not None and store.lu is not None
-    r, jac = system(x, jacobian=False) if reuse else system(x)
+    r, jac = system(x, jacobian=store.lu is None)
     norm = np.max(np.abs(r)) if r.size else 0.0
     if norm <= NEWTON_TOL:
         return x, 0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        reuse = jac is None and store is not None and store.lu is not None
+        reuse = jac is None and store.lu is not None
         try:
             if reuse:
                 dx = solve_linear(store.jac, -r, store.lu)
             else:
                 if jac is None:
-                    r, jac = system(x)
-                dx = solve_linear(jac, -r) if store is None else store.solve(jac, -r)
+                    r, jac = system(x, jacobian=True)
+                dx = store.solve(jac, -r)
         except LinAlgError:
-            if store is not None:
-                store.drop()
+            store.drop()
             if reuse:
                 continue
-            return NonConvergence(iterations=it, residual_norm=norm,
-                                  last_iterate=x, reason="singular Jacobian")
+            return NonConvergence(iterations=it, residual_norm=norm, reason="singular Jacobian")
         x_new = x + dx
-        r_new, jac = system(x_new) if store is None else system(x_new, jacobian=False)
+        r_new, jac = system(x_new, jacobian=False)
         finite = np.all(np.isfinite(r_new))
         norm_new = np.max(np.abs(r_new)) if finite else np.inf
         if norm_new <= NEWTON_TOL:
@@ -330,6 +322,6 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
                 continue  # discard the iterate; refactor where it started
         elif not finite:
             return NonConvergence(iterations=it, residual_norm=np.inf,
-                                  last_iterate=x_new, reason="non-finite residual")
+                                  reason="non-finite residual")
         x, r, norm = x_new, r_new, norm_new
-    return NonConvergence(iterations=NEWTON_MAX_ITER, residual_norm=norm, last_iterate=x)
+    return NonConvergence(iterations=NEWTON_MAX_ITER, residual_norm=norm)

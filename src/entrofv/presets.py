@@ -198,7 +198,6 @@ def _or(value, default):
 @dataclass(frozen=True)
 class Preset:
     name: str
-    description: str
     build: Callable[[RunConfig, int], object]  # (config, level) -> problem
     level: int
     dt: float
@@ -207,30 +206,24 @@ class Preset:
     scheme: str = "sg"
 
 
-_CATALOG = (
-    Preset("fp-toy", "linear advection-diffusion with the exact exponential "
-           "steady state; boundary values 1 and e",
+_CATALOG = (  # README's preset table describes each one
+    Preset("fp-toy",
            lambda cfg, level: replace(toy_problem(level), force_peclet=cfg.force_peclet),
            level=0, dt=1e-2, t_final=4.0),
-    Preset("fp-hetero", "heterogeneous drain/barrier diffusion (3 vs 0.01) "
-           "with constant drift (-1/2, 0)",
-           lambda cfg, level: replace(hetero_problem(level),
-                                      force_peclet=cfg.force_peclet),
+    Preset("fp-hetero",
+           lambda cfg, level: replace(hetero_problem(level), force_peclet=cfg.force_peclet),
            level=4, dt=1e-2, t_final=2.0, scheme="upwind"),
-    Preset("pme-fill", "porous-medium filling, exponent 4, piecewise "
-           "boundary values 2.5 / 1 on the right edge",
+    Preset("pme-fill",
            lambda cfg, level: fill_problem(level, m=_or(cfg.m, 4.0)),
            level=3, dt=1e-3, t_final=15.0, adaptive=True),
-    Preset("pme-sweep", "porous-medium decay-rate sweep over the exponent "
-           "and the boundary level",
+    Preset("pme-sweep",
            lambda cfg, level: sweep_problem(level, m=_or(cfg.m, 2.0),
                                             m_dirichlet=_or(cfg.m_dirichlet, 1.0)),
            level=2, dt=1e-3, t_final=60.0, adaptive=True),
-    Preset("dd-pn", "junction diode with thermal contacts",
-           lambda cfg, level: pn_problem(level, lam=cfg.debye,
-                                         doping_magnitude=cfg.doping),
+    Preset("dd-pn",
+           lambda cfg, level: pn_problem(level, lam=cfg.debye, doping_magnitude=cfg.doping),
            level=3, dt=1e-2, t_final=10.0),
-    Preset("dd-bias", "junction diode with applied bias 2.5",
+    Preset("dd-bias",
            lambda cfg, level: pn_problem(level, lam=cfg.debye, bias=_or(cfg.bias, 2.5),
                                          doping_magnitude=cfg.doping),
            level=2, dt=1e-2, t_final=10.0),

@@ -398,12 +398,12 @@ class SparsityPattern:
                                np.searchsorted(keys, eye * np.int64(size + 1)))
 
     def fill(self, values: np.ndarray) -> sp.csc_matrix:
-        """Matrix with the emitted ``values`` summed into their slots."""
+        """Float matrix with the emitted ``values`` summed into their slots."""
         if values.shape != self.slots.shape:
             raise AssemblyError(f"{values.size} values for {self.slots.size} "
                                 "pattern entries")
-        return with_data(self.template, np.bincount(self.slots, weights=values,
-                                                    minlength=self.template.indices.size))
+        summed = np.bincount(self.slots, weights=values, minlength=self.template.indices.size)
+        return with_data(self.template, summed.astype(float, copy=False))  # int64 when empty
 
 
 def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -456,7 +456,7 @@ def laplacian(mesh: Mesh) -> sp.csc_matrix:
 def add_diagonal(op: sp.csc_matrix, diagonal: np.ndarray) -> sp.csc_matrix:
     """``op + diag(diagonal)`` for ``op`` filled on a :class:`SparsityPattern`,
     on the same pattern."""
-    values = op.data.astype(float)  # a copy; integers when no entry was emitted
+    values = op.data.copy()
     values[op.pattern.diagonal] += diagonal
     return with_data(op, values)
 

@@ -117,8 +117,8 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float,
 def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
              f_dirichlet: np.ndarray, store: Optional[FactorStore] = None,
              boundary: Optional[np.ndarray] = None) -> Union[np.ndarray, NonConvergence]:
-    """One implicit step via Newton started from the previous state; with a
-    ``store``, each iterate's solve refines on the factors it holds (see
+    """One implicit step via Newton started from the previous state; each
+    iterate's solve refines on the factors in ``store`` (see
     :meth:`FactorStore.solve`) and leaves the latest ones there.
     ``boundary``, when given, must be ``pme_boundary_term(mesh, f_dirichlet,
     m)``; otherwise the step forms it once for all its iterates."""
@@ -136,7 +136,7 @@ def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
     if np.any(f < -1e-9 * max(1.0, float(np.max(np.abs(f))))):
         return NonConvergence(iterations=iterations,
                               residual_norm=float(np.max(np.abs(system(f)[0]))),
-                              last_iterate=f, reason="negative density")
+                              reason="negative density")
     return np.maximum(f, 0.0)
 
 
@@ -171,7 +171,7 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData) -> DdState:
     b_dir = poisson_dirichlet_rhs(mesh, dd.debye, dd.v_dirichlet)
     area = mesh.cell_area
 
-    def system(v):
+    def system(v, jacobian=True):  # the Jacobian is a diagonal shift, always formed
         e_p, e_n = np.exp(alpha_p - v), np.exp(alpha_n + v)
         return (a_mat @ v - b_dir - area * (e_p - e_n + dd.doping),
                 add_diagonal(a_mat, area * (e_p + e_n)))
@@ -205,7 +205,7 @@ def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
         return NonConvergence(iterations=iterations,
                               residual_norm=float(np.max(np.abs(
                                   system(x, jacobian=False)[0]))),
-                              last_iterate=x, reason="non-positive density")
+                              reason="non-positive density")
     return state
 
 
@@ -235,8 +235,9 @@ def solve_dd_poisson(mesh: Mesh, dd: DdData, n_field: np.ndarray,
 
 def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
                     initial: Optional[DdState] = None) -> DdState:
-    """Coupled steady state; falls back to a homotopy that ramps the applied
-    potential from its current-free part when plain Newton stalls."""
+    """Coupled steady state by Newton from ``initial``, else from the
+    current-free state when the boundary data admits one, else from
+    :func:`_dd_initial_guess`."""
     if initial is not None:
         start = initial
     elif dd_equilibrium_offsets(mesh, dd) is not None:
@@ -245,25 +246,9 @@ def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
         start = _dd_initial_guess(mesh, dd)
 
     result = _dd_newton(mesh, dd, scheme, start)
-    if not isinstance(result, NonConvergence):
-        return result
-
-    # homotopy in the Dirichlet potential toward the full bias
-    dmask = mesh.dirichlet
-    base = np.full(mesh.n_edges, np.nan)
-    base[dmask] = 0.5 * (np.log(dd.n_dirichlet[dmask]) - np.log(dd.p_dirichlet[dmask]))
-    state = None
-    for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-        v_dir = np.where(dmask, (1.0 - s) * base + s * dd.v_dirichlet, np.nan)
-        dd_s = DdData(doping=dd.doping, debye=dd.debye, n_dirichlet=dd.n_dirichlet,
-                      p_dirichlet=dd.p_dirichlet, v_dirichlet=v_dir)
-        guess = state if state is not None else _dd_initial_guess(mesh, dd_s)
-        step = _dd_newton(mesh, dd_s, scheme, guess)
-        if isinstance(step, NonConvergence):
-            raise SolverError(f"steady drift-diffusion solve failed at "
-                              f"bias fraction {s:g}: {step}")
-        state = step
-    return state
+    if isinstance(result, NonConvergence):
+        raise SolverError(f"steady drift-diffusion solve failed: {result}")
+    return result
 
 
 def step_dd(mesh: Mesh, dd: DdData, scheme: BScheme, state_prev: DdState,

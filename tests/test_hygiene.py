@@ -1,5 +1,6 @@
-"""Source checks that need no run: every module-level import is used, and
-every module-level private function or class is referenced in the package."""
+"""Source checks that need no run: every module-level import is used, every
+module-level private function or class is referenced in the package, and
+every field of its records is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,47 @@ def test_private_definition_check_flags_a_stranded_helper():
                                           "class _Stranded:\n    pass\n",
                                   "b.py": "from a import _used\n_used()\n"}) == \
         ["a.py: _Stranded"]
+
+
+READERS = sorted([*Path(__file__).parent.glob("*.py"),
+                  *(Path(__file__).parent.parent / "bench").glob("*.py")])
+
+
+def _is_record(node: ast.stmt) -> bool:
+    """A class decorated with ``dataclass`` (called or not) or derived from
+    ``NamedTuple``."""
+    if not isinstance(node, ast.ClassDef):
+        return False
+    names = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(n, ast.Name) and n.id == "dataclass" for n in names) or \
+        any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
+def _unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of the package's dataclasses and NamedTuples that neither the
+    package nor any of ``readers`` reads as an attribute."""
+    read = {node.attr for source in [*package.values(), *readers]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{name}: {node.name}.{item.target.id}"
+            for name, source in package.items() for node in ast.parse(source).body
+            if _is_record(node) for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+
+
+def test_dataclass_fields_are_read():
+    assert _unread_fields({p.name: p.read_text() for p in MODULES},
+                          [p.read_text() for p in READERS]) == []
+
+
+def test_unread_field_check_flags_a_stranded_field():
+    package = {"a.py": "from dataclasses import dataclass\n"
+                       "from typing import NamedTuple\n\n"
+                       "@dataclass(frozen=True)\nclass A:\n    used: int\n    kept: int\n"
+                       "    written: int\n\n"
+                       "class B(NamedTuple):\n    x: float\n    y: float\n\n"
+                       "class Plain:\n    z: int\n"}
+    readers = ["def f(a, b):\n    a.written = b.x\n    return a.used\n",
+               "print(some.kept)\n"]
+    assert _unread_fields(package, readers) == ["a.py: A.written", "a.py: B.y"]

@@ -92,7 +92,7 @@ def test_m_matrix_flags_column_without_chain():
 
 def test_newton_linear_one_iteration():
     target = np.array([3.0, -1.0])
-    result = newton_solve(lambda x: (x - target, sp.identity(2, format="csr")),
+    result = newton_solve(lambda x, jacobian: (x - target, sp.identity(2, format="csr")),
                           np.zeros(2))
     assert not isinstance(result, NonConvergence)
     x, iters = result
@@ -113,7 +113,7 @@ def _bisection_root(fn, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
-def _cubic(x):
+def _cubic(x, jacobian):
     return x ** 3 - 8.0, sp.csr_matrix([[3.0 * x[0] ** 2]])
 
 
@@ -134,14 +134,14 @@ def test_newton_budget_exhaustion_returns_nonconvergence(monkeypatch):
 
 
 def test_newton_zero_residual_start():
-    result = newton_solve(lambda x: (x - 2.0, sp.identity(1, format="csr")),
+    result = newton_solve(lambda x, jacobian: (x - 2.0, sp.identity(1, format="csr")),
                           np.array([2.0]))
     x, iters = result
     assert iters == 0
 
 
 def test_newton_singular_jacobian_is_nonconvergence():
-    result = newton_solve(lambda x: (x ** 2, sp.csr_matrix([[0.0]])),
+    result = newton_solve(lambda x, jacobian: (x ** 2, sp.csr_matrix([[0.0]])),
                           np.array([1.0]))
     assert isinstance(result, NonConvergence)
     assert "singular" in result.reason
@@ -151,6 +151,15 @@ def _store_cubic(x, jacobian=True):
     # residual NaN for negative x, to exercise a reused step that lands there
     r = np.where(x < 0, np.nan, x ** 3 - 8.0)
     return r, (sp.csr_matrix([[3.0 * x[0] ** 2]]) if jacobian else None)
+
+
+def test_newton_without_store_takes_simplified_steps(monkeypatch):
+    """Without a store Newton keeps its own: a system that returns no
+    Jacobian on request gets simplified steps on the factors made so far."""
+    calls = _count_splu(monkeypatch)
+    x, iterations = newton_solve(_store_cubic, np.array([3.0]))
+    assert x[0] == pytest.approx(2.0, abs=1e-11)
+    assert 1 <= len(calls) < iterations
 
 
 def test_newton_store_refactors_after_bad_reused_steps():

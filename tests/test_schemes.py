@@ -13,7 +13,7 @@ from entrofv.schemes import (CENTERED, SCHARFETTER_GUMMEL, SCHEMES, UPWIND,
                              assemble_pme_residual, assemble_poisson,
                              b_coefficients, discretize_coefficients,
                              edge_differences, edge_fluxes, edge_steady_weight,
-                             neighbor_values, peclet_guard,
+                             laplacian, neighbor_values, peclet_guard,
                              poisson_dirichlet_rhs, transport_data)
 
 ALL_SCHEMES = sorted(SCHEMES.items())
@@ -951,13 +951,15 @@ def test_transient_dd_jacobian_is_steady_plus_time_terms(mesh_name, request, rng
 
 def test_single_cell_shifted_matrices_keep_their_diagonal(single_cell_mesh):
     """On a cell whose edges are all no-flux, the two-point pattern holds a
-    zero on the diagonal, which the time term of a step fills."""
+    zero on the diagonal, which the time term of a step fills.  Though no
+    entry is emitted, the operators hold floats."""
     from entrofv.solvers import FpStepper
     mesh = single_cell_mesh
     no_data = np.full(mesh.n_edges, np.nan)
     data = transport_data(mesh, np.ones(mesh.n_edges), np.zeros(mesh.n_edges), no_data)
     m_op, b = assemble_fp_operator(mesh, data, UPWIND)
     assert m_op.nnz == 1 and m_op.toarray() == 0.0
+    assert m_op.dtype == laplacian(mesh).dtype == np.float64
     stepper = FpStepper(mesh, m_op, b)
     np.testing.assert_array_equal(stepper.step(np.array([2.0]), 0.5), [2.0])
     np.testing.assert_array_equal(stepper.factors.jac.toarray(), [[2.0]])

@@ -251,7 +251,7 @@ def test_step_pme_linear_limit_matches_step_fp(two_cell_mesh):
         rows, colids = np.nonzero(dense)
         return sp.coo_matrix((dense[rows, colids], (rows, colids)), shape=(2, 2)).tocsr()
 
-    got = newton_solve(lambda f: (residual(f), jacobian(f)), f_prev)[0]
+    got = newton_solve(lambda f, **_: (residual(f), jacobian(f)), f_prev)[0]
     stepper = FpStepper(mesh, *assemble_fp_operator(mesh, data, SCHARFETTER_GUMMEL))
     expected = stepper.step(f_prev, dt)
     np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -461,6 +461,13 @@ def _count_factorizations(monkeypatch):
     return seen
 
 
+def _full_newton(monkeypatch):
+    """Make every Newton iterate a full step that factors its own Jacobian:
+    a store that keeps no factors leaves nothing to reuse or refine on."""
+    monkeypatch.setattr(linalg.FactorStore, "solve",
+                        lambda self, a, b: linalg.solve_linear(a, b))
+
+
 def test_dd_factor_reuse_matches_full_newton(monkeypatch):
     prob = pn_problem(1)
     cfg = StepperConfig(t_final=1.0, dt0=1e-2)
@@ -469,7 +476,7 @@ def test_dd_factor_reuse_matches_full_newton(monkeypatch):
     reused_count = len(factors)
 
     del factors[:]
-    monkeypatch.setattr(solvers, "FactorStore", lambda: None)
+    _full_newton(monkeypatch)
     full = run_transient(prob, SCHARFETTER_GUMMEL, cfg)
     assert len(reused.trace) == len(full.trace) > 20
     for name in full.trace.columns:
@@ -501,7 +508,7 @@ def test_pme_refined_newton_matches_full_newton(monkeypatch):
     refined_counts = (len(factors), list(iterations))
 
     del factors[:], iterations[:]
-    monkeypatch.setattr(solvers, "FactorStore", lambda: None)
+    _full_newton(monkeypatch)
     full = run_transient(sweep_problem(1, m=2.0, m_dirichlet=1.0), SCHARFETTER_GUMMEL, cfg)
     assert refined_counts[1] == iterations and len(iterations) > 40
     for name in full.trace.columns:
@@ -600,6 +607,23 @@ def test_dd_steady_with_bias_converges():
         assert np.all(state.n > 0) and np.all(state.p > 0)
 
 
+def test_failed_steady_dd_newton_raises_after_one_call(monkeypatch, tmp_path):
+    """A steady solve that Newton cannot finish fails at once, with Newton's
+    reason; no second attempt at other boundary data follows."""
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 1)
+    newton = _count_calls(monkeypatch, "newton_solve")
+    prob = pn_problem(0, bias=2.5)
+    with pytest.raises(SolverError) as err:
+        solve_dd_steady(prob.mesh, prob.dd, SCHARFETTER_GUMMEL)
+    assert len(newton) == 1 and isinstance(newton[0], NonConvergence)
+    assert str(err.value) == f"steady drift-diffusion solve failed: {newton[0]}"
+    assert "bias fraction" not in str(err.value)
+
+    assert run(RunConfig(preset="dd-bias", level=0, out=str(tmp_path))) == 1
+    assert (tmp_path / "error.txt").read_text() == f"{err.value}\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # adaptive driver
 
@@ -632,8 +656,7 @@ def test_adaptive_loop_times_are_rounded_sums_of_the_steps():
         def try_step(state, dt):
             attempts.append(dt)
             if len(attempts) % 7 == 3:  # some rejections, so steps vary
-                return NonConvergence(iterations=1, residual_norm=1.0,
-                                      last_iterate=np.zeros(1))
+                return NonConvergence(iterations=1, residual_norm=1.0)
             return state
 
         def record(t, dt, state):
@@ -654,8 +677,7 @@ def test_adaptive_loop_halves_once_on_failure():
     def try_step(state, dt):
         attempts.append(dt)
         if len(attempts) == 1:
-            return NonConvergence(iterations=1, residual_norm=1.0,
-                                  last_iterate=np.zeros(1))
+            return NonConvergence(iterations=1, residual_norm=1.0)
         return state
 
     accepted = []
@@ -676,8 +698,7 @@ def test_adaptive_loop_aborts_below_dt_min():
     cfg = StepperConfig(t_final=1.0, dt0=1e-3, dt_min=2.5e-4)
 
     def always_fail(state, dt):
-        return NonConvergence(iterations=1, residual_norm=1.0,
-                              last_iterate=np.zeros(1))
+        return NonConvergence(iterations=1, residual_norm=1.0)
 
     state, t, abort = adaptive_time_loop(0.0, cfg, always_fail,
                                          lambda t, dt, s: {"t": t, "dt": dt})
