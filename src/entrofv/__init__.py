@@ -2,8 +2,8 @@
 convection-diffusion problems, with entropy-decay diagnostics."""
 
 from .mesh import (BoundarySpec, Mesh, Segment, AdmissibilityReport,
-                   MeshError, MeshFormatError, UnsupportedGeometryError,
-                   load_mesh, reference_mesh, refine, save_mesh, validate,
+                   MeshError, MeshFormatError,
+                   load_mesh, reference_mesh, save_mesh, validate,
                    LEFT, RIGHT, TOP, BOTTOM, INTERIOR, DIRICHLET, NEUMANN)
 from .linalg import (FactorStore, NonConvergence,
                      LinAlgError, SingularMatrixError,

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .mesh import (BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, MeshError, Segment,
@@ -89,8 +88,7 @@ def _config_from_target(target: str, args) -> RunConfig:
             values[key] = flag
     if getattr(args, "force_peclet", False):
         values["force_peclet"] = True
-    known = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in values.items() if k in known})
+    return RunConfig(**values)
 
 
 def _levels_arg(text: str) -> list[int]:
@@ -100,16 +98,15 @@ def _levels_arg(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _mesh_source(args, refinements: int = 0):
-    """The ``--level`` reference mesh refined ``refinements`` times, built as
-    that finer level of the family, or else the FILE that ``check`` takes."""
+def _mesh_source(args):
+    """The ``--level`` reference mesh, or else the FILE that ``check`` takes."""
     if args.level is not None:
         if args.level < 0:
             raise UsageError("--level must be non-negative")
-        return reference_mesh(args.level + refinements, BOUNDARY_NAMES[args.boundary])
+        return reference_mesh(args.level, BOUNDARY_NAMES[args.boundary])
     if getattr(args, "file", None) is not None:
         return load_mesh(Path(args.file).read_text())
-    raise UsageError("gen and refine need --level; check needs --level or a mesh file")
+    raise UsageError("gen needs --level; check needs --level or a mesh file")
 
 
 def _write_mesh(args, mesh) -> int:
@@ -152,8 +149,7 @@ def main(argv=None) -> int:
     p_mesh = sub.add_parser("mesh", help="mesh utilities")
     mesh_sub = p_mesh.add_subparsers(dest="mesh_command")
     for name, help_text in (("gen", "generate a reference mesh"),
-                            ("check", "validate admissibility"),
-                            ("refine", "refine a generated mesh")):
+                            ("check", "validate admissibility")):
         p = mesh_sub.add_parser(name, help=help_text)
         if name == "check":
             p.add_argument("file", nargs="?", help="TPFA graph file")
@@ -189,9 +185,7 @@ def main(argv=None) -> int:
                 report = validate(_mesh_source(args))
                 print(report)
                 return 0 if report.ok else 1
-            if args.mesh_command == "refine":
-                return _write_mesh(args, _mesh_source(args, refinements=1))
-            raise UsageError("mesh needs a subcommand: gen, check or refine")
+            raise UsageError("mesh needs a subcommand: gen or check")
 
         parser.print_help()
         return 2

@@ -79,7 +79,7 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
                 known.setdefault("perm", lu.perm_c.copy())
             return lu
         perm = known["perm"]
-        if "permuted" not in known:  # threads that race store equal values
+        if "permuted" not in known:  # the pattern's second factorization
             # column j of the permuted matrix is column order[j] of a, with
             # its slots in stored order: no sort.  Like a pattern's template,
             # it holds one byte a value, as every factorization brings its own

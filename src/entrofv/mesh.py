@@ -4,9 +4,9 @@ A mesh is stored as its TPFA graph: cell measures and centers, edge measures,
 center distances, cell/edge incidences and boundary tags.  The reference
 family is a fixed 56-triangle tiling of the unit square whose cell centers
 are circumcenters, so the center-to-center segment of every interior edge is
-orthogonal to the edge by construction.  Refinement tiles four half-scale
-copies of the mesh, which preserves all similarity ratios and therefore the
-regularity constant.
+orthogonal to the edge by construction.  Each level tiles four half-scale
+copies of the level below, which preserves all similarity ratios and
+therefore the regularity constant.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class MeshFormatError(MeshError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class UnsupportedGeometryError(MeshError):
-    """Operation requires the generated unit-square family."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,6 @@ class MeshGeometry:
     """Vertex-level payload kept for generated meshes (lost on serialization)."""
 
     vertices: np.ndarray          # (V, 2)
-    triangles: np.ndarray         # (T, 3) vertex indices, counter-clockwise
     edge_vertices: np.ndarray     # (E, 2) vertex indices
     edge_midpoint: np.ndarray     # (E, 2)
     cell_centroid: np.ndarray     # (T, 2) mass centers, used for data sampling
@@ -154,8 +149,8 @@ class Mesh:
 
     def derived(self, key, build):
         """Value that depends on this mesh alone, made by ``build(self)`` at
-        its first use and kept with the mesh.  Threads that race on a first
-        use may each build it, but all of them get the one value stored first."""
+        the first use of ``key`` and kept with the mesh: every later use of
+        ``key`` gets that same object."""
         try:
             return self._derived[key]
         except KeyError:
@@ -324,9 +319,9 @@ def build_from_triangulation(vertices: np.ndarray, triangles: np.ndarray,
         raise MeshError("a cell center falls on the wrong side of an edge")
 
     xi = float(np.nanmin(edge_dcell / edge_d[:, None]))
-    geometry = MeshGeometry(vertices=vertices, triangles=triangles,
-                            edge_vertices=edge_vertices, edge_midpoint=midpoint,
-                            cell_centroid=centroids, boundary=boundary)
+    geometry = MeshGeometry(vertices=vertices, edge_vertices=edge_vertices,
+                            edge_midpoint=midpoint, cell_centroid=centroids,
+                            boundary=boundary)
     return Mesh(cell_area=areas, cell_center=centers, edge_length=edge_length,
                 edge_d=edge_d, edge_cells=edge_cells, edge_dcell=edge_dcell,
                 edge_tag=edge_tag, xi=xi, domain_measure=1.0, geometry=geometry)
@@ -369,27 +364,6 @@ def _refine_triangulation(vertices: np.ndarray, triangles: np.ndarray):
     return copies[first[order]], remap[:, triangles].reshape(-1, 3)
 
 
-def refine(mesh: Mesh) -> Mesh:
-    """One refinement: tile four half-scale copies into the unit square.
-    Like :func:`reference_mesh`, it refuses more cells than level
-    :data:`MAX_REFERENCE_LEVEL` has."""
-    geo = mesh.geometry
-    if geo is None:
-        raise UnsupportedGeometryError(
-            "refinement needs vertex geometry; meshes loaded from the TPFA "
-            "graph format carry none")
-    verts = geo.vertices
-    if (verts.min() < -1e-12 or verts.max() > 1 + 1e-12
-            or abs(mesh.domain_measure - 1.0) > 1e-9):
-        raise UnsupportedGeometryError("refinement is defined for the unit-square family only")
-    cells = 4 * mesh.n_cells
-    if cells > 56 * 4 ** MAX_REFERENCE_LEVEL:
-        raise MeshError(f"refusing to refine beyond level {MAX_REFERENCE_LEVEL}: "
-                        f"{cells} cells would exhaust memory")
-    return build_from_triangulation(*_refine_triangulation(verts, geo.triangles),
-                                    geo.boundary)
-
-
 def validate(mesh: Mesh) -> AdmissibilityReport:
     """Check the admissibility hypotheses; violations are report content."""
     bad: list[Violation] = []
@@ -409,11 +383,6 @@ def validate(mesh: Mesh) -> AdmissibilityReport:
         if np.any(arr <= 0):
             bad.append(Violation("measure", f"non-positive {name}",
                                  tuple(np.nonzero(arr <= 0)[0])))
-
-    # transmissibility consistency
-    tau = mesh.edge_length / mesh.edge_d
-    if np.any(np.abs(mesh.tau - tau) > MEASURE_RTOL * np.abs(tau)):
-        bad.append(Violation("measure", "tau inconsistent with m(edge)/d(edge)"))
 
     # H1: at least one Dirichlet edge of positive measure
     if not np.any(mesh.dirichlet & (mesh.edge_length > 0)):

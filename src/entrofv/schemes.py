@@ -256,45 +256,34 @@ def advection_from_potential(mesh: Mesh, phi_cells: np.ndarray,
     return dphi / mesh.edge_d
 
 
-def discretize_coefficients(mesh: Mesh, a, f_dirichlet,
+def discretize_coefficients(mesh: Mesh, a, f_dirichlet: np.ndarray,
                             u_first: Optional[np.ndarray] = None) -> TransportData:
-    """Build TransportData from cellwise or edgewise diffusion samples.
+    """Build TransportData from cellwise or constant diffusion samples and
+    per-edge Dirichlet means.
 
     Cellwise diffusion is averaged harmonically onto interior edges (the
     distance-weighted formula that keeps fluxes consistent across aligned
     discontinuities) and copied from the incident cell on exterior edges.
-    ``f_dirichlet`` may be a per-edge array of means or a callable sampled at
-    edge midpoints (exact for data constant along each edge).
     """
     a = np.asarray(a, dtype=float) if not np.isscalar(a) else np.full(mesh.n_cells, float(a))
     if np.any(a <= 0):
         raise DataError("diffusion samples must be positive")
-    if a.shape == (mesh.n_cells,):
-        c0 = mesh.edge_cells[:, 0]
-        c1 = mesh.edge_cells[:, 1]
-        a_edge = a[c0].copy()
-        inter = mesh.interior
-        ak, al = a[c0[inter]], a[c1[inter]]
-        dk = mesh.edge_dcell[inter, 0]
-        dl = mesh.edge_dcell[inter, 1]
-        a_edge[inter] = mesh.edge_d[inter] * ak * al / (dl * ak + dk * al)
-    elif a.shape == (mesh.n_edges,):
-        a_edge = a
-    else:
-        raise DataError(f"diffusion shape {a.shape} matches neither cells nor edges")
+    if a.shape != (mesh.n_cells,):
+        raise DataError(f"diffusion shape {a.shape} does not match the cells")
+    c0 = mesh.edge_cells[:, 0]
+    c1 = mesh.edge_cells[:, 1]
+    a_edge = a[c0].copy()
+    inter = mesh.interior
+    ak, al = a[c0[inter]], a[c1[inter]]
+    dk = mesh.edge_dcell[inter, 0]
+    dl = mesh.edge_dcell[inter, 1]
+    a_edge[inter] = mesh.edge_d[inter] * ak * al / (dl * ak + dk * al)
 
+    f_dirichlet = np.asarray(f_dirichlet, dtype=float)
+    if f_dirichlet.shape != (mesh.n_edges,):
+        raise DataError("per-edge Dirichlet values must have one entry per edge")
     fd = np.full(mesh.n_edges, np.nan)
-    if callable(f_dirichlet):
-        if mesh.geometry is None:
-            raise DataError("sampling boundary functions needs mesh geometry")
-        dmask = mesh.dirichlet
-        mids = mesh.geometry.edge_midpoint[dmask]
-        fd[dmask] = [float(f_dirichlet(m)) for m in mids]
-    else:
-        f_dirichlet = np.asarray(f_dirichlet, dtype=float)
-        if f_dirichlet.shape != (mesh.n_edges,):
-            raise DataError("per-edge Dirichlet values must have one entry per edge")
-        fd[mesh.dirichlet] = f_dirichlet[mesh.dirichlet]
+    fd[mesh.dirichlet] = f_dirichlet[mesh.dirichlet]
 
     if u_first is None:
         u_first = np.zeros(mesh.n_edges)

@@ -3,13 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from entrofv import mesh as mesh_module
 from entrofv.cli import BOUNDARY_NAMES
 from entrofv.mesh import (DIRICHLET, INTERIOR, NEUMANN, BOTTOM, LEFT, RIGHT, TOP,
                           BoundarySpec, Mesh, MeshError, MeshFormatError,
-                          Segment, UnsupportedGeometryError, Violation,
-                          build_from_triangulation, load_mesh, reference_mesh,
-                          refine, save_mesh, validate)
+                          Segment, Violation, build_from_triangulation,
+                          load_mesh, reference_mesh, save_mesh, validate)
 
 
 # sha256 of save_mesh(reference_mesh(level, BOUNDARY_NAMES[name])) for levels
@@ -67,49 +65,21 @@ def test_reference_level_guard(toy_boundary):
         reference_mesh(-1, toy_boundary)
 
 
-def test_refine_matches_reference(toy_boundary, mesh0):
-    m = mesh0
-    for _ in range(2):
-        m = refine(m)
-    ref = reference_mesh(2, toy_boundary)
-    assert m.n_cells == ref.n_cells == 896
-    np.testing.assert_allclose(m.cell_area, ref.cell_area, rtol=1e-12)
-    np.testing.assert_allclose(m.cell_center, ref.cell_center, atol=1e-12)
-    np.testing.assert_array_equal(m.edge_cells, ref.edge_cells)
-    np.testing.assert_array_equal(m.edge_tag, ref.edge_tag)
-    np.testing.assert_allclose(m.edge_d, ref.edge_d, rtol=1e-12)
-
-
-def test_refine_preserves_shape_constants(mesh0):
-    fine = refine(mesh0)
-    assert fine.n_cells == 4 * mesh0.n_cells
-    assert fine.xi == pytest.approx(mesh0.xi, rel=1e-12)
-    assert fine.cell_area.sum() == pytest.approx(1.0, abs=1e-12)
+def test_reference_levels_keep_shape_constants(mesh0, mesh1):
+    assert mesh1.n_cells == 4 * mesh0.n_cells
+    assert mesh1.xi == pytest.approx(mesh0.xi, rel=1e-12)
+    assert mesh1.cell_area.sum() == pytest.approx(1.0, abs=1e-12)
     # largest diameter halves: max edge length is a proxy on this family
-    assert fine.edge_length.max() == pytest.approx(mesh0.edge_length.max() / 2, rel=1e-12)
+    assert mesh1.edge_length.max() == pytest.approx(mesh0.edge_length.max() / 2, rel=1e-12)
 
 
-def test_refine_preserves_boundary_tags(toy_boundary):
+def test_reference_mesh_tags_boundary_segments(toy_boundary):
     mesh = reference_mesh(1, toy_boundary)
     mids = mesh.geometry.edge_midpoint
     on_left = np.abs(mids[:, 0]) < 1e-12
     assert np.all(mesh.edge_tag[on_left] == DIRICHLET)
     on_top = np.abs(mids[:, 1] - 1.0) < 1e-12
     assert np.all(mesh.edge_tag[on_top] == NEUMANN)
-
-
-def test_refine_needs_geometry(mesh0):
-    loaded = load_mesh(save_mesh(mesh0))
-    with pytest.raises(UnsupportedGeometryError):
-        refine(loaded)
-
-
-def test_refine_keeps_the_level_bound(mesh0, monkeypatch):
-    monkeypatch.setattr(mesh_module, "MAX_REFERENCE_LEVEL", 0)
-    with pytest.raises(MeshError, match="224 cells would exhaust memory"):
-        refine(mesh0)
-    monkeypatch.setattr(mesh_module, "MAX_REFERENCE_LEVEL", 1)
-    assert refine(mesh0).n_cells == 224
 
 
 def test_validate_reference_meshes_admissible(mesh0, mesh1):

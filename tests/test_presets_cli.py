@@ -2,15 +2,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entrofv
-from entrofv.cli import BOUNDARY_NAMES, main, parse_config_text
+from entrofv.cli import _CONFIG_KEYS, BOUNDARY_NAMES, main, parse_config_text
 from entrofv import mesh as mesh_module
-from entrofv.mesh import load_mesh, reference_mesh, refine, save_mesh, validate
+from entrofv.mesh import reference_mesh, save_mesh, validate
 from entrofv.presets import (RunConfig, UsageError, _write_steady, build_problem,
                              convergence_study, fill_problem, hetero_problem,
                              pn_problem, presets, run, toy_problem)
@@ -223,6 +224,10 @@ def test_parse_config_text_sections():
         parse_config_text("text without equals")
 
 
+def test_config_keys_are_the_run_config_fields():
+    assert set(_CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
+
+
 def test_cli_run_config_file(tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text("preset = fp-toy\nlevel = 0\nt_final = 0.03\n"
@@ -238,38 +243,31 @@ def test_cli_exit_codes(tmp_path):
     assert main(["mesh", "gen", "--level", "0",
                  "--out", str(tmp_path / "m.tpfa")]) == 0
     assert main(["mesh", "check", str(tmp_path / "m.tpfa")]) == 0
-    assert main(["mesh", "refine", str(tmp_path / "m.tpfa"),
-                 "--out", str(tmp_path / "m1.tpfa")]) == 2  # refine takes no FILE
     assert main(["mesh", "gen", str(tmp_path / "m.tpfa"), "--level", "0"]) == 2
-    assert main(["mesh", "refine", "--level", "0",
-                 "--out", str(tmp_path / "m1.tpfa")]) == 0
-    mesh = load_mesh((tmp_path / "m1.tpfa").read_text())
-    assert mesh.n_cells == 224
+    assert main(["mesh", "refine", "--level", "0"]) == 2  # no such subcommand
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_NAMES))
-def test_cli_mesh_refine_writes_the_refined_mesh(tmp_path, name):
-    """``mesh refine --level L`` builds level L + 1 directly; its text is
-    that of refining the level-L mesh."""
+def test_cli_mesh_gen_writes_the_reference_mesh(tmp_path, name):
     for level in range(3):
         out = tmp_path / f"{name}-{level}.tpfa"
-        assert main(["mesh", "refine", "--level", str(level), "--boundary", name,
+        assert main(["mesh", "gen", "--level", str(level), "--boundary", name,
                      "--out", str(out)]) == 0
-        coarse = reference_mesh(level, BOUNDARY_NAMES[name])
-        assert out.read_text() == save_mesh(refine(coarse)), level
+        mesh = reference_mesh(level, BOUNDARY_NAMES[name])
+        assert out.read_text() == save_mesh(mesh), level
 
 
-def test_cli_mesh_refine_refuses_before_building(monkeypatch, capsys):
+def test_cli_mesh_gen_refuses_before_building(monkeypatch, capsys):
     built = []
     monkeypatch.setattr(mesh_module, "MAX_REFERENCE_LEVEL", 1)
     monkeypatch.setattr(mesh_module, "build_from_triangulation",
                         lambda *args: built.append(args))
-    assert main(["mesh", "refine", "--level", "1"]) == 1
+    assert main(["mesh", "gen", "--level", "2"]) == 1
     assert "refusing level 2 > 1" in capsys.readouterr().err
     assert built == []
 
 
-@pytest.mark.parametrize("command", ["gen", "refine", "check"])
+@pytest.mark.parametrize("command", ["gen", "check"])
 def test_cli_mesh_negative_level_is_usage_error(capsys, command):
     assert main(["mesh", command, "--level", "-1"]) == 2
     assert "--level must be non-negative" in capsys.readouterr().err
