@@ -94,6 +94,13 @@ class BoundarySpec:
         return np.where(in_d, DIRICHLET, NEUMANN).astype(np.uint8)
 
 
+def _freeze(values) -> None:
+    """Make the arrays among ``values`` read-only: runs on one mesh share them."""
+    for arr in values:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class MeshGeometry:
     """Vertex-level payload kept for generated meshes (lost on serialization)."""
@@ -135,9 +142,7 @@ class Mesh:
         for name, tag in (("interior", INTERIOR), ("dirichlet", DIRICHLET),
                           ("neumann", NEUMANN)):
             object.__setattr__(self, name, self.edge_tag == tag)
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
+        _freeze([*vars(self).values(), *(vars(self.geometry).values() if self.geometry else ())])
 
     @property
     def n_cells(self) -> int:
@@ -149,12 +154,15 @@ class Mesh:
 
     def derived(self, key, build):
         """Value that depends on this mesh alone, made by ``build(self)`` at
-        the first use of ``key`` and kept with the mesh: every later use of
-        ``key`` gets that same object."""
+        the first use of ``key`` and kept with the mesh, arrays and sparse
+        values read-only: every later use of ``key`` gets that same object."""
         try:
             return self._derived[key]
         except KeyError:
-            return self._derived.setdefault(key, build(self))
+            value = build(self)
+            parts = value if isinstance(value, tuple) else (value,)
+            _freeze(part.data if sp.issparse(part) else part for part in parts)
+            return self._derived.setdefault(key, value)
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,12 @@ def fill_problem(level: int, m: float = 4.0) -> PmeProblem:
                       f0=np.zeros(mesh.n_cells))
 
 
-def sweep_problem(level: int, m: float, m_dirichlet: float) -> PmeProblem:
-    """Constant Dirichlet data on the whole boundary, empty initial state."""
-    mesh = reference_mesh(level, BoundarySpec.all_dirichlet())
+def sweep_problem(level: int, m: float, m_dirichlet: float,
+                  mesh: Optional[Mesh] = None) -> PmeProblem:
+    """Constant Dirichlet data on the whole boundary, empty initial state;
+    ``mesh``, if given, must be the level's all-Dirichlet reference mesh."""
+    if mesh is None:
+        mesh = reference_mesh(level, BoundarySpec.all_dirichlet())
     f_dir = np.where(mesh.dirichlet, m_dirichlet, np.nan)
     return PmeProblem(mesh=mesh, m=m, f_dirichlet=f_dir,
                       f0=np.zeros(mesh.n_cells))
@@ -274,6 +277,8 @@ def _run_into(out: Path, problem, scheme: BScheme,
     """Run one transient and write its trace.csv and steady.txt under
     ``out``, or error.txt on a solver failure (then None is returned)."""
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("trace.csv", "steady.txt", "error.txt"):  # none outlives a rerun
+        (out / name).unlink(missing_ok=True)
     try:
         result = run_transient(problem, scheme, stepper)
     except (SolverError, AssemblyError, DataError, LinAlgError) as err:
@@ -330,12 +335,14 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
     preset = presets()["pme-sweep"]
     level = _or(cfg.level, preset.level)
     stepper = _stepper(preset, cfg)
+    mesh = None  # built by the first point's sweep_problem, shared by the rest
 
     def one(point) -> Optional[str]:
+        nonlocal mesh
         m, md = point
-        result = _run_into(out / f"m{m:g}-md{md:g}",
-                           sweep_problem(level, m=m, m_dirichlet=md), SCHEMES["sg"],
-                           stepper)
+        problem = sweep_problem(level, m=m, m_dirichlet=md, mesh=mesh)
+        mesh = problem.mesh
+        result = _run_into(out / f"m{m:g}-md{md:g}", problem, SCHEMES["sg"], stepper)
         if result is None or result.abort_reason is not None:
             return None
         try:

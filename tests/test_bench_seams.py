@@ -2,8 +2,9 @@
 
 ``bench/child.py`` wraps module attributes of the package (problem set-up,
 ``run_transient``, trace records, assembly, factorization); a refactor that
-moves a call off one of those names silently zeroes a metric.  Each case runs
-one repetition of the child in a fresh interpreter, traced, on a small run.
+moves a call off one of those names silently zeroes a metric.  The child
+cases run one repetition in a fresh interpreter, traced, on a small run; the
+sweep case checks in process that set-up work stays inside the timed calls.
 """
 
 import json
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import entrofv
+from entrofv import presets
+from entrofv.presets import RunConfig, run
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "bench" / "child.py"
@@ -50,3 +53,26 @@ def test_bench_child_times_every_seam(tmp_path, config, transients):
     assert short["transients"] == transients
     assert short["step_s"] == []
     assert short["setup_s"] > 0 and short["steady_s"] > 0
+
+
+def test_sweep_builds_its_mesh_inside_the_first_set_up(tmp_path, monkeypatch):
+    """The child counts the ``sweep_problem`` calls as set-up time, so the
+    sweep's one mesh build must run while the first of them is open."""
+    events = []
+    build, sweep = presets.reference_mesh, presets.sweep_problem
+
+    def building(*args, **kwargs):
+        events.append("build")
+        return build(*args, **kwargs)
+
+    def sweeping(*args, **kwargs):
+        events.append("enter")
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            events.append("exit")
+
+    monkeypatch.setattr(presets, "reference_mesh", building)
+    monkeypatch.setattr(presets, "sweep_problem", sweeping)
+    assert run(RunConfig(preset="pme-sweep", level=0, t_final=0.05, out=str(tmp_path))) == 0
+    assert events == ["enter", "build", "exit"] + ["enter", "exit"] * 4

@@ -2,12 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from entrofv.cli import BOUNDARY_NAMES
 from entrofv.mesh import (DIRICHLET, INTERIOR, NEUMANN, BOTTOM, LEFT, RIGHT, TOP,
                           BoundarySpec, Mesh, MeshError, MeshFormatError,
                           Segment, Violation, build_from_triangulation,
                           load_mesh, reference_mesh, save_mesh, validate)
+from entrofv.linalg import factorize, solve_linear
+from entrofv.schemes import assemble_pme_residual, cell_sums, laplacian
 
 
 # sha256 of save_mesh(reference_mesh(level, BOUNDARY_NAMES[name])) for levels
@@ -85,6 +88,33 @@ def test_reference_mesh_tags_boundary_segments(toy_boundary):
 def test_validate_reference_meshes_admissible(mesh0, mesh1):
     assert validate(mesh0).ok
     assert validate(mesh1).ok
+
+
+def test_shared_mesh_arrays_are_read_only():
+    """Every run on a mesh shares its geometry and what it caches, so a write
+    into them raises at once instead of corrupting the next run; SuperLU
+    still factors the read-only Laplacian on both factorization paths."""
+    mesh = reference_mesh(1, BoundarySpec.all_dirichlet())
+    f = np.linspace(0.5, 1.5, mesh.n_cells)
+    assemble_pme_residual(mesh, f, f, 2.0, 1e-2, np.where(mesh.dirichlet, 1.0, np.nan))
+    cell_sums(mesh, np.ones(mesh.n_edges))
+    lap = laplacian(mesh)
+    solves = [solve_linear(lap, f, factorize(lap)) for _ in range(2)]
+    np.testing.assert_array_equal(solves[0], solves[1])
+
+    cached = mesh._derived
+    assert {"laplacian", "laplacian_columns", "neighbor_index", "incidences"} <= set(cached)
+    arrays = [a for a in vars(mesh.geometry).values() if isinstance(a, np.ndarray)]
+    for value in cached.values():
+        for part in value if isinstance(value, tuple) else (value,):
+            if sp.issparse(part):
+                arrays.append(part.data)
+            elif isinstance(part, np.ndarray):
+                arrays.append(part)
+    assert len(arrays) == 4 + 6  # the geometry's arrays, then the cached ones
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 def test_validate_flags_displaced_center(mesh0):

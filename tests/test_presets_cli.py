@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +157,18 @@ def test_failed_sweep_point_writes_error_and_exits_1(tmp_path):
     assert run(RunConfig(preset="pme-sweep", m=1.0, level=0, out=str(out))) == 1
     assert "exponent" in (out / "m1-md1" / "error.txt").read_text()
     assert (out / "rates.csv").read_text() == "m,m_dirichlet,rate\n"
+
+
+@pytest.mark.parametrize("fails_first", [False, True], ids=["ok-then-fail", "fail-then-ok"])
+def test_rerun_into_one_directory_leaves_only_its_own_files(tmp_path, fails_first):
+    """A rerun removes the trace.csv, steady.txt and error.txt of the run
+    before it, so an old trace never sits beside a new failure."""
+    ok = RunConfig(preset="dd-bias", level=0, t_final=0.05, out=str(tmp_path))
+    failing = replace(ok, debye=0.02)  # the steady Newton diverges
+    runs = [(failing, 1, {"error.txt"}), (ok, 0, {"trace.csv", "steady.txt"})]
+    for cfg, status, files in runs if fails_first else runs[::-1]:
+        assert run(cfg) == status
+        assert {p.name for p in tmp_path.iterdir()} == files
 
 
 def _fstring_steady(steady) -> str:

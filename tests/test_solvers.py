@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from entrofv import linalg, solvers
+from entrofv import linalg, presets, solvers
 from entrofv.entropy import lp_distance
 from entrofv.linalg import (FactorStore, LinAlgError, NonConvergence,
                             factorize, newton_solve)
@@ -832,6 +832,42 @@ def test_pme_run_orders_each_pattern_once(monkeypatch):
                            StepperConfig(t_final=0.05))
     assert result.abort_reason is None
     assert len(_ordered_patterns(calls)) == 1 and len(calls) >= 10
+
+
+def test_sweep_points_share_one_mesh_and_ordering(tmp_path, monkeypatch):
+    """A sweep builds its mesh once, in its first point, and hands it to the
+    others: its two-point pattern is ordered once for all five points, and
+    every point's outputs match that point run alone, bit for bit."""
+    built, meshes = [], []
+    build, sweep = presets.reference_mesh, presets.sweep_problem
+
+    def building(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def sweeping(*args, **kwargs):
+        problem = sweep(*args, **kwargs)
+        meshes.append(problem.mesh)
+        return problem
+
+    monkeypatch.setattr(presets, "reference_mesh", building)
+    monkeypatch.setattr(presets, "sweep_problem", sweeping)
+    calls = _record_splu(monkeypatch)
+    shared = RunConfig(preset="pme-sweep", level=1, t_final=0.2, out=str(tmp_path / "all"))
+    assert run(shared) == 0
+    assert len(built) == 1 and len(meshes) == 5
+    assert all(mesh is built[0] for mesh in meshes)
+    assert len(_ordered_patterns(calls)) == 1
+
+    points = sorted(p for p in (tmp_path / "all").iterdir() if p.is_dir())
+    assert len(points) == 5
+    for point in points:
+        m, md = (float(v) for v in point.name[1:].split("-md"))
+        alone = tmp_path / "alone" / point.name
+        assert run(replace(shared, m=m, m_dirichlet=md, out=str(alone.parent))) == 0
+        assert sorted(f.name for f in alone.iterdir()) == ["steady.txt", "trace.csv"]
+        for name in ("steady.txt", "trace.csv"):
+            assert (point / name).read_bytes() == (alone / name).read_bytes(), point.name
 
 
 def test_fp_run_assembles_and_orders_once(monkeypatch):
