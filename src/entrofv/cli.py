@@ -8,32 +8,23 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from .mesh import (BOTTOM, LEFT, RIGHT, TOP, BoundarySpec, MeshError, Segment,
-                   load_mesh, reference_mesh, save_mesh, validate)
-from .presets import RunConfig, UsageError, convergence_study, presets, run
+from .mesh import MeshError, load_mesh, reference_mesh, save_mesh, validate
+from .presets import (BOUNDARY_NAMES, RunConfig, UsageError, convergence_study,
+                      presets, run)
+from .schemes import SCHEMES
 
-BOUNDARY_NAMES = {
-    "all-dirichlet": BoundarySpec.all_dirichlet(),
-    "left-right": BoundarySpec(dirichlet=(LEFT, RIGHT), neumann=(BOTTOM, TOP)),
-    "top-bottom": BoundarySpec(dirichlet=(TOP, BOTTOM), neumann=(LEFT, RIGHT)),
-    "right": BoundarySpec(dirichlet=(RIGHT,), neumann=(LEFT, TOP, BOTTOM)),
-    "pn": BoundarySpec(dirichlet=(BOTTOM, Segment(1, 1.0, 0.0, 0.25)),
-                       neumann=(LEFT, RIGHT, Segment(1, 1.0, 0.25, 1.0))),
-}
-
-_CONFIG_KEYS = {
-    "preset": str, "scheme": str, "level": int, "dt": float, "t_final": float,
-    "entropy_floor": float, "out": str, "force_peclet": bool, "m": float,
-    "m_dirichlet": float, "debye": float, "bias": float, "doping": float,
-}
+#: Every ``RunConfig`` field with its value type, ``Optional`` unwrapped.
+_CONFIG_KEYS = {name: next((t for t in get_args(hint) if t is not type(None)), hint)
+                for name, hint in get_type_hints(RunConfig).items()}
 
 
-def parse_config_text(text: str, section: str | None = None) -> dict:
+def parse_config_text(text: str) -> dict:
     """Flat key=value format with '#' comments and optional [preset] sections.
 
     Top-level keys apply always; keys inside a [name] section apply only when
-    that preset is selected.
+    the top level selects that preset.
     """
     top: dict = {}
     sections: dict[str, dict] = {}
@@ -62,10 +53,8 @@ def parse_config_text(text: str, section: str | None = None) -> dict:
                 current[key] = kind(value)
         except ValueError as err:
             raise UsageError(f"config line {lineno}: {err}") from err
-    chosen = section if section is not None else top.get("preset")
     merged = dict(top)
-    if chosen and chosen in sections:
-        merged.update(sections[chosen])
+    merged.update(sections.get(top.get("preset"), {}))
     return merged
 
 
@@ -81,21 +70,23 @@ def _config_from_target(target: str, args) -> RunConfig:
         values.update(parse_config_text(path.read_text()))
         if "preset" not in values:
             raise UsageError(f"config file {target} does not select a preset")
-    for key in ("scheme", "level", "dt", "out", "bias", "m", "m_dirichlet",
-                "debye", "t_final", "entropy_floor"):
+    for key in _CONFIG_KEYS:  # an unset flag is None, or False for a switch
         flag = getattr(args, key, None)
-        if flag is not None:
+        if flag is not None and flag is not False:
             values[key] = flag
-    if getattr(args, "force_peclet", False):
-        values["force_peclet"] = True
     return RunConfig(**values)
 
 
 def _levels_arg(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+    """``LO..HI`` or a comma list of non-negative, strictly increasing levels."""
+    lo, dots, hi = text.partition("..")
+    try:
+        levels = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",")]
+    except ValueError as err:
+        raise UsageError(f"--levels {text!r}: {err}") from None
+    if not levels or levels[0] < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise UsageError(f"--levels {text!r}: need non-negative, strictly increasing levels")
+    return levels
 
 
 def _mesh_source(args):
@@ -105,7 +96,11 @@ def _mesh_source(args):
             raise UsageError("--level must be non-negative")
         return reference_mesh(args.level, BOUNDARY_NAMES[args.boundary])
     if getattr(args, "file", None) is not None:
-        return load_mesh(Path(args.file).read_text())
+        try:
+            text = Path(args.file).read_text()
+        except (OSError, UnicodeDecodeError) as err:
+            raise UsageError(f"cannot read mesh file {args.file!r}: {err}") from None
+        return load_mesh(text)
     raise UsageError("gen needs --level; check needs --level or a mesh file")
 
 
@@ -128,7 +123,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a preset or a config file")
     p_run.add_argument("target", help="preset name or config file path")
-    p_run.add_argument("--scheme", choices=("upwind", "centered", "sg"))
+    p_run.add_argument("--scheme", choices=sorted(SCHEMES))
     p_run.add_argument("--level", type=int)
     p_run.add_argument("--dt", type=float)
     p_run.add_argument("--t-final", dest="t_final", type=float)

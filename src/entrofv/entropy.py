@@ -28,15 +28,6 @@ class PhiFunction:
     d2: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
-    def boltzmann() -> "PhiFunction":
-        return PhiFunction(
-            name="phi1",
-            value=_boltzmann_value,
-            d1=lambda x: np.log(x),
-            d2=lambda x: 1.0 / np.asarray(x, dtype=float),
-        )
-
-    @staticmethod
     def power(p: float) -> "PhiFunction":
         if not 1.0 < p <= 2.0:
             raise DataError("power entropies are defined for exponents in (1, 2]")
@@ -95,7 +86,8 @@ def _power_bracket(x: np.ndarray, q: float) -> np.ndarray:
     return np.where(small, near, far)
 
 
-PHI1 = PhiFunction.boltzmann()
+PHI1 = PhiFunction(name="phi1", value=_boltzmann_value, d1=lambda x: np.log(x),
+                   d2=lambda x: 1.0 / np.asarray(x, dtype=float))
 PHI2 = PhiFunction.power(2.0)
 
 
@@ -192,18 +184,14 @@ class FpDiagnostics:
 
 def entrophy(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray, m: float) -> float:
     """Relative functional for the nonlinear diffusion model, nonnegative by
-    convexity of x ** (m+1)."""
+    convexity of x ** (m+1); in the factored form f_inf ** (m+1) times the
+    bracket of f / f_inf, which keeps accuracy once f hugs the steady state."""
     if m <= 1:
         raise DataError("exponent must exceed 1")
-    f = np.asarray(f, dtype=float)
     f_inf = np.asarray(f_inf, dtype=float)
-    if np.all(f_inf > 0) and np.all(f >= 0):
-        # factored form keeps accuracy once f hugs the steady state
-        z = f / f_inf
-        term = f_inf ** (m + 1.0) * _power_bracket(z, m + 1.0) / (m + 1.0)
-    else:
-        term = (signed_power(f, m + 1.0) - signed_power(f_inf, m + 1.0)) / (m + 1.0) \
-            - signed_power(f_inf, m) * (f - f_inf)
+    _check_reference(f_inf)
+    z = np.maximum(_nonnegative(f), 0.0) / f_inf
+    term = f_inf ** (m + 1.0) * _power_bracket(z, m + 1.0) / (m + 1.0)
     return float(np.sum(mesh.cell_area * term))
 
 

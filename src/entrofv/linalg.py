@@ -135,8 +135,12 @@ class MMatrixReport:
         return "M-matrix structure ok" if self.ok else "\n".join(self.violations)
 
 
-def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int],
-                             tol: float = 1e-12) -> MMatrixReport:
+#: Entries of :func:`check_m_matrix_structure` below this fraction of the
+#: largest magnitude count as zero.
+M_MATRIX_TOL = 1e-12
+
+
+def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int]) -> MMatrixReport:
     """Structural check that ``a`` is a column-dominant non-singular M-matrix.
 
     Verifies sign pattern, column diagonal dominance, strict dominance on the
@@ -147,10 +151,10 @@ def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int],
     n = a.shape[0]
     coo = a.tocoo()
     diag = a.diagonal()
-    scale = np.max(np.abs(coo.data)) if coo.data.size else 1.0
+    tol = M_MATRIX_TOL * (np.max(np.abs(coo.data)) if coo.data.size else 1.0)
 
     off = coo.row != coo.col
-    pos_off = off & (coo.data > tol * scale)
+    pos_off = off & (coo.data > tol)
     if np.any(pos_off):
         where = list(zip(coo.row[pos_off][:5].tolist(), coo.col[pos_off][:5].tolist()))
         bad.append(f"positive off-diagonal entries at {where}")
@@ -160,10 +164,10 @@ def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int],
     col_off_abs = np.zeros(n)
     np.add.at(col_off_abs, coo.col[off], np.abs(coo.data[off]))
     slack = diag - col_off_abs
-    weak = slack < -tol * scale
+    weak = slack < -tol
     if np.any(weak):
         bad.append(f"columns not diagonally dominant: {np.nonzero(weak)[0][:5].tolist()}")
-    strict = slack > tol * scale
+    strict = slack > tol
     missing = [k for k in dirichlet_touched if not strict[k]]
     if missing:
         bad.append(f"Dirichlet-touched columns not strictly dominant: {sorted(missing)[:5]}")
@@ -174,7 +178,7 @@ def check_m_matrix_structure(a: sp.spmatrix, dirichlet_touched: set[int],
         bad.append("no strictly dominant column exists")
     elif n:
         # diagonal entries only add self-loops, which change no component
-        _, component = connected_components(abs(a.tocsr()) > tol * scale, directed=False)
+        _, component = connected_components(abs(a.tocsr()) > tol, directed=False)
         unreached = np.nonzero(~np.isin(component, component[strict]))[0]
         if unreached.size:
             bad.append("columns with no chain to a strictly dominant column: "

@@ -53,11 +53,12 @@ class Segment:
     lo: float
     hi: float
 
-    def contains(self, points: np.ndarray, tol: float = _MATCH_TOL) -> np.ndarray:
-        """Whether each point (the last axis holds x, y) lies on the segment."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point (the last axis holds x, y) lies on the segment,
+        to within ``_MATCH_TOL``."""
         t = points[..., 1 - self.axis]
-        return ((np.abs(points[..., self.axis] - self.value) <= tol)
-                & (self.lo - tol <= t) & (t <= self.hi + tol))
+        return ((np.abs(points[..., self.axis] - self.value) <= _MATCH_TOL)
+                & (self.lo - _MATCH_TOL <= t) & (t <= self.hi + _MATCH_TOL))
 
 
 LEFT = Segment(0, 0.0, 0.0, 1.0)
@@ -335,7 +336,7 @@ def build_from_triangulation(vertices: np.ndarray, triangles: np.ndarray,
                 edge_tag=edge_tag, xi=xi, domain_measure=1.0, geometry=geometry)
 
 
-def reference_mesh(level: int, boundary: Optional[BoundarySpec] = None) -> Mesh:
+def reference_mesh(level: int, boundary: BoundarySpec) -> Mesh:
     """Level ``l`` of the reference family: 56 * 4**l cells, diameter 4**-l / 4."""
     if level < 0:
         raise ValueError("level must be non-negative")
@@ -343,8 +344,6 @@ def reference_mesh(level: int, boundary: Optional[BoundarySpec] = None) -> Mesh:
         raise MeshError(
             f"refusing level {level} > {MAX_REFERENCE_LEVEL}: "
             f"{56 * 4 ** level} cells would exhaust memory")
-    if boundary is None:
-        boundary = BoundarySpec.all_dirichlet()
     vertices = np.array(_COARSE_VERTICES)
     triangles = np.array(_COARSE_TRIANGLES)
     for _ in range(level):
@@ -490,68 +489,71 @@ def load_mesh(text: str) -> Mesh:
         pos += 1
         return item
 
-    ln, head = take("header 'tpfa 1'")
-    if head != ["tpfa", "1"]:
-        raise MeshFormatError(ln, f"expected header 'tpfa 1', got {' '.join(head)!r}")
+    try:  # a field that does not parse, or a negative count
+        ln, head = take("header 'tpfa 1'")
+        if head != ["tpfa", "1"]:
+            raise MeshFormatError(ln, f"expected header 'tpfa 1', got {' '.join(head)!r}")
 
-    ln, cells_head = take("'cells N'")
-    if len(cells_head) != 2 or cells_head[0] != "cells":
-        raise MeshFormatError(ln, "expected 'cells N'")
-    n_cells = int(cells_head[1])
+        ln, cells_head = take("'cells N'")
+        if len(cells_head) != 2 or cells_head[0] != "cells":
+            raise MeshFormatError(ln, "expected 'cells N'")
+        n_cells = int(cells_head[1])
 
-    cell_area = np.empty(n_cells)
-    cell_center = np.empty((n_cells, 2))
-    for k in range(n_cells):
-        ln, row = take("cell line")
-        if len(row) != 4:
-            raise MeshFormatError(ln, f"cell line needs 4 fields, got {len(row)}")
-        if int(row[0]) != k:
-            raise MeshFormatError(ln, f"cell ids must be consecutive, expected {k}")
-        cell_area[k] = float(row[1])
-        cell_center[k] = (float(row[2]), float(row[3]))
+        cell_area = np.empty(n_cells)
+        cell_center = np.empty((n_cells, 2))
+        for k in range(n_cells):
+            ln, row = take("cell line")
+            if len(row) != 4:
+                raise MeshFormatError(ln, f"cell line needs 4 fields, got {len(row)}")
+            if int(row[0]) != k:
+                raise MeshFormatError(ln, f"cell ids must be consecutive, expected {k}")
+            cell_area[k] = float(row[1])
+            cell_center[k] = (float(row[2]), float(row[3]))
 
-    ln, edges_head = take("'edges M'")
-    if len(edges_head) != 2 or edges_head[0] != "edges":
-        raise MeshFormatError(ln, "expected 'edges M'")
-    n_edges = int(edges_head[1])
+        ln, edges_head = take("'edges M'")
+        if len(edges_head) != 2 or edges_head[0] != "edges":
+            raise MeshFormatError(ln, "expected 'edges M'")
+        n_edges = int(edges_head[1])
 
-    edge_length = np.empty(n_edges)
-    edge_d = np.empty(n_edges)
-    edge_cells = np.full((n_edges, 2), -1, dtype=np.int64)
-    edge_dcell = np.full((n_edges, 2), np.nan)
-    edge_tag = np.empty(n_edges, dtype=np.uint8)
-    for e in range(n_edges):
-        ln, row = take("edge line")
-        if len(row) not in (6, 8):
-            raise MeshFormatError(ln, f"edge line needs 6 or 8 fields, got {len(row)}")
-        if int(row[0]) != e:
-            raise MeshFormatError(ln, f"edge ids must be consecutive, expected {e}")
-        edge_length[e] = float(row[1])
-        edge_d[e] = float(row[2])
-        if row[3] not in _CHAR_TO_TAG:
-            raise MeshFormatError(ln, f"unknown tag {row[3]!r}")
-        edge_tag[e] = _CHAR_TO_TAG[row[3]]
-        if len(row) == 8:
-            cells = (int(row[4]), int(row[5]))
-            dvals = (float(row[6]), float(row[7]))
-        else:
-            cells = (int(row[4]),)
-            dvals = (float(row[5]),)
-        for slot, c in enumerate(cells):
-            if not 0 <= c < n_cells:
-                raise MeshFormatError(ln, f"edge {e} references missing cell {c}")
-            edge_cells[e, slot] = c
-            edge_dcell[e, slot] = dvals[slot]
-        if (edge_tag[e] == INTERIOR) != (len(cells) == 2):
-            raise MeshFormatError(ln, f"edge {e}: tag {row[3]} inconsistent with "
-                                      f"{len(cells)} incident cell(s)")
+        edge_length = np.empty(n_edges)
+        edge_d = np.empty(n_edges)
+        edge_cells = np.full((n_edges, 2), -1, dtype=np.int64)
+        edge_dcell = np.full((n_edges, 2), np.nan)
+        edge_tag = np.empty(n_edges, dtype=np.uint8)
+        for e in range(n_edges):
+            ln, row = take("edge line")
+            if len(row) not in (6, 8):
+                raise MeshFormatError(ln, f"edge line needs 6 or 8 fields, got {len(row)}")
+            if int(row[0]) != e:
+                raise MeshFormatError(ln, f"edge ids must be consecutive, expected {e}")
+            edge_length[e] = float(row[1])
+            edge_d[e] = float(row[2])
+            if row[3] not in _CHAR_TO_TAG:
+                raise MeshFormatError(ln, f"unknown tag {row[3]!r}")
+            edge_tag[e] = _CHAR_TO_TAG[row[3]]
+            if len(row) == 8:
+                cells = (int(row[4]), int(row[5]))
+                dvals = (float(row[6]), float(row[7]))
+            else:
+                cells = (int(row[4]),)
+                dvals = (float(row[5]),)
+            for slot, c in enumerate(cells):
+                if not 0 <= c < n_cells:
+                    raise MeshFormatError(ln, f"edge {e} references missing cell {c}")
+                edge_cells[e, slot] = c
+                edge_dcell[e, slot] = dvals[slot]
+            if (edge_tag[e] == INTERIOR) != (len(cells) == 2):
+                raise MeshFormatError(ln, f"edge {e}: tag {row[3]} inconsistent with "
+                                          f"{len(cells)} incident cell(s)")
 
-    ln, tail = take("'xi <value>'")
-    if len(tail) != 2 or tail[0] != "xi":
-        raise MeshFormatError(ln, "expected trailing 'xi <value>'")
-    xi = float(tail[1])
-    if pos != len(tokens):
-        raise MeshFormatError(tokens[pos][0], "trailing content after 'xi' line")
+        ln, tail = take("'xi <value>'")
+        if len(tail) != 2 or tail[0] != "xi":
+            raise MeshFormatError(ln, "expected trailing 'xi <value>'")
+        xi = float(tail[1])
+        if pos != len(tokens):
+            raise MeshFormatError(tokens[pos][0], "trailing content after 'xi' line")
+    except ValueError as err:
+        raise MeshFormatError(ln, f"bad field: {err}") from None
 
     return Mesh(cell_area=cell_area, cell_center=cell_center, edge_length=edge_length,
                 edge_d=edge_d, edge_cells=edge_cells, edge_dcell=edge_dcell,

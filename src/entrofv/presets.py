@@ -32,15 +32,21 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # problem builders
 
-
-def toy_mesh(level: int) -> Mesh:
-    bnd = BoundarySpec(dirichlet=(LEFT, RIGHT), neumann=(BOTTOM, TOP))
-    return reference_mesh(level, bnd)
+#: The boundary layouts of the problems below, by the name ``mesh gen
+#: --boundary`` takes.
+BOUNDARY_NAMES = {
+    "all-dirichlet": BoundarySpec.all_dirichlet(),
+    "left-right": BoundarySpec(dirichlet=(LEFT, RIGHT), neumann=(BOTTOM, TOP)),
+    "top-bottom": BoundarySpec(dirichlet=(TOP, BOTTOM), neumann=(LEFT, RIGHT)),
+    "right": BoundarySpec(dirichlet=(RIGHT,), neumann=(LEFT, TOP, BOTTOM)),
+    "pn": BoundarySpec(dirichlet=(BOTTOM, Segment(1, 1.0, 0.0, 0.25)),
+                       neumann=(LEFT, RIGHT, Segment(1, 1.0, 0.25, 1.0))),
+}
 
 
 def toy_problem(level: int) -> FpProblem:
     """Unit advection along the first axis, boundary values 1 and e."""
-    mesh = toy_mesh(level)
+    mesh = reference_mesh(level, BOUNDARY_NAMES["left-right"])
     geo = mesh.geometry
     phi_cells = mesh.cell_center[:, 0]
     phi_dir = np.where(mesh.dirichlet, geo.edge_midpoint[:, 0], np.nan)
@@ -77,8 +83,7 @@ def _in_barrier(points: np.ndarray) -> np.ndarray:
 def hetero_problem(level: int) -> FpProblem:
     """Drain/barrier diffusion contrast with a constant drift, driven from
     the top boundary toward the bottom one."""
-    mesh = reference_mesh(level, BoundarySpec(dirichlet=(TOP, BOTTOM),
-                                              neumann=(LEFT, RIGHT)))
+    mesh = reference_mesh(level, BOUNDARY_NAMES["top-bottom"])
     geo = mesh.geometry
     a_cells = np.where(_in_barrier(geo.cell_centroid),
                        HETERO_BARRIER_DIFFUSION, HETERO_DRAIN_DIFFUSION)
@@ -96,8 +101,7 @@ def hetero_problem(level: int) -> FpProblem:
 def fill_problem(level: int, m: float = 4.0) -> PmeProblem:
     """Nonlinear filling of an initially empty medium from the right edge;
     boundary value 2.5 on the (0.3, 0.7) strip of the edge and 1 elsewhere."""
-    mesh = reference_mesh(level, BoundarySpec(dirichlet=(RIGHT,),
-                                              neumann=(LEFT, TOP, BOTTOM)))
+    mesh = reference_mesh(level, BOUNDARY_NAMES["right"])
     geo = mesh.geometry
     f_dir = np.full(mesh.n_edges, np.nan)
     for e in np.nonzero(mesh.dirichlet)[0]:
@@ -114,7 +118,7 @@ def sweep_problem(level: int, m: float, m_dirichlet: float,
     """Constant Dirichlet data on the whole boundary, empty initial state;
     ``mesh``, if given, must be the level's all-Dirichlet reference mesh."""
     if mesh is None:
-        mesh = reference_mesh(level, BoundarySpec.all_dirichlet())
+        mesh = reference_mesh(level, BOUNDARY_NAMES["all-dirichlet"])
     f_dir = np.where(mesh.dirichlet, m_dirichlet, np.nan)
     return PmeProblem(mesh=mesh, m=m, f_dirichlet=f_dir,
                       f0=np.zeros(mesh.n_cells))
@@ -128,9 +132,7 @@ def pn_problem(level: int, lam: float = 1.0, bias: float = 0.0,
                doping_magnitude: float = 1.0) -> DdProblem:
     """Junction diode with ohmic contacts on the bottom edge and the left
     quarter of the top edge; optional applied bias between the contacts."""
-    bnd = BoundarySpec(dirichlet=(BOTTOM, Segment(1, 1.0, 0.0, 0.25)),
-                       neumann=(LEFT, RIGHT, Segment(1, 1.0, 0.25, 1.0)))
-    mesh = reference_mesh(level, bnd)
+    mesh = reference_mesh(level, BOUNDARY_NAMES["pn"])
     geo = mesh.geometry
     dmask = mesh.dirichlet
     mid = geo.edge_midpoint
@@ -272,12 +274,16 @@ def _write_steady(path: Path, steady) -> None:
     path.write_text(("%d" + " %.17g" * k + "\n") * n % tuple(flat))
 
 
+#: What one run writes into its directory; none of them outlives a rerun.
+_RUN_FILES = ("trace.csv", "steady.txt", "error.txt")
+
+
 def _run_into(out: Path, problem, scheme: BScheme,
               stepper: StepperConfig) -> Optional[TransientResult]:
     """Run one transient and write its trace.csv and steady.txt under
     ``out``, or error.txt on a solver failure (then None is returned)."""
     out.mkdir(parents=True, exist_ok=True)
-    for name in ("trace.csv", "steady.txt", "error.txt"):  # none outlives a rerun
+    for name in _RUN_FILES:
         (out / name).unlink(missing_ok=True)
     try:
         result = run_transient(problem, scheme, stepper)
@@ -332,6 +338,14 @@ def sweep_rate(trace: EntropyTrace) -> float:
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
     """Run every sweep point into its own directory and write rates.csv; a
     point that fails or aborts gets no rate row and makes the status 1."""
+    # an earlier sweep's outputs go first: no point outside this sweep survives
+    (out / "rates.csv").unlink(missing_ok=True)
+    for point in out.glob("m*-md*"):
+        if point.is_dir():
+            for name in _RUN_FILES:
+                (point / name).unlink(missing_ok=True)
+            if not any(point.iterdir()):
+                point.rmdir()
     preset = presets()["pme-sweep"]
     level = _or(cfg.level, preset.level)
     stepper = _stepper(preset, cfg)
@@ -364,8 +378,9 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
 def convergence_study(preset: str, levels, schemes) -> tuple[str, str]:
     """Steady-state errors against the exact reference per level and scheme.
 
-    Returns (text table, csv).  Orders are omitted where an error sits at
-    the round-off floor.
+    Returns (text table, csv).  An order is per halving of the cell size,
+    also across a gap of levels, and is omitted where an error sits at the
+    round-off floor.
     """
     if preset != "fp-toy":
         raise UsageError("only the fp-toy preset defines an exact steady reference")
@@ -384,10 +399,11 @@ def convergence_study(preset: str, levels, schemes) -> tuple[str, str]:
                                                            SCHEMES[s]))
             errors[s].append(lp_distance(problem.mesh, steady, reference, 1))
 
-    def order(e0: float, e1: float) -> Optional[float]:
+    def order(s: str, i: int) -> Optional[float]:
+        e0, e1 = errors[s][i - 1], errors[s][i]
         if min(e0, e1) < 1e-13:
             return None
-        return math.log2(e0 / e1)
+        return math.log2(e0 / e1) / (levels[i] - levels[i - 1])
 
     header = ["dx"]
     for s in names:
@@ -400,7 +416,7 @@ def convergence_study(preset: str, levels, schemes) -> tuple[str, str]:
         row_csv = [format(dx, ".17g")]
         for s in names:
             err = errors[s][i]
-            o = order(errors[s][i - 1], err) if i > 0 else None
+            o = order(s, i) if i > 0 else None
             row_txt.append(f"{err:10.3e} {o:6.2f}" if o is not None else f"{err:10.3e} {'-':>6}")
             row_csv.append(format(err, ".17g"))
             row_csv.append(format(o, ".17g") if o is not None else "")

@@ -73,28 +73,6 @@ class BScheme:
     dfn: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
-    def upwind() -> "BScheme":
-        return BScheme(
-            name="upwind",
-            fn=lambda x: 1.0 + np.maximum(-np.asarray(x, dtype=float), 0.0),
-            # slope of max(-x, 0) at the kink taken as the symmetric subgradient
-            dfn=lambda x: np.where(np.asarray(x, dtype=float) < 0, -1.0,
-                                   np.where(np.asarray(x, dtype=float) > 0, 0.0, -0.5)),
-        )
-
-    @staticmethod
-    def centered() -> "BScheme":
-        return BScheme(
-            name="centered",
-            fn=lambda x: 1.0 - np.asarray(x, dtype=float) / 2.0,
-            dfn=lambda x: np.full_like(np.asarray(x, dtype=float), -0.5),
-        )
-
-    @staticmethod
-    def scharfetter_gummel() -> "BScheme":
-        return BScheme(name="sg", fn=_sg_value, dfn=_sg_derivative)
-
-    @staticmethod
     def custom(fn: Callable, name: str = "custom",
                dfn: Optional[Callable] = None) -> "BScheme":
         """Wrap a user function after sampling the required identities."""
@@ -137,19 +115,24 @@ class BScheme:
         return np.where(w < 0, near, far), np.where(w < 0, far, near)
 
 
-UPWIND = BScheme.upwind()
-CENTERED = BScheme.centered()
-SCHARFETTER_GUMMEL = BScheme.scharfetter_gummel()
+UPWIND = BScheme(
+    name="upwind",
+    fn=lambda x: 1.0 + np.maximum(-np.asarray(x, dtype=float), 0.0),
+    # slope of max(-x, 0) at the kink taken as the symmetric subgradient
+    dfn=lambda x: np.where(np.asarray(x, dtype=float) < 0, -1.0,
+                           np.where(np.asarray(x, dtype=float) > 0, 0.0, -0.5)))
+CENTERED = BScheme(name="centered", fn=lambda x: 1.0 - np.asarray(x, dtype=float) / 2.0,
+                   dfn=lambda x: np.full_like(np.asarray(x, dtype=float), -0.5))
+SCHARFETTER_GUMMEL = BScheme(name="sg", fn=_sg_value, dfn=_sg_derivative)
 
 SCHEMES = {"upwind": UPWIND, "centered": CENTERED, "sg": SCHARFETTER_GUMMEL}
 
 
 @dataclass(frozen=True)
 class TransportData:
-    """Edge diffusion, per-incidence advection and Dirichlet boundary data.
+    """Edge diffusion, advection and Dirichlet boundary data.
 
-    ``u[e, 0]`` is the advection seen from ``mesh.edge_cells[e, 0]``;
-    ``u[e, 1]`` is its negation on interior edges and NaN on exterior ones.
+    ``u[e]`` is the advection seen from ``mesh.edge_cells[e, 0]``;
     ``f_dirichlet`` is NaN except on Dirichlet edges.
     """
 
@@ -171,8 +154,7 @@ def transport_data(mesh: Mesh, a_edge: np.ndarray, u_first: np.ndarray,
     dvals = f_dirichlet[mesh.dirichlet]
     if np.any(~np.isfinite(dvals)) or np.any(dvals <= 0):
         raise DataError("Dirichlet values must be positive on every Dirichlet edge")
-    u = np.column_stack([u_first, np.where(mesh.interior, -u_first, np.nan)])
-    return TransportData(a_edge=a_edge, u=u, f_dirichlet=f_dirichlet)
+    return TransportData(a_edge=a_edge, u=u_first, f_dirichlet=f_dirichlet)
 
 
 def _neighbor_index(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -184,13 +166,9 @@ def _neighbor_index(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return index, dirichlet
 
 
-def _dirichlet_values(mesh: Mesh, dirichlet_values: Optional[np.ndarray]):
+def _dirichlet_values(mesh: Mesh, dirichlet_values: np.ndarray):
     """The Dirichlet edge ids and their values; a missing one raises."""
     dirichlet = mesh.derived("neighbor_index", _neighbor_index)[1]
-    if not dirichlet.size:
-        return dirichlet, np.zeros(0)
-    if dirichlet_values is None:
-        raise AssemblyError("mesh has Dirichlet edges but no Dirichlet values supplied")
     vals = np.asarray(dirichlet_values, dtype=float)[dirichlet]
     missing = ~np.isfinite(vals)
     if np.any(missing):
@@ -199,8 +177,7 @@ def _dirichlet_values(mesh: Mesh, dirichlet_values: Optional[np.ndarray]):
     return dirichlet, vals
 
 
-def neighbor_values(mesh: Mesh, f: np.ndarray,
-                    dirichlet_values: Optional[np.ndarray] = None) -> np.ndarray:
+def neighbor_values(mesh: Mesh, f: np.ndarray, dirichlet_values: np.ndarray) -> np.ndarray:
     """Per-edge neighbor value seen from the first incident cell.
 
     Interior edges take the second cell's value, Dirichlet edges the supplied
@@ -211,16 +188,14 @@ def neighbor_values(mesh: Mesh, f: np.ndarray,
     return np.concatenate([np.asarray(f, dtype=float), vals])[index]
 
 
-def dirichlet_sums(mesh: Mesh, weight: np.ndarray,
-                   dirichlet_values: Optional[np.ndarray]) -> np.ndarray:
+def dirichlet_sums(mesh: Mesh, weight: np.ndarray, dirichlet_values: np.ndarray) -> np.ndarray:
     """Per cell, the sum of ``weight * value`` over its Dirichlet edges."""
     dirichlet, vals = _dirichlet_values(mesh, dirichlet_values)
     return np.bincount(mesh.edge_cells[dirichlet, 0], weights=weight[dirichlet] * vals,
                        minlength=mesh.n_cells)
 
 
-def edge_differences(mesh: Mesh, f: np.ndarray,
-                     dirichlet_values: Optional[np.ndarray] = None) -> np.ndarray:
+def edge_differences(mesh: Mesh, f: np.ndarray, dirichlet_values: np.ndarray) -> np.ndarray:
     """Two-point difference (neighbor minus cell) from the first cell's side."""
     return neighbor_values(mesh, f, dirichlet_values) - f[mesh.edge_cells[:, 0]]
 
@@ -257,9 +232,9 @@ def advection_from_potential(mesh: Mesh, phi_cells: np.ndarray,
 
 
 def discretize_coefficients(mesh: Mesh, a, f_dirichlet: np.ndarray,
-                            u_first: Optional[np.ndarray] = None) -> TransportData:
-    """Build TransportData from cellwise or constant diffusion samples and
-    per-edge Dirichlet means.
+                            u_first: np.ndarray) -> TransportData:
+    """Build TransportData from cellwise or constant diffusion samples,
+    per-edge Dirichlet means and first-cell advection.
 
     Cellwise diffusion is averaged harmonically onto interior edges (the
     distance-weighted formula that keeps fluxes consistent across aligned
@@ -284,15 +259,12 @@ def discretize_coefficients(mesh: Mesh, a, f_dirichlet: np.ndarray,
         raise DataError("per-edge Dirichlet values must have one entry per edge")
     fd = np.full(mesh.n_edges, np.nan)
     fd[mesh.dirichlet] = f_dirichlet[mesh.dirichlet]
-
-    if u_first is None:
-        u_first = np.zeros(mesh.n_edges)
     return transport_data(mesh, a_edge, u_first, fd)
 
 
 def b_coefficients(mesh: Mesh, data: TransportData, scheme: BScheme):
     """Per-edge (B-, B+) pair in the first cell's orientation; zero on Neumann."""
-    w = data.u[:, 0] * mesh.edge_d / data.a_edge
+    w = data.u * mesh.edge_d / data.a_edge
     bminus, bplus = scheme.both_sides(w)
     nmask = mesh.neumann
     bminus[nmask] = 0.0
@@ -300,33 +272,32 @@ def b_coefficients(mesh: Mesh, data: TransportData, scheme: BScheme):
     return bminus, bplus
 
 
+#: Lower bound the Peclet guard asks of every flux coefficient B(|u| d / a).
+PECLET_BETA = 0.05
+
+
 @dataclass(frozen=True)
 class PecletReport:
     ok: bool
-    beta: float
     violations: tuple[tuple[int, int, float], ...]  # (cell, edge, B value)
 
     def __str__(self):
         if self.ok:
-            return f"fluxes bounded below by beta = {self.beta:g}"
-        return (f"{len(self.violations)} incidences with B < {self.beta:g}; "
+            return f"fluxes bounded below by beta = {PECLET_BETA:g}"
+        return (f"{len(self.violations)} incidences with B < {PECLET_BETA:g}; "
                 f"worst: {min(v[2] for v in self.violations):.3e}")
 
 
-def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme,
-                 beta: float = 0.05) -> PecletReport:
-    """Check min B(|u| d / a) >= beta over all non-Neumann incidences."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    w = np.abs(data.u[:, 0]) * mesh.edge_d / data.a_edge
-    vals = scheme.b(w)
+def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme) -> PecletReport:
+    """Check min B(|u| d / a) >= :data:`PECLET_BETA` over all non-Neumann
+    incidences."""
+    vals = scheme.b(np.abs(data.u) * mesh.edge_d / data.a_edge)
     bad: list[tuple[int, int, float]] = []
-    active = ~mesh.neumann
-    for e in np.nonzero(active & (vals < beta))[0]:
+    for e in np.nonzero(~mesh.neumann & (vals < PECLET_BETA))[0]:
         for c in mesh.edge_cells[e]:
             if c >= 0:
                 bad.append((int(c), int(e), float(vals[e])))
-    return PecletReport(ok=not bad, beta=beta, violations=tuple(bad))
+    return PecletReport(ok=not bad, violations=tuple(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -501,22 +472,19 @@ def pme_boundary_term(mesh: Mesh, f_dirichlet: np.ndarray, m: float) -> np.ndarr
 
 
 def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
-                          m: float, dt: float, f_dirichlet: np.ndarray,
-                          boundary: Optional[np.ndarray] = None):
+                          m: float, dt: float, boundary: np.ndarray):
     """Backward-Euler residual and exact Jacobian for the nonlinear diffusion step.
 
     residual_K = area (f - f_prev) / dt - sum_edges tau * D(f^m), computed as
     area (f - f_prev) / dt + L f^m - (Dirichlet sums of tau f_D^m) with the
     mesh's Laplacian L; the Jacobian is L diag(m |f|^(m-1)) plus area / dt on
     the diagonal, on L's pattern.  The flux sign makes the operator diffusive
-    (mass flows from high f^m to low f^m).  ``boundary``, when given, must be
+    (mass flows from high f^m to low f^m).  ``boundary`` is
     ``pme_boundary_term(mesh, f_dirichlet, m)``, which callers that assemble
     many times on the same data form once.
     """
     if m <= 1:
         raise DataError("nonlinearity exponent must exceed 1")
-    if boundary is None:
-        boundary = pme_boundary_term(mesh, f_dirichlet, m)
     lap = laplacian(mesh)
     columns = mesh.derived("laplacian_columns",
                            lambda m: np.repeat(np.arange(m.n_cells), np.diff(lap.indptr)))
@@ -546,9 +514,8 @@ class DdData:
 
 
 def assemble_poisson(mesh: Mesh, lam: float) -> sp.csc_matrix:
-    """Scaled TPFA Laplacian with Dirichlet edges eliminated, Neumann absent."""
-    if lam <= 0:
-        raise DataError("Debye length must be positive")
+    """Scaled TPFA Laplacian with Dirichlet edges eliminated, Neumann absent;
+    ``DdData`` holds the Debye length ``lam`` positive."""
     return two_point_matrix(mesh, lam * lam * mesh.tau)
 
 

@@ -93,17 +93,13 @@ class FpStepper:
 # nonlinear diffusion
 
 
-def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float,
-                     initial: Optional[np.ndarray] = None) -> np.ndarray:
-    """Steady state: harmonic in f**m with Dirichlet data, or the constant
-    carrying the initial mass when the whole boundary is no-flux."""
+def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float) -> np.ndarray:
+    """Steady state: harmonic in f**m with the Dirichlet data, which H1 (a
+    Dirichlet boundary of positive measure) makes unique."""
     if m <= 1:
         raise DataError("exponent must exceed 1")
     if not np.any(mesh.dirichlet):
-        if initial is None:
-            raise SolverError("all-Neumann steady state needs the initial data")
-        avg = float(np.sum(mesh.cell_area * initial) / mesh.cell_area.sum())
-        return np.full(mesh.n_cells, avg)
+        raise DataError("H1: the porous-medium steady state needs a Dirichlet edge")
     u_dir = signed_power(np.asarray(f_dirichlet, dtype=float), m)
     boundary = u_dir[mesh.dirichlet]
     if not np.all((boundary > 0) & np.isfinite(boundary)):
@@ -114,20 +110,17 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float,
     return u ** (1.0 / m)
 
 
-def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
-             f_dirichlet: np.ndarray, store: Optional[FactorStore] = None,
-             boundary: Optional[np.ndarray] = None) -> Union[np.ndarray, NonConvergence]:
+def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float, store: FactorStore,
+             boundary: np.ndarray) -> Union[np.ndarray, NonConvergence]:
     """One implicit step via Newton started from the previous state; each
     iterate's solve refines on the factors in ``store`` (see
     :meth:`FactorStore.solve`) and leaves the latest ones there.
-    ``boundary``, when given, must be ``pme_boundary_term(mesh, f_dirichlet,
-    m)``; otherwise the step forms it once for all its iterates."""
+    ``boundary`` is ``pme_boundary_term(mesh, f_dirichlet, m)``, formed once
+    for all the steps of a run."""
     f_prev = np.asarray(f_prev, dtype=float)
-    if boundary is None:
-        boundary = pme_boundary_term(mesh, f_dirichlet, m)
 
     def system(f, jacobian=True):  # the Jacobian is a scaled copy, always formed
-        return assemble_pme_residual(mesh, f_prev, f, m, dt, f_dirichlet, boundary)
+        return assemble_pme_residual(mesh, f_prev, f, m, dt, boundary)
 
     result = newton_solve(system, f_prev, store)
     if isinstance(result, NonConvergence):
@@ -144,16 +137,17 @@ def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float,
 # drift-diffusion
 
 
-def dd_equilibrium_offsets(mesh: Mesh, dd: DdData,
-                           tol: float = 1e-10) -> Optional[tuple[float, float]]:
+#: Largest spread of the Dirichlet offsets that still counts as one offset.
+EQUILIBRIUM_TOL = 1e-10
+
+
+def dd_equilibrium_offsets(mesh: Mesh, dd: DdData) -> Optional[tuple[float, float]]:
     """Offsets (alpha_N, alpha_P) when the boundary data is compatible with a
     current-free steady state, else None."""
     dmask = mesh.dirichlet
-    if not np.any(dmask):
-        return None
     a_n = np.log(dd.n_dirichlet[dmask]) - dd.v_dirichlet[dmask]
     a_p = np.log(dd.p_dirichlet[dmask]) + dd.v_dirichlet[dmask]
-    if np.ptp(a_n) <= tol and np.ptp(a_p) <= tol:
+    if np.ptp(a_n) <= EQUILIBRIUM_TOL and np.ptp(a_p) <= EQUILIBRIUM_TOL:
         return float(a_n.mean()), float(a_p.mean())
     return None
 
@@ -234,17 +228,11 @@ def solve_dd_poisson(mesh: Mesh, dd: DdData, n_field: np.ndarray,
 
 
 def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
-                    initial: Optional[DdState] = None) -> DdState:
-    """Coupled steady state by Newton from ``initial``, else from the
-    current-free state when the boundary data admits one, else from
+                    initial: Optional[DdState]) -> DdState:
+    """Coupled steady state by Newton from ``initial`` (the current-free
+    state, when the boundary data admits one), else from
     :func:`_dd_initial_guess`."""
-    if initial is not None:
-        start = initial
-    elif dd_equilibrium_offsets(mesh, dd) is not None:
-        start = solve_dd_thermal(mesh, dd)
-    else:
-        start = _dd_initial_guess(mesh, dd)
-
+    start = initial if initial is not None else _dd_initial_guess(mesh, dd)
     result = _dd_newton(mesh, dd, scheme, start)
     if isinstance(result, NonConvergence):
         raise SolverError(f"steady drift-diffusion solve failed: {result}")
@@ -299,7 +287,7 @@ class PmeProblem:
 
     def start(self, scheme: BScheme):
         mesh, m = self.mesh, self.m
-        steady = solve_pme_steady(mesh, self.f_dirichlet, m, initial=self.f0)
+        steady = solve_pme_steady(mesh, self.f_dirichlet, m)
 
         # factors shared by the steps of this run only.  Every Newton step
         # still solves with its own Jacobian, refined to round-off on these:
@@ -308,7 +296,7 @@ class PmeProblem:
         boundary = pme_boundary_term(mesh, self.f_dirichlet, m)
 
         def step(f, dt):
-            return step_pme(mesh, f, m, dt, self.f_dirichlet, store, boundary)
+            return step_pme(mesh, f, m, dt, store, boundary)
 
         def diagnostics(f):
             return {"N_m": ent.entrophy(mesh, f, steady, m),

@@ -20,10 +20,10 @@ from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND,
                              advection_from_potential, assemble_dd_residual,
                              assemble_fp_operator, assemble_pme_residual,
                              assemble_poisson, edge_differences, edge_fluxes,
-                             edge_steady_weight, neighbor_values,
+                             edge_steady_weight, neighbor_values, pme_boundary_term,
                              transport_data)
 from entrofv.solvers import (StepperConfig, run_transient, solve_dd_steady,
-                             solve_fp_steady)
+                             solve_dd_thermal, solve_fp_steady)
 
 PHI32 = PhiFunction.power(1.5)
 EXPECTED_UPWIND_ERRORS = [6.04e-3, 3.24e-3, 1.67e-3, 8.50e-4, 4.28e-4]
@@ -325,12 +325,13 @@ def test_criterion_07_pme_norm_bound(fill_run_level2, sweep_runs_level2):
 def test_criterion_08_dd_thermal_preservation():
     problem = pn_problem(2)
     thermal_gap = {}
-    steady = solve_dd_steady(problem.mesh, problem.dd, SCHARFETTER_GUMMEL)
+    thermal = solve_dd_thermal(problem.mesh, problem.dd)
+    steady = solve_dd_steady(problem.mesh, problem.dd, SCHARFETTER_GUMMEL, thermal)
     gap_n = float(np.max(np.abs(np.log(steady.n) - steady.v)))
     gap_p = float(np.max(np.abs(np.log(steady.p) + steady.v)))
     assert gap_n <= 1e-9 and gap_p <= 1e-9
     thermal_gap["sg"] = max(gap_n, gap_p)
-    upwind = solve_dd_steady(problem.mesh, problem.dd, UPWIND)
+    upwind = solve_dd_steady(problem.mesh, problem.dd, UPWIND, thermal)
     gap_up = float(np.max(np.abs(np.log(upwind.n) - upwind.v)))
     assert gap_up > 1e-6
     thermal_gap["upwind"] = gap_up
@@ -416,9 +417,9 @@ def test_criterion_10_structural_suite(rng):
         scheme = SCHEMES[rng.choice(list(SCHEMES))]
         flux = edge_fluxes(mesh, data, scheme, f)
         e = int(rng.choice(inter))
-        # the flux leaving the second cell, from its own advection u[e, 1]
+        # the flux leaving the second cell, from its own advection -u[e]
         k, l = mesh.edge_cells[e]
-        bm, bp = scheme.both_sides(np.array([data.u[e, 1] * mesh.edge_d[e] / data.a_edge[e]]))
+        bm, bp = scheme.both_sides(np.array([-data.u[e] * mesh.edge_d[e] / data.a_edge[e]]))
         back = mesh.tau[e] * data.a_edge[e] * (bm[0] * f[l] - bp[0] * f[k])
         assert flux[e] + back == 0.0
 
@@ -456,13 +457,14 @@ def test_criterion_10_structural_suite(rng):
     fd_small = np.where(small.dirichlet, rng.uniform(0.5, 2.0, small.n_edges), np.nan)
     n = small.n_cells
     h_fd = 1e-7
+    bd_small = pme_boundary_term(small, fd_small, 3.0)
     for _ in range(100):
         f_prev = rng.uniform(0.1, 10.0, n)
         f = rng.uniform(0.1, 10.0, n)
-        _, jac = assemble_pme_residual(small, f_prev, f, 3.0, 1e-3, fd_small)
+        _, jac = assemble_pme_residual(small, f_prev, f, 3.0, 1e-3, bd_small)
         v = rng.standard_normal(n)
-        rp = assemble_pme_residual(small, f_prev, f + h_fd * v, 3.0, 1e-3, fd_small)[0]
-        rm = assemble_pme_residual(small, f_prev, f - h_fd * v, 3.0, 1e-3, fd_small)[0]
+        rp = assemble_pme_residual(small, f_prev, f + h_fd * v, 3.0, 1e-3, bd_small)[0]
+        rm = assemble_pme_residual(small, f_prev, f - h_fd * v, 3.0, 1e-3, bd_small)[0]
         jv = jac @ v
         assert np.max(np.abs(jv - (rp - rm) / (2 * h_fd))) < 1e-5 * np.max(np.abs(jv))
     from entrofv.schemes import DdData
@@ -513,7 +515,7 @@ def test_criterion_10_structural_suite(rng):
     touched = set(int(c) for c in pn.mesh.edge_cells[pn.mesh.dirichlet, 0])
     reports.append(check_m_matrix_structure(assemble_poisson(pn.mesh, 1.0), touched))
     # continuity blocks at the steady potential
-    steady = solve_dd_steady(pn.mesh, pn.dd, UPWIND)
+    steady = solve_dd_steady(pn.mesh, pn.dd, UPWIND, solve_dd_thermal(pn.mesh, pn.dd))
     w = edge_differences(pn.mesh, steady.v, pn.dd.v_dirichlet)
     for dirichlet, sign in ((pn.dd.n_dirichlet, 1.0), (pn.dd.p_dirichlet, -1.0)):
         mobility = transport_data(pn.mesh, np.ones(pn.mesh.n_edges),

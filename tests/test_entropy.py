@@ -84,7 +84,7 @@ def test_relative_entropy_rejects_bad_reference(mesh0):
 
 def _two_cell_transport(mesh, a=1.0):
     fd = np.where(mesh.dirichlet, 1.0, np.nan)
-    return discretize_coefficients(mesh, a, fd)
+    return discretize_coefficients(mesh, a, fd, np.zeros(mesh.n_edges))
 
 
 def test_dissipation_vanishes_at_reference(two_cell_mesh, rng):
@@ -131,7 +131,8 @@ def test_dissipation_two_cell_hand_value(two_cell_mesh):
 def test_dissipation_nonnegative_random(mesh0, rng):
     geo = mesh0.geometry
     fd = np.where(mesh0.dirichlet, rng.uniform(0.5, 2.0, mesh0.n_edges), np.nan)
-    data = discretize_coefficients(mesh0, rng.uniform(0.5, 2.0, mesh0.n_cells), fd)
+    data = discretize_coefficients(mesh0, rng.uniform(0.5, 2.0, mesh0.n_cells), fd,
+                                   np.zeros(mesh0.n_edges))
     for _ in range(20):
         f = rng.uniform(0.05, 5.0, mesh0.n_cells)
         f_inf = rng.uniform(0.5, 2.0, mesh0.n_cells)

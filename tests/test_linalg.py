@@ -9,7 +9,7 @@ from entrofv.linalg import (REFINE_EPS, FactorStore, NonConvergence,
                             factorize, newton_solve, solve_linear)
 from entrofv.mesh import BoundarySpec, reference_mesh
 from entrofv.schemes import (CENTERED, UPWIND, SparsityPattern, assemble_fp_operator,
-                             assemble_pme_residual, transport_data)
+                             assemble_pme_residual, pme_boundary_term, transport_data)
 
 
 def dense(entries, n):
@@ -191,7 +191,8 @@ def test_newton_store_reuses_factors_across_calls():
 def _pme_jacobian(f, dt=1e-2):
     mesh = reference_mesh(1, BoundarySpec.all_dirichlet())
     f_dir = np.where(mesh.dirichlet, 1.0, np.nan)
-    return mesh, assemble_pme_residual(mesh, f, f, 2.0, dt, f_dir)[1]
+    return mesh, assemble_pme_residual(mesh, f, f, 2.0, dt,
+                                       pme_boundary_term(mesh, f_dir, 2.0))[1]
 
 
 def _count_splu(monkeypatch):
@@ -292,7 +293,8 @@ def _pattern_operators(level, rng):
     def fills():
         f = rng.uniform(0.1, 2.0, n)
         state = (f, rng.uniform(0.1, 2.0, n), rng.uniform(-3.0, 3.0, n))
-        return {"pme": assemble_pme_residual(mesh, f, f, 2.0, 1e-2, f_dir)[1],
+        return {"pme": assemble_pme_residual(mesh, f, f, 2.0, 1e-2,
+                                             pme_boundary_term(mesh, f_dir, 2.0))[1],
                 "dd-steady": assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, None,
                                                   state)[1],
                 "dd-transient": assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL,

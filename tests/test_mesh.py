@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from entrofv.cli import BOUNDARY_NAMES
+from entrofv.presets import BOUNDARY_NAMES
 from entrofv.mesh import (DIRICHLET, INTERIOR, NEUMANN, BOTTOM, LEFT, RIGHT, TOP,
                           BoundarySpec, Mesh, MeshError, MeshFormatError,
                           Segment, Violation, build_from_triangulation,
                           load_mesh, reference_mesh, save_mesh, validate)
 from entrofv.linalg import factorize, solve_linear
-from entrofv.schemes import assemble_pme_residual, cell_sums, laplacian
+from entrofv.schemes import assemble_pme_residual, cell_sums, laplacian, pme_boundary_term
 
 
 # sha256 of save_mesh(reference_mesh(level, BOUNDARY_NAMES[name])) for levels
@@ -96,7 +96,8 @@ def test_shared_mesh_arrays_are_read_only():
     still factors the read-only Laplacian on both factorization paths."""
     mesh = reference_mesh(1, BoundarySpec.all_dirichlet())
     f = np.linspace(0.5, 1.5, mesh.n_cells)
-    assemble_pme_residual(mesh, f, f, 2.0, 1e-2, np.where(mesh.dirichlet, 1.0, np.nan))
+    f_dir = np.where(mesh.dirichlet, 1.0, np.nan)
+    assemble_pme_residual(mesh, f, f, 2.0, 1e-2, pme_boundary_term(mesh, f_dir, 2.0))
     cell_sums(mesh, np.ones(mesh.n_edges))
     lap = laplacian(mesh)
     solves = [solve_linear(lap, f, factorize(lap)) for _ in range(2)]

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import entrofv
-from entrofv.cli import _CONFIG_KEYS, BOUNDARY_NAMES, main, parse_config_text
+from entrofv import cli
+from entrofv.cli import main, parse_config_text
 from entrofv import mesh as mesh_module
 from entrofv.mesh import reference_mesh, save_mesh, validate
-from entrofv.presets import (RunConfig, UsageError, _write_steady, build_problem,
-                             convergence_study, fill_problem, hetero_problem,
-                             pn_problem, presets, run, toy_problem)
+from entrofv.presets import (BOUNDARY_NAMES, RunConfig, UsageError, _write_steady,
+                             build_problem, convergence_study, fill_problem,
+                             hetero_problem, pn_problem, presets, run, toy_problem)
 from entrofv.solvers import DdState
 from entrofv.schemes import peclet_guard
 
@@ -38,7 +39,7 @@ def test_hetero_data_values():
     assert vals.max() == pytest.approx(3.0)
     dvals = prob.data.f_dirichlet[prob.mesh.dirichlet]
     assert set(np.round(dvals, 12)) == {0.018, 1.0}
-    assert np.max(np.abs(prob.data.u[:, 0])) <= 0.5 + 1e-12
+    assert np.max(np.abs(prob.data.u)) <= 0.5 + 1e-12
     np.testing.assert_allclose(prob.f0, 0.018)
 
 
@@ -152,6 +153,23 @@ def test_run_sweep_writes_a_rate_per_point(tmp_path):
     assert (tmp_path / "sweep" / "m2-md0.1" / "trace.csv").exists()
 
 
+def test_sweep_removes_the_points_of_an_earlier_sweep(tmp_path):
+    """A one-point sweep into the directory of a full one leaves no stale
+    point beside its rates.csv, and removes only what runs write."""
+    out = tmp_path / "sweep"
+    full = RunConfig(preset="pme-sweep", level=0, t_final=0.05, out=str(out))
+    assert run(full) == 0
+    assert len([p for p in out.iterdir() if p.is_dir()]) == 5
+    (out / "notes.txt").write_text("kept\n")
+    (out / "m2-md1" / "notes.txt").write_text("kept\n")
+    assert run(replace(full, m=3.0)) == 0
+    assert (out / "rates.csv").read_text() == "m,m_dirichlet,rate\n3,1,\n"
+    assert sorted(p.name for p in out.iterdir()) == ["m2-md1", "m3-md1", "notes.txt",
+                                                     "rates.csv"]
+    assert [p.name for p in (out / "m2-md1").iterdir()] == ["notes.txt"]
+    assert sorted(p.name for p in (out / "m3-md1").iterdir()) == ["steady.txt", "trace.csv"]
+
+
 def test_failed_sweep_point_writes_error_and_exits_1(tmp_path):
     out = tmp_path / "sweep"
     assert run(RunConfig(preset="pme-sweep", m=1.0, level=0, out=str(out))) == 1
@@ -214,6 +232,33 @@ def test_convergence_study_table():
         convergence_study("pme-fill", range(2), ["sg"])
 
 
+def _convergence_rows(path):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return [{key: float(value) for key, value in zip(header, row) if value} for row in rows]
+
+
+def test_convergence_order_over_a_level_gap(tmp_path):
+    """An order across two levels is per halving of the cell size: the mean
+    of the two one-level orders, not their sum."""
+    gap, full = tmp_path / "gap.csv", tmp_path / "full.csv"
+    assert main(["convergence", "fp-toy", "--levels", "0,2", "--out", str(gap)]) == 0
+    assert main(["convergence", "fp-toy", "--levels", "0..2", "--out", str(full)]) == 0
+    gap_rows, full_rows = _convergence_rows(gap), _convergence_rows(full)
+    for scheme, order in (("upwind", 0.93), ("centered", 2.0)):
+        key = f"{scheme}_order"
+        assert gap_rows[1][f"{scheme}_err"] == full_rows[2][f"{scheme}_err"]
+        assert gap_rows[1][key] == pytest.approx((full_rows[1][key] + full_rows[2][key]) / 2,
+                                                 rel=1e-12)
+        assert gap_rows[1][key] == pytest.approx(order, abs=0.05)
+
+
+@pytest.mark.parametrize("levels", ["3..1", "a", "-1..0", "0,-1", "0,0", "2,1", "", "1.."])
+def test_convergence_bad_levels_are_usage_errors(capsys, levels):
+    assert main(["convergence", "fp-toy", f"--levels={levels}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --levels") and "Traceback" not in err
+
+
 def test_parse_config_text_sections():
     text = """
     # comment
@@ -236,8 +281,44 @@ def test_parse_config_text_sections():
         parse_config_text("text without equals")
 
 
-def test_config_keys_are_the_run_config_fields():
-    assert set(_CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
+def _parse_run(monkeypatch, *flags):
+    """The parsed flags of ``entrofv run fp-toy FLAGS`` and the RunConfig
+    that ``_config_from_target`` makes of them; the preset does not run."""
+    seen = []
+    to_config = cli._config_from_target
+    monkeypatch.setattr(cli, "_config_from_target",
+                        lambda target, args: seen.append(args) or to_config(target, args))
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    assert main(["run", "fp-toy", *flags]) == 0
+    return seen
+
+
+def test_every_run_flag_is_a_run_config_field(monkeypatch, tmp_path):
+    args, cfg = _parse_run(monkeypatch, "--scheme", "centered", "--level", "1", "--dt", "0.5",
+                           "--t-final", "2", "--entropy-floor", "0", "--out", str(tmp_path),
+                           "--force-peclet", "--bias", "1.5", "--m", "3",
+                           "--m-dirichlet", "2", "--lambda", "0.5")
+    dests = set(vars(args)) - {"command", "target"}
+    assert dests <= {f.name for f in fields(RunConfig)}
+    assert {key: getattr(cfg, key) for key in dests} == {key: getattr(args, key)
+                                                        for key in dests}
+
+
+@pytest.mark.parametrize("flags, fields_set", [
+    (("--level", "0", "--bias", "0", "--force-peclet"),
+     {"level": 0, "bias": 0.0, "force_peclet": True}),
+    ((), {}),
+])
+def test_zero_and_switch_flags_reach_the_run_config(monkeypatch, flags, fields_set):
+    _, cfg = _parse_run(monkeypatch, *flags)
+    assert cfg == RunConfig(preset="fp-toy", **fields_set)
+
+
+def test_config_file_values_take_the_run_config_types():
+    values = parse_config_text("preset = fp-toy\nlevel = 0\nforce_peclet = yes\nbias = 0\n")
+    assert values == {"preset": "fp-toy", "level": 0, "force_peclet": True, "bias": 0.0}
+    assert [type(values[key]) for key in ("level", "force_peclet", "bias")] == [int, bool,
+                                                                                float]
 
 
 def test_cli_run_config_file(tmp_path):
@@ -257,6 +338,20 @@ def test_cli_exit_codes(tmp_path):
     assert main(["mesh", "check", str(tmp_path / "m.tpfa")]) == 0
     assert main(["mesh", "gen", str(tmp_path / "m.tpfa"), "--level", "0"]) == 2
     assert main(["mesh", "refine", "--level", "0"]) == 2  # no such subcommand
+
+
+def test_cli_mesh_check_bad_file(tmp_path, capsys):
+    """An unreadable file is a usage error; a field that does not parse is a
+    format error naming its line, never a traceback."""
+    assert main(["mesh", "check", str(tmp_path / "missing.tpfa")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read mesh file")
+    lines = save_mesh(reference_mesh(0, BOUNDARY_NAMES["all-dirichlet"])).splitlines()
+    cell = lines[2].split()
+    for line, text in ((2, "cells x"), (3, " ".join([cell[0], "zz", *cell[2:]]))):
+        path = tmp_path / f"bad{line}.tpfa"
+        path.write_text("\n".join(lines[:line - 1] + [text] + lines[line:]) + "\n")
+        assert main(["mesh", "check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_NAMES))
@@ -327,3 +422,6 @@ def test_cli_entry_point_runs():
 def test_boundary_names_cover_presets():
     for name, bnd in BOUNDARY_NAMES.items():
         assert bnd.dirichlet or bnd.neumann
+    used = {build_problem(RunConfig(preset=name, level=0))[0].mesh.geometry.boundary
+            for name in presets()}
+    assert used == set(BOUNDARY_NAMES.values())

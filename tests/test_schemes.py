@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from entrofv.linalg import FactorStore
 from entrofv.mesh import BoundarySpec, reference_mesh
 from entrofv.schemes import (CENTERED, SCHARFETTER_GUMMEL, SCHEMES, UPWIND,
                              AssemblyError, BScheme, DataError, DdData,
@@ -14,7 +15,7 @@ from entrofv.schemes import (CENTERED, SCHARFETTER_GUMMEL, SCHEMES, UPWIND,
                              b_coefficients, discretize_coefficients,
                              edge_differences, edge_fluxes, edge_steady_weight,
                              laplacian, neighbor_values, peclet_guard,
-                             poisson_dirichlet_rhs, transport_data)
+                             pme_boundary_term, poisson_dirichlet_rhs, transport_data)
 
 ALL_SCHEMES = sorted(SCHEMES.items())
 
@@ -198,7 +199,7 @@ def test_toy_unit_gradient_has_max_speed_one(mesh0):
 def test_harmonic_edge_diffusion(two_cell_mesh):
     mesh = two_cell_mesh
     fd = np.where(mesh.dirichlet, 1.0, np.nan)
-    data = discretize_coefficients(mesh, np.array([3.0, 0.01]), fd)
+    data = discretize_coefficients(mesh, np.array([3.0, 0.01]), fd, np.zeros(mesh.n_edges))
     # equal sub-distances: d a_K a_L / (d_L a_K + d_K a_L) = 0.06 / 3.01
     assert data.a_edge[0] == pytest.approx(0.06 / 3.01)
     assert data.a_edge[1] == 3.0
@@ -207,7 +208,7 @@ def test_harmonic_edge_diffusion(two_cell_mesh):
 
 def test_constant_diffusion_everywhere(mesh0):
     fd = np.where(mesh0.dirichlet, 2.0, np.nan)
-    data = discretize_coefficients(mesh0, 7.0, fd)
+    data = discretize_coefficients(mesh0, 7.0, fd, np.zeros(mesh0.n_edges))
     np.testing.assert_allclose(data.a_edge, 7.0)
 
 
@@ -221,13 +222,15 @@ def test_transport_data_validates(two_cell_mesh):
                        np.where(mesh.dirichlet, -1.0, np.nan))
 
 
-def test_transport_antisymmetry_stored(two_cell_mesh):
+def test_transport_stores_first_cell_advection(two_cell_mesh):
+    """The second cell of an edge sees the negation of the stored value, by
+    the module's orientation convention: nothing else is stored."""
     mesh = two_cell_mesh
     u = np.where(mesh.interior, 3.0, 0.5)
     data = transport_data(mesh, np.ones(mesh.n_edges), u,
                           np.where(mesh.dirichlet, 1.0, np.nan))
-    inter = mesh.interior
-    np.testing.assert_allclose(data.u[inter, 1], -data.u[inter, 0])
+    assert data.u.shape == (mesh.n_edges,)
+    np.testing.assert_array_equal(data.u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +246,17 @@ def _two_cell_data(mesh, a=1.0, u_int=0.0, f_left=1.0, f_right=2.0):
 
 def test_peclet_guard_upwind_always_ok(two_cell_mesh):
     data = _two_cell_data(two_cell_mesh, u_int=500.0)
-    assert peclet_guard(two_cell_mesh, data, UPWIND, beta=1.0).ok
+    assert peclet_guard(two_cell_mesh, data, UPWIND).ok
+    # upwind keeps every flux coefficient at 1 or above, from either side
+    w = data.u * two_cell_mesh.edge_d / data.a_edge
+    assert np.all(UPWIND.b(np.concatenate([w, -w])) >= 1.0)
 
 
 def test_peclet_guard_centered_boundary_cases(two_cell_mesh):
     ok = _two_cell_data(two_cell_mesh, u_int=3.8)      # |u| d / a = 1.9
-    assert peclet_guard(two_cell_mesh, ok, CENTERED, beta=0.05).ok
+    assert peclet_guard(two_cell_mesh, ok, CENTERED).ok
     bad = _two_cell_data(two_cell_mesh, u_int=4.2)     # 2.1 -> negative B
-    report = peclet_guard(two_cell_mesh, bad, CENTERED, beta=0.05)
+    report = peclet_guard(two_cell_mesh, bad, CENTERED)
     assert not report.ok
     assert any(edge == 0 for _, edge, _ in report.violations)
 
@@ -273,7 +279,8 @@ def test_fp_operator_two_cell_oracle(two_cell_mesh):
 @pytest.mark.parametrize("name,scheme", ALL_SCHEMES)
 def test_fp_operator_symmetric_without_advection(name, scheme, mesh1, rng):
     fd = np.where(mesh1.dirichlet, rng.uniform(0.5, 2.0, mesh1.n_edges), np.nan)
-    data = discretize_coefficients(mesh1, rng.uniform(0.5, 3.0, mesh1.n_cells), fd)
+    data = discretize_coefficients(mesh1, rng.uniform(0.5, 3.0, mesh1.n_cells), fd,
+                                   np.zeros(mesh1.n_edges))
     m_op, _ = assemble_fp_operator(mesh1, data, scheme)
     dense = m_op.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-13)
@@ -322,7 +329,7 @@ def _brute_force_fp_operator(mesh, data, scheme):
             k = mesh.edge_cells[e, slot]
             if k < 0:
                 continue
-            w = data.u[e, slot] * mesh.edge_d[e] / data.a_edge[e]
+            w = (data.u[e] if slot == 0 else -data.u[e]) * mesh.edge_d[e] / data.a_edge[e]
             dense[k, k] += tau_a * float(scheme.b(-w))
             if mesh.edge_tag[e] == 0:
                 other = mesh.edge_cells[e, 1 - slot]
@@ -361,9 +368,9 @@ def test_flux_matches_operator_action(mesh0, rng):
 
 def _flux_from_second_cell(mesh, data, scheme, f, e):
     """Flux leaving the second cell of interior edge ``e``, from its own
-    advection ``u[e, 1]``."""
+    advection ``-u[e]``."""
     k, l = mesh.edge_cells[e]
-    bm, bp = scheme.both_sides(np.array([data.u[e, 1] * mesh.edge_d[e] / data.a_edge[e]]))
+    bm, bp = scheme.both_sides(np.array([-data.u[e] * mesh.edge_d[e] / data.a_edge[e]]))
     return mesh.tau[e] * data.a_edge[e] * (bm[0] * f[l] - bp[0] * f[k])
 
 
@@ -385,7 +392,7 @@ def test_b_coefficient_orientation_relation(name, scheme, mesh0, rng):
     data = transport_data(mesh0, np.ones(mesh0.n_edges), u, fd)
     bm, bp = b_coefficients(mesh0, data, scheme)
     # seen from the second cell the advection flips sign, so B- and B+ swap
-    w2 = data.u[:, 1] * mesh0.edge_d / data.a_edge
+    w2 = -data.u * mesh0.edge_d / data.a_edge
     inter = mesh0.interior
     np.testing.assert_allclose(scheme.b(-w2[inter]), bp[inter], rtol=1e-14)
     np.testing.assert_allclose(scheme.b(w2[inter]), bm[inter], rtol=1e-14)
@@ -455,7 +462,7 @@ def test_pme_residual_zero_at_fixed_point(two_cell_mesh):
     mesh = two_cell_mesh
     fd = np.where(mesh.dirichlet, 2.0, np.nan)
     f = np.full(2, 2.0)
-    residual, _ = assemble_pme_residual(mesh, f, f, 3.0, 1e-2, fd)
+    residual, _ = assemble_pme_residual(mesh, f, f, 3.0, 1e-2, pme_boundary_term(mesh, fd, 3.0))
     np.testing.assert_allclose(residual, 0.0, atol=1e-14)
 
 
@@ -464,7 +471,8 @@ def test_pme_residual_single_cell_no_flux(single_cell_mesh):
     fd = np.full(mesh.n_edges, np.nan)
     f_prev = np.array([1.0])
     f = np.array([1.7])
-    residual, _ = assemble_pme_residual(mesh, f_prev, f, 4.0, 0.1, fd)
+    residual, _ = assemble_pme_residual(mesh, f_prev, f, 4.0, 0.1,
+                                        pme_boundary_term(mesh, fd, 4.0))
     assert residual[0] == pytest.approx(1.0 * (1.7 - 1.0) / 0.1)
 
 
@@ -473,11 +481,12 @@ def test_pme_jacobian_matches_finite_differences(mesh0, rng):
     fd = np.where(mesh.dirichlet, rng.uniform(0.5, 2.0, mesh.n_edges), np.nan)
     f_prev = rng.uniform(0.1, 10.0, mesh.n_cells)
     f = rng.uniform(0.1, 10.0, mesh.n_cells)
-    _, jac = assemble_pme_residual(mesh, f_prev, f, 4.0, 1e-3, fd)
+    boundary = pme_boundary_term(mesh, fd, 4.0)
+    _, jac = assemble_pme_residual(mesh, f_prev, f, 4.0, 1e-3, boundary)
     v = rng.standard_normal(mesh.n_cells)
     h = 1e-7
-    rp = assemble_pme_residual(mesh, f_prev, f + h * v, 4.0, 1e-3, fd)[0]
-    rm = assemble_pme_residual(mesh, f_prev, f - h * v, 4.0, 1e-3, fd)[0]
+    rp = assemble_pme_residual(mesh, f_prev, f + h * v, 4.0, 1e-3, boundary)[0]
+    rm = assemble_pme_residual(mesh, f_prev, f - h * v, 4.0, 1e-3, boundary)[0]
     jv = jac @ v
     assert np.max(np.abs(jv - (rp - rm) / (2 * h))) < 1e-5 * np.max(np.abs(jv))
 
@@ -685,7 +694,7 @@ def test_pattern_assembly_matches_coo_reference(mesh_name, request, rng):
                              ref[2] + sp.identity(n)))
 
     f = rng.uniform(0.1, 2.0, n)
-    _, jac = assemble_pme_residual(mesh, f, f, 3.0, 0.2, f_dir)
+    _, jac = assemble_pme_residual(mesh, f, f, 3.0, 0.2, pme_boundary_term(mesh, f_dir, 3.0))
     dpow = 3.0 * f ** 2
     c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
     rows, cols, vals = _coo_tpfa(mesh, mesh.tau * dpow[c0], mesh.tau * dpow[c1])
@@ -725,9 +734,10 @@ def test_step_pme_builds_its_pattern_once(monkeypatch):
 
     monkeypatch.setattr(schemes, "_build_pattern", counting)
     prob = fill_problem(0)
+    boundary = pme_boundary_term(prob.mesh, prob.f_dirichlet, prob.m)
     f = prob.f0
     for _ in range(3):
-        f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
+        f = step_pme(prob.mesh, f, prob.m, 1e-3, FactorStore(), boundary)
     assert len(built) == 1
 
 
@@ -757,7 +767,8 @@ def test_shared_mesh_patterns_are_thread_safe(toy_boundary):
                     results[k] = [
                         assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, (f, f),
                                              state, 1e-2)[1],
-                        assemble_pme_residual(mesh, f, f, 2.0, 1e-2, f_dir)[1],
+                        assemble_pme_residual(mesh, f, f, 2.0, 1e-2,
+                                              pme_boundary_term(mesh, f_dir, 2.0))[1],
                         assemble_poisson(mesh, 1.0)]
                 except BaseException as err:  # reported below
                     errors.append(err)
@@ -811,7 +822,7 @@ def test_pme_residual_matches_gather_reference(mesh_name, request, rng):
     f_dir = np.where(mesh.dirichlet, rng.uniform(0.5, 2.0, mesh.n_edges), np.nan)
     for m, dt in ((2.0, 1e-3), (4.0, 0.3)):
         f_prev, f = rng.uniform(0.0, 3.0, n), rng.uniform(-0.1, 3.0, n)
-        got, _ = assemble_pme_residual(mesh, f_prev, f, m, dt, f_dir)
+        got, _ = assemble_pme_residual(mesh, f_prev, f, m, dt, pme_boundary_term(mesh, f_dir, m))
         # the gather/bincount residual: area (f - f_prev) / dt - sum tau D(f^m)
         flux = mesh.tau * edge_differences(mesh, signed_power(f, m), signed_power(f_dir, m))
         expected = mesh.cell_area * (f - f_prev) / dt - cell_sums(mesh, flux)
@@ -831,7 +842,7 @@ def test_pme_residual_names_missing_dirichlet_edge(mesh0):
     edge = int(np.flatnonzero(mesh0.dirichlet)[2])
     f_dir[edge] = np.nan
     with pytest.raises(AssemblyError, match=f"edge {edge}$"):
-        assemble_pme_residual(mesh0, f, f, 2.0, 1e-2, f_dir)
+        assemble_pme_residual(mesh0, f, f, 2.0, 1e-2, pme_boundary_term(mesh0, f_dir, 2.0))
 
 
 def test_pme_steps_validate_each_structure_once(monkeypatch):
@@ -849,13 +860,14 @@ def test_pme_steps_validate_each_structure_once(monkeypatch):
 
     monkeypatch.setattr(sp.csc_matrix, "__init__", counting)
     prob = fill_problem(0)  # a fresh mesh: no pattern built yet
+    boundary = pme_boundary_term(prob.mesh, prob.f_dirichlet, prob.m)
     f = prob.f0
     for _ in range(2):
-        f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
+        f = step_pme(prob.mesh, f, prob.m, 1e-3, FactorStore(), boundary)
     # the two-point pattern's structure, then its permuted copy
     assert len(built) == 2
     for _ in range(3):
-        f = step_pme(prob.mesh, f, prob.m, 1e-3, prob.f_dirichlet)
+        f = step_pme(prob.mesh, f, prob.m, 1e-3, FactorStore(), boundary)
     assert len(built) == 2
 
 
@@ -913,7 +925,7 @@ def test_package_patterns_match_unique(mesh_name, request, rng):
     m_op, _ = assemble_fp_operator(mesh, data, UPWIND)
     add_diagonal(m_op, mesh.cell_area)
     f = rng.uniform(0.1, 2.0, n)
-    assemble_pme_residual(mesh, f, f, 2.0, 0.1, f_dir)
+    assemble_pme_residual(mesh, f, f, 2.0, 0.1, pme_boundary_term(mesh, f_dir, 2.0))
     add_diagonal(assemble_poisson(mesh, 0.5), mesh.cell_area)
     dd = _random_dd(mesh, rng)
     state = (rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n))
@@ -964,7 +976,8 @@ def test_single_cell_shifted_matrices_keep_their_diagonal(single_cell_mesh):
     np.testing.assert_array_equal(stepper.step(np.array([2.0]), 0.5), [2.0])
     np.testing.assert_array_equal(stepper.factors.jac.toarray(), [[2.0]])
     f = np.array([1.5])
-    _, jac = assemble_pme_residual(mesh, f, f, 2.0, 0.25, no_data)
+    _, jac = assemble_pme_residual(mesh, f, f, 2.0, 0.25,
+                                   pme_boundary_term(mesh, no_data, 2.0))
     np.testing.assert_array_equal(jac.toarray(), [[4.0]])
 
 
@@ -992,7 +1005,7 @@ def test_set_up_allocates_little_beyond_what_it_keeps():
     bytes it keeps and its "tpfa" pattern at 6.1 times; sort-free, they peak
     at about 1.5 and 2.5 times."""
     from entrofv.schemes import _build_pattern
-    mesh, mesh_ratio = _traced_peak_ratio(lambda: reference_mesh(4))
+    mesh, mesh_ratio = _traced_peak_ratio(lambda: reference_mesh(4, BoundarySpec.all_dirichlet()))
     _, pattern_ratio = _traced_peak_ratio(lambda: _build_pattern(mesh, (("tpfa", 0, 0),)))
     assert mesh_ratio < 2.0
     assert pattern_ratio < 4.0

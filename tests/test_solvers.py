@@ -14,7 +14,7 @@ from entrofv.presets import (RunConfig, fill_problem, hetero_problem, pn_problem
 from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DataError, DdData,
                              advection_from_potential, assemble_dd_residual,
                              assemble_fp_operator, assemble_pme_residual, edge_differences,
-                             signed_power, transport_data)
+                             pme_boundary_term, signed_power, transport_data)
 from entrofv.solvers import (DdState, FpStepper, SolverError, StepperConfig,
                              adaptive_time_loop, dd_equilibrium_offsets, run_transient,
                              solve_dd_poisson, solve_dd_steady,
@@ -170,13 +170,17 @@ def test_pme_steady_constant(mesh0):
     np.testing.assert_allclose(f, 1.7, rtol=1e-12)
 
 
-def test_pme_steady_all_neumann_mass_average(single_cell_mesh):
-    mesh = single_cell_mesh
-    fd = np.full(mesh.n_edges, np.nan)
-    f = solve_pme_steady(mesh, fd, 2.0, initial=np.array([0.018]))
-    np.testing.assert_allclose(f, 0.018)
-    with pytest.raises(SolverError):
-        solve_pme_steady(mesh, fd, 2.0)
+def test_pme_steady_all_neumann_raises_h1(single_cell_mesh):
+    """Without a Dirichlet edge (hypothesis H1 fails) no steady state is
+    defined by the boundary data."""
+    fd = np.full(single_cell_mesh.n_edges, np.nan)
+    with pytest.raises(DataError, match="H1"):
+        solve_pme_steady(single_cell_mesh, fd, 2.0)
+
+
+def _step_pme(mesh, f_prev, m, dt, f_dir):
+    """One porous-medium step on fresh factors."""
+    return step_pme(mesh, f_prev, m, dt, FactorStore(), pme_boundary_term(mesh, f_dir, m))
 
 
 def _dense_laplace_oracle(mesh, u_dirichlet):
@@ -220,7 +224,7 @@ def test_pme_steady_filling_against_dense_oracle():
 def test_step_pme_fixed_point(mesh0):
     fd = np.where(mesh0.dirichlet, 2.0, np.nan)
     steady = solve_pme_steady(mesh0, fd, 3.0)
-    out = step_pme(mesh0, steady, 3.0, 1e-2, fd)
+    out = _step_pme(mesh0, steady, 3.0, 1e-2, fd)
     assert not isinstance(out, NonConvergence)
     np.testing.assert_allclose(out, steady, atol=1e-11)
 
@@ -263,7 +267,7 @@ def test_step_pme_filling_first_step_structure():
     prob = fill_problem(2)
     mesh = prob.mesh
     dt = 1e-3
-    f1 = step_pme(mesh, prob.f0, prob.m, dt, prob.f_dirichlet)
+    f1 = _step_pme(mesh, prob.f0, prob.m, dt, prob.f_dirichlet)
     assert not isinstance(f1, NonConvergence)
     assert np.all(f1 >= 0)
     # finite propagation: cells far from the right edge stay empty
@@ -285,10 +289,11 @@ def test_step_pme_positivity_rejection_reports_residual(mesh0, monkeypatch):
     f_prev = np.full(mesh0.n_cells, -0.5)
     # a tolerance this loose accepts the start, which has negative density
     monkeypatch.setattr(linalg, "NEWTON_TOL", 1e6)
-    out = step_pme(mesh0, f_prev, 2.0, 1e-2, f_dir)
+    out = _step_pme(mesh0, f_prev, 2.0, 1e-2, f_dir)
     assert isinstance(out, NonConvergence)
     assert out.reason == "negative density"
-    residual = assemble_pme_residual(mesh0, f_prev, f_prev, 2.0, 1e-2, f_dir)[0]
+    residual = assemble_pme_residual(mesh0, f_prev, f_prev, 2.0, 1e-2,
+                                     pme_boundary_term(mesh0, f_dir, 2.0))[0]
     assert out.residual_norm == np.max(np.abs(residual)) > 0
 
 
@@ -337,7 +342,8 @@ def test_dd_thermal_jacobian_spd(mesh0):
 
 def test_dd_steady_flat_constants(mesh0):
     for scheme in SCHEMES.values():
-        state = solve_dd_steady(mesh0, _flat_dd(mesh0), scheme)
+        dd = _flat_dd(mesh0)
+        state = solve_dd_steady(mesh0, dd, scheme, solve_dd_thermal(mesh0, dd))
         np.testing.assert_allclose(state.n, 1.0, atol=1e-12)
         np.testing.assert_allclose(state.p, 1.0, atol=1e-12)
         np.testing.assert_allclose(state.v, 0.0, atol=1e-12)
@@ -346,7 +352,7 @@ def test_dd_steady_flat_constants(mesh0):
 def test_dd_steady_sg_matches_thermal():
     prob = pn_problem(1)
     thermal = solve_dd_thermal(prob.mesh, prob.dd)
-    steady = solve_dd_steady(prob.mesh, prob.dd, SCHARFETTER_GUMMEL)
+    steady = solve_dd_steady(prob.mesh, prob.dd, SCHARFETTER_GUMMEL, thermal)
     assert np.max(np.abs(steady.n - thermal.n)) < 1e-9
     assert np.max(np.abs(steady.p - thermal.p)) < 1e-9
     assert np.max(np.abs(steady.v - thermal.v)) < 1e-9
@@ -354,14 +360,14 @@ def test_dd_steady_sg_matches_thermal():
 
 def test_dd_steady_upwind_breaks_thermal_identity():
     prob = pn_problem(2)
-    steady = solve_dd_steady(prob.mesh, prob.dd, UPWIND)
+    steady = solve_dd_steady(prob.mesh, prob.dd, UPWIND, solve_dd_thermal(prob.mesh, prob.dd))
     assert np.max(np.abs(np.log(steady.n) - steady.v)) > 1e-6
 
 
 def test_step_dd_fixed_point_and_charge_identity():
     prob = pn_problem(1)
     mesh, dd = prob.mesh, prob.dd
-    steady = solve_dd_steady(mesh, dd, SCHARFETTER_GUMMEL)
+    steady = solve_dd_steady(mesh, dd, SCHARFETTER_GUMMEL, solve_dd_thermal(mesh, dd))
     out = step_dd(mesh, dd, SCHARFETTER_GUMMEL, steady, 1e-2)
     assert not isinstance(out, NonConvergence)
     assert np.max(np.abs(out.n - steady.n)) < 1e-9
@@ -411,8 +417,8 @@ def test_newton_steps_assemble_once_per_iterate(monkeypatch):
     dd_calls = _count_calls(monkeypatch, "assemble_dd_residual")
 
     prob = fill_problem(1)
-    assert not isinstance(step_pme(prob.mesh, prob.f0, prob.m, 1e-3,
-                                   prob.f_dirichlet), NonConvergence)
+    assert not isinstance(_step_pme(prob.mesh, prob.f0, prob.m, 1e-3,
+                                    prob.f_dirichlet), NonConvergence)
     dd = pn_problem(0, bias=2.5)
     v0 = solve_dd_poisson(dd.mesh, dd.dd, dd.n0, dd.p0)
     state = DdState(n=dd.n0, p=dd.p0, v=v0)
@@ -425,27 +431,23 @@ def test_newton_steps_assemble_once_per_iterate(monkeypatch):
     assert len(dd_calls) == dd_iters + 1
 
 
-def test_pme_run_forms_its_boundary_term_once(monkeypatch, rng):
+def test_pme_run_forms_its_boundary_term_once(monkeypatch):
     """``PmeProblem.start`` forms the Dirichlet term of the residual; the
-    steps and their Newton iterates reuse it, and it equals the term that
-    each assembly forms by itself."""
+    steps and their Newton iterates reuse it, and a step on it equals a step
+    on the term formed afresh from the data."""
     from entrofv import schemes
     prob = fill_problem(0)
-    mesh, m, f_dir = prob.mesh, prob.m, prob.f_dirichlet
-    f_prev, f = rng.uniform(0.0, 2.0, mesh.n_cells), rng.uniform(0.0, 2.0, mesh.n_cells)
-    alone, _ = assemble_pme_residual(mesh, f_prev, f, m, 1e-3, f_dir)
-    given, _ = assemble_pme_residual(mesh, f_prev, f, m, 1e-3, f_dir,
-                                     schemes.pme_boundary_term(mesh, f_dir, m))
-    assert np.array_equal(alone, given)
-
     _, state, step, _ = prob.start(SCHARFETTER_GUMMEL)
+    fresh = _step_pme(prob.mesh, state, prob.m, 1e-3, prob.f_dirichlet)
     sums = []
     dirichlet_sums = schemes.dirichlet_sums
     monkeypatch.setattr(schemes, "dirichlet_sums",
                         lambda *args: sums.append(args) or dirichlet_sums(*args))
     assemblies = _count_calls(monkeypatch, "assemble_pme_residual")
-    for _ in range(3):
+    for k in range(3):
         state = step(state, 1e-3)
+        if k == 0:
+            assert np.array_equal(state, fresh)
     assert len(assemblies) > 3 and sums == []
 
 
@@ -603,7 +605,7 @@ def test_fp_and_pme_reruns_in_one_process_are_byte_identical(tmp_path):
 def test_dd_steady_with_bias_converges():
     prob = pn_problem(0, bias=2.5)
     for scheme in SCHEMES.values():
-        state = solve_dd_steady(prob.mesh, prob.dd, scheme)
+        state = solve_dd_steady(prob.mesh, prob.dd, scheme, None)
         assert np.all(state.n > 0) and np.all(state.p > 0)
 
 
@@ -614,7 +616,7 @@ def test_failed_steady_dd_newton_raises_after_one_call(monkeypatch, tmp_path):
     newton = _count_calls(monkeypatch, "newton_solve")
     prob = pn_problem(0, bias=2.5)
     with pytest.raises(SolverError) as err:
-        solve_dd_steady(prob.mesh, prob.dd, SCHARFETTER_GUMMEL)
+        solve_dd_steady(prob.mesh, prob.dd, SCHARFETTER_GUMMEL, None)
     assert len(newton) == 1 and isinstance(newton[0], NonConvergence)
     assert str(err.value) == f"steady drift-diffusion solve failed: {newton[0]}"
     assert "bias fraction" not in str(err.value)
@@ -923,7 +925,8 @@ def test_shared_mesh_ordering_is_thread_safe():
                 try:
                     barrier.wait(timeout=30)
                     results[k] = [linalg.solve_linear(jac, b, factorize(jac)) for jac in (
-                        assemble_pme_residual(mesh, f, f, 2.0, dt, f_dir)[1]
+                        assemble_pme_residual(mesh, f, f, 2.0, dt,
+                                              pme_boundary_term(mesh, f_dir, 2.0))[1]
                         for dt in (1e-2, 1e-2, 1e-3))]
                 except BaseException as err:  # reported below
                     errors.append(err)
