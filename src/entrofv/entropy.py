@@ -164,8 +164,6 @@ class FpDiagnostics:
     """The linear model's trace record against one steady state, which is
     checked once: every record forms h = f / f_inf and f - f_inf once."""
 
-    columns = ("H_phi1", "H_phi2", "D_phi2", "L1", "L2")
-
     def __init__(self, mesh: Mesh, data: TransportData, scheme: BScheme,
                  f_inf: np.ndarray):
         _check_reference(f_inf)

@@ -1,8 +1,9 @@
 """Checked sparse direct solves, M-matrix structure checks and Newton.
 
 Operators are plain ``scipy.sparse`` matrices (CSC when assembled).  Every
-factorization goes through :func:`factorize` and every solve through
-:func:`solve_linear`, which checks finiteness and the max-norm residual.
+factorization goes through :func:`factorize`; a one-off solve is
+:func:`solve_linear`, and every solve on held factors is
+:meth:`FactorStore.solve`.  Both check finiteness and the max-norm residual.
 """
 
 from __future__ import annotations
@@ -101,17 +102,13 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
         raise SingularMatrixError(str(err)) from err
 
 
-def solve_linear(a: sp.spmatrix, b: np.ndarray,
-                 lu: Union[spla.SuperLU, PermutedLU, None] = None) -> np.ndarray:
-    """Direct sparse solve with a residual guarantee in the max-norm.
-
-    ``lu``, when given, must be ``factorize(a)``; callers that solve with one
-    matrix many times pass it to factorize only once.
-    """
+def solve_linear(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """One-off direct sparse solve with a residual guarantee in the max-norm;
+    solves that reuse factors go through :meth:`FactorStore.solve`."""
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise LinAlgError(f"rhs shape {b.shape} does not match matrix size {a.shape[0]}")
-    return _checked(a, b, (lu if lu is not None else factorize(a)).solve(b))
+    return _checked(a, b, factorize(a).solve(b))
 
 
 def _checked(a: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -232,47 +229,38 @@ REFINE_SWEEPS = 4
 
 @dataclass(eq=False)
 class FactorStore:
-    """A matrix and its factors: the Jacobian that :func:`newton_solve`
-    reuses across iterates and calls, for simplified steps or to refine full
-    ones on (:meth:`solve`), or a linear stepping matrix.  ``for_dt`` drops
-    them when another step size is asked for, as the simplified steps and
-    the stepping matrix need.  One caller owns it (one transient run, one
-    stepper or one Newton call)."""
+    """The latest matrix factored, ``jac``, and its factors ``lu``, both None
+    or both set; every solve on held factors goes through :meth:`solve`.
+    One caller owns it: one transient run or one Newton call."""
 
-    dt: Optional[float] = None
     jac: Optional[sp.spmatrix] = None
     lu: Union[spla.SuperLU, PermutedLU, None] = None
 
     def drop(self) -> None:
         self.jac = self.lu = None
 
-    def for_dt(self, dt: float) -> "FactorStore":
-        if dt != self.dt:
-            self.drop()
-            self.dt = dt
-        return self
-
     def solve(self, a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-        """Checked solve of ``a x = b``, ``a`` CSC or CSR, by iterative
-        refinement on the stored factors, which may be those of a nearby
-        matrix; when the refinement stalls (see :data:`REFINE_CONTRACTION`)
-        or no factors are stored, ``a`` is factored into the store and solved
-        directly."""
-        if self.lu is not None:  # sweeps from x = 0, whose backward error is 1
-            x, r, omega_prev = 0.0, b, 1.0
-            # |A| on the pattern of A; tiny keeps the rows where b and x vanish at 0
-            scale, abs_b = with_data(a, np.abs(a.data)), np.abs(b) + np.finfo(float).tiny
-            for _ in range(REFINE_SWEEPS):
-                x = x + self.lu.solve(r)
-                r = b - a @ x
-                omega = np.max(np.abs(r) / (scale @ np.abs(x) + abs_b))
-                if omega <= REFINE_EPS:
-                    return _checked(a, b, x)
-                if not omega <= REFINE_CONTRACTION * omega_prev:
-                    break
-                omega_prev = omega
-        self.lu, self.jac = factorize(a), a
-        return solve_linear(a, b, self.lu)
+        """Checked solve of ``a x = b``, ``a`` CSC or CSR: one direct solve
+        when the held factors are ``a``'s own (``a is jac``), else iterative
+        refinement on those of a nearby matrix; when the refinement stalls
+        (see :data:`REFINE_CONTRACTION`) or nothing is held, ``a`` is
+        factored into the store and solved directly."""
+        if a is not self.jac:
+            if self.lu is not None:  # sweeps from x = 0, whose backward error is 1
+                x, r, omega_prev = 0.0, b, 1.0
+                # |A| on the pattern of A; tiny keeps the rows where b and x vanish at 0
+                scale, abs_b = with_data(a, np.abs(a.data)), np.abs(b) + np.finfo(float).tiny
+                for _ in range(REFINE_SWEEPS):
+                    x = x + self.lu.solve(r)
+                    r = b - a @ x
+                    omega = np.max(np.abs(r) / (scale @ np.abs(x) + abs_b))
+                    if omega <= REFINE_EPS:
+                        return _checked(a, b, x)
+                    if not omega <= REFINE_CONTRACTION * omega_prev:
+                        break
+                    omega_prev = omega
+            self.lu, self.jac = factorize(a), a
+        return _checked(a, b, self.lu.solve(b))
 
 
 def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]],
@@ -300,14 +288,11 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
     if norm <= NEWTON_TOL:
         return x, 0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        reuse = jac is None and store.lu is not None
+        if jac is None and store.lu is None:
+            r, jac = system(x, jacobian=True)
+        reuse = jac is None
         try:
-            if reuse:
-                dx = solve_linear(store.jac, -r, store.lu)
-            else:
-                if jac is None:
-                    r, jac = system(x, jacobian=True)
-                dx = store.solve(jac, -r)
+            dx = store.solve(store.jac if reuse else jac, -r)
         except LinAlgError:
             store.drop()
             if reuse:

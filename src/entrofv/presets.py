@@ -182,9 +182,11 @@ class RunConfig:
                 raise UsageError(f"{name} must be positive and finite, got {value:g}")
         if self.level is not None and not 0 <= self.level <= MAX_REFERENCE_LEVEL:
             raise UsageError(f"level must lie in 0..{MAX_REFERENCE_LEVEL}, got {self.level}")
-        for name, value in (("bias", self.bias), ("m", self.m)):
+        for name, value in (("bias", self.bias), ("doping", self.doping)):
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value:g}")
+        if self.m is not None and not 1 < self.m < math.inf:
+            raise UsageError(f"m must exceed 1 and be finite, got {self.m:g}")
         if not 0 <= self.entropy_floor < math.inf:
             raise UsageError(f"entropy_floor must be non-negative and finite, "
                              f"got {self.entropy_floor:g}")
@@ -338,6 +340,8 @@ def sweep_rate(trace: EntropyTrace) -> float:
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
     """Run every sweep point into its own directory and write rates.csv; a
     point that fails or aborts gets no rate row and makes the status 1."""
+    preset = presets()["pme-sweep"]
+    scheme = cfg.resolved_scheme(preset.scheme)
     # an earlier sweep's outputs go first: no point outside this sweep survives
     (out / "rates.csv").unlink(missing_ok=True)
     for point in out.glob("m*-md*"):
@@ -346,7 +350,6 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
                 (point / name).unlink(missing_ok=True)
             if not any(point.iterdir()):
                 point.rmdir()
-    preset = presets()["pme-sweep"]
     level = _or(cfg.level, preset.level)
     stepper = _stepper(preset, cfg)
     mesh = None  # built by the first point's sweep_problem, shared by the rest
@@ -356,7 +359,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
         m, md = point
         problem = sweep_problem(level, m=m, m_dirichlet=md, mesh=mesh)
         mesh = problem.mesh
-        result = _run_into(out / f"m{m:g}-md{md:g}", problem, SCHEMES["sg"], stepper)
+        result = _run_into(out / f"m{m:g}-md{md:g}", problem, scheme, stepper)
         if result is None or result.abort_reason is not None:
             return None
         try:

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from . import entropy as ent
 from .entropy import EntropyTrace
-from .linalg import FactorStore, NonConvergence, factorize, newton_solve, solve_linear
+from .linalg import FactorStore, NonConvergence, newton_solve, solve_linear
 from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
                       TransportData, add_diagonal, assemble_dd_residual,
@@ -67,26 +67,6 @@ def solve_fp_steady(operator: sp.csc_matrix, boundary: np.ndarray) -> np.ndarray
     if np.any(f <= 0):
         raise SolverError("steady state is not strictly positive")
     return f
-
-
-class FpStepper:
-    """Backward-Euler steps with the operator and boundary vector from
-    :func:`assemble_fp_operator`; the stepping matrix, on the operator's
-    pattern, is factorized once per run of equal step sizes, and only the
-    factors of the latest step size are kept."""
-
-    def __init__(self, mesh: Mesh, operator: sp.csc_matrix, boundary: np.ndarray):
-        self.mesh = mesh
-        self.operator, self.boundary = operator, boundary
-        self.factors = FactorStore()
-
-    def step(self, f_prev: np.ndarray, dt: float) -> np.ndarray:
-        store = self.factors.for_dt(dt)
-        if store.lu is None:
-            store.jac = add_diagonal(self.operator, self.mesh.cell_area / dt)
-            store.lu = factorize(store.jac)
-        return solve_linear(store.jac, self.mesh.cell_area * f_prev / dt + self.boundary,
-                            store.lu)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +158,7 @@ def solve_dd_thermal(mesh: Mesh, dd: DdData) -> DdState:
 
 
 def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
-               state_prev=None, dt=None,
-               store: Optional[FactorStore] = None):
+               state_prev=None, dt=None, store: Optional[FactorStore] = None):
     n = mesh.n_cells
 
     def unpack(x):
@@ -189,8 +168,7 @@ def _dd_newton(mesh: Mesh, dd: DdData, scheme: BScheme, start: DdState,
         return assemble_dd_residual(mesh, dd, scheme, state_prev, unpack(x), dt,
                                     jacobian=jacobian)
 
-    result = newton_solve(system, np.concatenate(start),
-                          None if store is None else store.for_dt(dt))
+    result = newton_solve(system, np.concatenate(start), store)
     if isinstance(result, NonConvergence):
         return result
     x, iterations = result
@@ -239,14 +217,13 @@ def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
     return result
 
 
-def step_dd(mesh: Mesh, dd: DdData, scheme: BScheme, state_prev: DdState,
-            dt: float,
+def step_dd(mesh: Mesh, dd: DdData, scheme: BScheme, state_prev: DdState, dt: float,
             store: Optional[FactorStore] = None) -> Union[DdState, NonConvergence]:
     """One fully implicit step of the coupled system from the previous state.
 
-    With a ``store``, Newton reuses the factored Jacobian it holds when that
-    was made for the same ``dt`` (see :func:`newton_solve`), and leaves its
-    last factors there for the next step.
+    With a ``store``, Newton starts on the factors it holds, made at an earlier
+    step, perhaps of another ``dt``: :func:`newton_solve` drops them once they
+    stop contracting.  Its last factors stay there for the next step.
     """
     return _dd_newton(mesh, dd, scheme, state_prev,
                       state_prev=(state_prev.n, state_prev.p), dt=dt, store=store)
@@ -272,8 +249,18 @@ class FpProblem:
         operator, boundary = assemble_fp_operator(self.mesh, self.data, scheme,
                                                   force=self.force_peclet)
         steady = solve_fp_steady(operator, boundary)
-        stepper = FpStepper(self.mesh, operator, boundary)
-        return (steady, np.asarray(self.f0, dtype=float), stepper.step,
+        # the stepping matrix of the latest dt, on the operator's pattern:
+        # factored into the store at its first step, then solved directly
+        store, area, held = FactorStore(), self.mesh.cell_area, {}
+
+        def step(f, dt):
+            if dt not in held:
+                store.drop()
+                held.clear()
+                held[dt] = add_diagonal(operator, area / dt)
+            return store.solve(held[dt], area * f / dt + boundary)
+
+        return (steady, np.asarray(self.f0, dtype=float), step,
                 ent.FpDiagnostics(self.mesh, self.data, scheme, steady))
 
 

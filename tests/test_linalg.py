@@ -165,12 +165,12 @@ def test_newton_without_store_takes_simplified_steps(monkeypatch):
 def test_newton_store_refactors_after_bad_reused_steps():
     for slope in (3e4, 1e-2):  # slow contraction, then a step into NaN
         jac = sp.csr_matrix([[slope]])
-        store = FactorStore(dt=1.0, jac=jac, lu=factorize(jac))
+        store = FactorStore(jac=jac, lu=factorize(jac))
         stale = store.lu
         result = newton_solve(_store_cubic, np.array([3.0]), store)
         assert not isinstance(result, NonConvergence)
         assert result[0][0] == pytest.approx(2.0, abs=1e-11)
-        assert store.lu is not stale and store.dt == 1.0
+        assert store.lu is not stale
 
 
 def test_newton_store_reuses_factors_across_calls():
@@ -181,7 +181,8 @@ def test_newton_store_reuses_factors_across_calls():
     assert first[0][0] == pytest.approx(2.0, abs=1e-11)
     assert again[0][0] == pytest.approx(2.0, abs=1e-11)
     assert store.lu is kept
-    assert store.for_dt(0.5).lu is None and store.dt == 0.5
+    store.drop()
+    assert store.jac is None and store.lu is None
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,25 @@ def test_refined_solve_on_far_factors_refactors_once(monkeypatch, rng):
     assert len(calls) == 1
     assert store.jac is jac and store.lu is not stale
     np.testing.assert_array_equal(x, store.lu.solve(b))
+
+
+def test_store_solve_on_its_held_matrix_is_one_direct_solve(monkeypatch, rng):
+    mesh, jac = _pme_jacobian(np.linspace(0.5, 1.5, 224))
+    b = rng.standard_normal(mesh.n_cells)
+    store = FactorStore()
+    x = store.solve(jac, b)  # nothing held: jac is factored into the store
+    assert store.jac is jac
+    lu, solves = store.lu, []
+
+    class Counting:  # SuperLU takes no new attributes
+        def solve(self, rhs):
+            solves.append(rhs)
+            return lu.solve(rhs)
+
+    store.lu = Counting()
+    calls = _count_splu(monkeypatch)
+    np.testing.assert_array_equal(store.solve(jac, b), x)
+    assert len(solves) == 1 and calls == [] and store.jac is jac
 
 
 @pytest.mark.parametrize("stored", [None, 1.0], ids=["empty", "stale"])
@@ -323,7 +343,8 @@ def test_pattern_ordering_reproduces_mmd_factors(level, rng):
             # the permuted columns keep their row order, so SuperLU repeats
             # the ordered factorization bit for bit
             np.testing.assert_array_equal(x, x_ref, err_msg=name)
-            np.testing.assert_array_equal(solve_linear(later, b, lu), x_ref, err_msg=name)
+            held = FactorStore(jac=later, lu=lu)  # its own factors: one direct solve
+            np.testing.assert_array_equal(held.solve(later, b), x_ref, err_msg=name)
 
 
 def test_pattern_factored_once_builds_no_permuted_structure(rng):
@@ -346,4 +367,4 @@ def test_pattern_path_singular_matrix_raises():
         factorize(singular)
     assert "permuted" in pattern.ordering
     with pytest.raises(SingularMatrixError):
-        solve_linear(singular, np.ones(3), None)
+        solve_linear(singular, np.ones(3))

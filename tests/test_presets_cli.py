@@ -12,11 +12,12 @@ import entrofv
 from entrofv import cli
 from entrofv.cli import main, parse_config_text
 from entrofv import mesh as mesh_module
+from entrofv import presets as presets_module
 from entrofv.mesh import reference_mesh, save_mesh, validate
 from entrofv.presets import (BOUNDARY_NAMES, RunConfig, UsageError, _write_steady,
                              build_problem, convergence_study, fill_problem,
                              hetero_problem, pn_problem, presets, run, toy_problem)
-from entrofv.solvers import DdState
+from entrofv.solvers import DdState, SolverError
 from entrofv.schemes import peclet_guard
 
 
@@ -170,10 +171,14 @@ def test_sweep_removes_the_points_of_an_earlier_sweep(tmp_path):
     assert sorted(p.name for p in (out / "m3-md1").iterdir()) == ["steady.txt", "trace.csv"]
 
 
-def test_failed_sweep_point_writes_error_and_exits_1(tmp_path):
+def test_failed_sweep_point_writes_error_and_exits_1(tmp_path, monkeypatch):
+    def failing(*args):
+        raise SolverError("steady state lost positivity")
+
+    monkeypatch.setattr(presets_module, "run_transient", failing)
     out = tmp_path / "sweep"
-    assert run(RunConfig(preset="pme-sweep", m=1.0, level=0, out=str(out))) == 1
-    assert "exponent" in (out / "m1-md1" / "error.txt").read_text()
+    assert run(RunConfig(preset="pme-sweep", m=3.0, level=0, out=str(out))) == 1
+    assert "positivity" in (out / "m3-md1" / "error.txt").read_text()
     assert (out / "rates.csv").read_text() == "m,m_dirichlet,rate\n"
 
 
@@ -329,6 +334,20 @@ def test_cli_run_config_file(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("preset, line, name", [
+    ("dd-pn", "doping = nan", "doping"),
+    ("pme-fill", "scheme = weird", "unknown scheme"),
+    ("pme-sweep", "scheme = weird", "unknown scheme"),
+])
+def test_cli_bad_config_file_value_is_usage_error(tmp_path, capsys, preset, line, name):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"preset = {preset}\n{line}\nout = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     assert main(["run", "nosuchpreset"]) == 2
     assert main(["convergence", "fp-toy", "--levels", "0..1",
@@ -398,6 +417,8 @@ def test_cli_mesh_negative_level_is_usage_error(capsys, command):
     (["pme-sweep", "--m-dirichlet", "-1"], "m_dirichlet"),
     (["fp-toy", "--entropy-floor", "nan"], "entropy_floor"),
     (["fp-toy", "--entropy-floor", "-1"], "entropy_floor"),
+    (["pme-fill", "--m", "0.5"], "m"),  # the steady state needs an exponent above 1
+    (["pme-sweep", "--level", "0", "--t-final", "0.05", "--m", "1"], "m"),
 ])
 def test_cli_bad_run_parameter_is_usage_error(tmp_path, capsys, argv, name):
     out = tmp_path / "out"

@@ -672,7 +672,6 @@ def _assert_same_matrix(got, reference):
 @pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
 def test_pattern_assembly_matches_coo_reference(mesh_name, request, rng):
     from entrofv.schemes import add_diagonal
-    from entrofv.solvers import FpStepper
     mesh = request.getfixturevalue(mesh_name)
     n, dmask = mesh.n_cells, mesh.dirichlet
 
@@ -686,10 +685,9 @@ def test_pattern_assembly_matches_coo_reference(mesh_name, request, rng):
         ref = _coo(n, *_coo_tpfa(mesh, ta * bm, ta * bp))
         _assert_same_matrix(m_op, ref)
 
-        stepper = FpStepper(mesh, *assemble_fp_operator(mesh, data, scheme, force=True))
-        stepper.step(rng.uniform(0.5, 2.0, n), 0.3)
+        # the stepping matrix that FpProblem's steps factor
         step_ref = (sp.diags(mesh.cell_area / 0.3) + ref[0]).tocsr()
-        _assert_same_matrix(stepper.factors.jac,
+        _assert_same_matrix(add_diagonal(m_op, mesh.cell_area / 0.3),
                             (step_ref, abs(sp.diags(mesh.cell_area / 0.3)) + ref[1],
                              ref[2] + sp.identity(n)))
 
@@ -965,16 +963,17 @@ def test_single_cell_shifted_matrices_keep_their_diagonal(single_cell_mesh):
     """On a cell whose edges are all no-flux, the two-point pattern holds a
     zero on the diagonal, which the time term of a step fills.  Though no
     entry is emitted, the operators hold floats."""
-    from entrofv.solvers import FpStepper
+    from entrofv.schemes import add_diagonal
     mesh = single_cell_mesh
     no_data = np.full(mesh.n_edges, np.nan)
     data = transport_data(mesh, np.ones(mesh.n_edges), np.zeros(mesh.n_edges), no_data)
     m_op, b = assemble_fp_operator(mesh, data, UPWIND)
     assert m_op.nnz == 1 and m_op.toarray() == 0.0
     assert m_op.dtype == laplacian(mesh).dtype == np.float64
-    stepper = FpStepper(mesh, m_op, b)
-    np.testing.assert_array_equal(stepper.step(np.array([2.0]), 0.5), [2.0])
-    np.testing.assert_array_equal(stepper.factors.jac.toarray(), [[2.0]])
+    step_matrix = add_diagonal(m_op, mesh.cell_area / 0.5)  # as an FP step forms it
+    np.testing.assert_array_equal(step_matrix.toarray(), [[2.0]])
+    np.testing.assert_array_equal(
+        FactorStore().solve(step_matrix, mesh.cell_area * np.array([2.0]) / 0.5 + b), [2.0])
     f = np.array([1.5])
     _, jac = assemble_pme_residual(mesh, f, f, 2.0, 0.25,
                                    pme_boundary_term(mesh, no_data, 2.0))

@@ -15,11 +15,16 @@ from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DataError, DdD
                              advection_from_potential, assemble_dd_residual,
                              assemble_fp_operator, assemble_pme_residual, edge_differences,
                              pme_boundary_term, signed_power, transport_data)
-from entrofv.solvers import (DdState, FpStepper, SolverError, StepperConfig,
+from entrofv.solvers import (DdState, FpProblem, SolverError, StepperConfig,
                              adaptive_time_loop, dd_equilibrium_offsets, run_transient,
                              solve_dd_poisson, solve_dd_steady,
                              solve_dd_thermal, solve_fp_steady,
                              solve_pme_steady, step_dd, step_pme)
+
+
+def _fp_step(mesh, data, scheme):
+    """The ``step(f, dt)`` of an FP run on ``data``, with its own factors."""
+    return FpProblem(mesh, data, np.ones(mesh.n_cells)).start(scheme)[2]
 
 
 def _two_cell_data(mesh, f_left=1.0, f_right=2.0):
@@ -74,8 +79,7 @@ def test_fp_steady_max_principle_divergence_free(rng):
 def test_step_fp_fixed_point(two_cell_mesh):
     data = _two_cell_data(two_cell_mesh)
     steady = solve_fp_steady(*assemble_fp_operator(two_cell_mesh, data, UPWIND))
-    stepper = FpStepper(two_cell_mesh, *assemble_fp_operator(two_cell_mesh, data, UPWIND))
-    after = stepper.step(steady, 0.3)
+    after = _fp_step(two_cell_mesh, data, UPWIND)(steady, 0.3)
     np.testing.assert_allclose(after, steady, rtol=1e-12)
 
 
@@ -83,8 +87,7 @@ def test_step_fp_large_step_reaches_steady(two_cell_mesh, rng):
     data = _two_cell_data(two_cell_mesh)
     steady = solve_fp_steady(*assemble_fp_operator(two_cell_mesh, data, UPWIND))
     f0 = rng.uniform(0.1, 3.0, 2)
-    stepper = FpStepper(two_cell_mesh, *assemble_fp_operator(two_cell_mesh, data, UPWIND))
-    after = stepper.step(f0, 1e6)
+    after = _fp_step(two_cell_mesh, data, UPWIND)(f0, 1e6)
     np.testing.assert_allclose(after, steady, rtol=1e-4)
 
 
@@ -92,7 +95,7 @@ def test_step_fp_preserves_sign_and_mass_balance(mesh0, rng):
     prob = toy_problem(0)
     f0 = prob.f0
     dt = 1e-2
-    f1 = FpStepper(prob.mesh, *assemble_fp_operator(prob.mesh, prob.data, UPWIND)).step(f0, dt)
+    f1 = _fp_step(prob.mesh, prob.data, UPWIND)(f0, dt)
     assert np.all(f1 >= 0)
     # mass change equals the net boundary influx of the new state
     from entrofv.schemes import edge_fluxes
@@ -104,13 +107,13 @@ def test_step_fp_preserves_sign_and_mass_balance(mesh0, rng):
 
 def test_fp_stepper_rejects_non_finite_solve():
     prob = toy_problem(0)
-    stepper = FpStepper(prob.mesh, *assemble_fp_operator(prob.mesh, prob.data, UPWIND))
+    step = _fp_step(prob.mesh, prob.data, UPWIND)
     f_prev = prob.f0.copy()
     f_prev[0] = np.nan
     with pytest.raises(LinAlgError):  # SingularMatrixError is a subclass
-        stepper.step(f_prev, 1e-2)
-    # the cached factorization still serves finite data
-    assert np.all(np.isfinite(stepper.step(prob.f0, 1e-2)))
+        step(f_prev, 1e-2)
+    # the held factorization still serves finite data
+    assert np.all(np.isfinite(step(prob.f0, 1e-2)))
 
 
 def test_fp_stepper_holds_one_factorization(monkeypatch):
@@ -128,14 +131,14 @@ def test_fp_stepper_holds_one_factorization(monkeypatch):
         live.add(lu)
         return lu
 
-    monkeypatch.setattr(solvers, "factorize", tracking)
     prob = toy_problem(0)
-    stepper = FpStepper(prob.mesh, *assemble_fp_operator(prob.mesh, prob.data, UPWIND))
+    step = _fp_step(prob.mesh, prob.data, UPWIND)
+    monkeypatch.setattr(linalg, "factorize", tracking)
     f = prob.f0
-    for dt in (1e-2, 5e-3, 1e-2):
-        f = stepper.step(f, dt)
+    for dt in (1e-2, 1e-2, 5e-3, 5e-3, 1e-2):
+        f = step(f, dt)
     gc.collect()
-    assert len(live) == 1 and stepper.factors.dt == 1e-2
+    assert len(live) == 1  # each change of dt drops the factors of the last one
 
 
 def test_step_fp_first_order_in_time():
@@ -151,9 +154,9 @@ def test_step_fp_first_order_in_time():
     for dt in (0.02, 0.01, 0.005):
         f = prob.f0.copy()
         steps = int(round(t_end / dt))
-        stepper = FpStepper(mesh, *assemble_fp_operator(mesh, prob.data, SCHARFETTER_GUMMEL))
+        step = _fp_step(mesh, prob.data, SCHARFETTER_GUMMEL)
         for _ in range(steps):
-            f = stepper.step(f, dt)
+            f = step(f, dt)
         errors.append(lp_distance(mesh, f, exact, 1))
     # successive error differences halve when the time error is first order
     ratio = (errors[0] - errors[1]) / (errors[1] - errors[2])
@@ -256,8 +259,7 @@ def test_step_pme_linear_limit_matches_step_fp(two_cell_mesh):
         return sp.coo_matrix((dense[rows, colids], (rows, colids)), shape=(2, 2)).tocsr()
 
     got = newton_solve(lambda f, **_: (residual(f), jacobian(f)), f_prev)[0]
-    stepper = FpStepper(mesh, *assemble_fp_operator(mesh, data, SCHARFETTER_GUMMEL))
-    expected = stepper.step(f_prev, dt)
+    expected = _fp_step(mesh, data, SCHARFETTER_GUMMEL)(f_prev, dt)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -549,7 +551,7 @@ def test_dd_stale_factors_still_converge(monkeypatch):
     flat = np.ones(mesh.n_cells)
     jac = assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, (flat, flat),
                                (10 * flat, 0.1 * flat, 0 * flat), dt)[1]
-    store = FactorStore(dt=dt, jac=jac, lu=factorize(jac))
+    store = FactorStore(jac=jac, lu=factorize(jac))
     stale_lu = store.lu
     factors = _count_factorizations(monkeypatch)
     reused = step_dd(mesh, dd, SCHARFETTER_GUMMEL, start, dt, store=store)
@@ -559,13 +561,15 @@ def test_dd_stale_factors_still_converge(monkeypatch):
         assert np.max(np.abs(got - ref)) <= 1e-10
 
 
-def test_dd_step_size_change_drops_factors(monkeypatch):
+def test_dd_step_after_step_size_change_refactors(monkeypatch):
+    """Factors made for another dt stop contracting, so Newton drops them and
+    the step matches one taken on a fresh store."""
     prob = pn_problem(1, bias=2.5)
     mesh, dd = prob.mesh, prob.dd
     store = FactorStore()
     factors = _count_factorizations(monkeypatch)
     state = step_dd(mesh, dd, SCHARFETTER_GUMMEL, _pn_start(prob), 1e-2, store=store)
-    assert len(factors) >= 1 and store.dt == 1e-2
+    assert len(factors) >= 1
     kept = store.lu
 
     del factors[:]
@@ -573,9 +577,13 @@ def test_dd_step_size_change_drops_factors(monkeypatch):
     assert not isinstance(state, NonConvergence)
     assert factors == [] and store.lu is kept
 
-    state = step_dd(mesh, dd, SCHARFETTER_GUMMEL, state, 5e-3, store=store)
-    assert not isinstance(state, NonConvergence)
-    assert len(factors) >= 1 and store.dt == 5e-3 and store.lu is not kept
+    fresh = step_dd(mesh, dd, SCHARFETTER_GUMMEL, state, 5e-3, store=FactorStore())
+    del factors[:]
+    reused = step_dd(mesh, dd, SCHARFETTER_GUMMEL, state, 5e-3, store=store)
+    assert not isinstance(reused, NonConvergence)
+    assert len(factors) >= 1 and store.lu is not kept
+    for got, ref in zip(reused, fresh):
+        assert np.max(np.abs(got - ref)) <= 1e-10
 
 
 def test_dd_reruns_in_one_process_are_byte_identical(tmp_path):
@@ -737,16 +745,28 @@ def test_run_transient_fp_records_expected_columns():
 
 def test_fixed_step_fp_run_uses_one_step_size(monkeypatch):
     steps = []
-    step = FpStepper.step
+    start = FpProblem.start
 
-    def spy(self, f_prev, dt):
-        steps.append(dt)
-        return step(self, f_prev, dt)
+    def spying_start(self, scheme):
+        steady, state0, step, diagnostics = start(self, scheme)
 
-    monkeypatch.setattr(FpStepper, "step", spy)
+        def spy(f_prev, dt):
+            steps.append(dt)
+            return step(f_prev, dt)
+
+        return steady, state0, spy, diagnostics
+
+    monkeypatch.setattr(FpProblem, "start", spying_start)
     result = run_transient(hetero_problem(1), UPWIND, StepperConfig.fixed(1e-2, 2.0))
     assert set(steps) == {1e-2}
     assert result.trace.column("t")[-1] == 2.0
+
+
+def test_fixed_step_fp_run_factors_its_stepping_matrix_once(monkeypatch):
+    factors = _count_factorizations(monkeypatch)
+    result = run_transient(hetero_problem(1), UPWIND, StepperConfig.fixed(1e-2, 2.0))
+    assert len(result.trace) == 201
+    assert len(factors) == 2  # the steady operator, then the stepping matrix
 
 def test_run_transient_stops_at_entropy_floor():
     prob = toy_problem(0)
@@ -924,7 +944,7 @@ def test_shared_mesh_ordering_is_thread_safe():
             def work(k):
                 try:
                     barrier.wait(timeout=30)
-                    results[k] = [linalg.solve_linear(jac, b, factorize(jac)) for jac in (
+                    results[k] = [linalg.solve_linear(jac, b) for jac in (
                         assemble_pme_residual(mesh, f, f, 2.0, dt,
                                               pme_boundary_term(mesh, f_dir, 2.0))[1]
                         for dt in (1e-2, 1e-2, 1e-3))]
