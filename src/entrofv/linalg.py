@@ -45,7 +45,8 @@ RELAX = 1
 @dataclass(frozen=True, eq=False)
 class PermutedLU:
     """Factors of ``A[q][:, q]``, ``q = order = argsort(perm)``, that solve
-    with ``A``: unknown ``i`` is unknown ``perm[i]`` of the factored matrix."""
+    with ``A``: unknown ``i`` is unknown ``perm[i]`` of the factored matrix.
+    Both are ``intp``, which numpy gathers with unconverted."""
 
     lu: spla.SuperLU
     perm: np.ndarray
@@ -77,7 +78,7 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
             lu = spla.splu(a.tocsc(), permc_spec=PERMC_SPEC,
                            panel_size=PANEL_SIZE, relax=RELAX)
             if pattern is not None:  # a view of perm_c keeps the factors alive
-                known.setdefault("perm", lu.perm_c.copy())
+                known.setdefault("perm", lu.perm_c.astype(np.intp))
             return lu
         perm = known["perm"]
         if "permuted" not in known:  # the pattern's second factorization
@@ -90,8 +91,9 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
             np.cumsum(lengths, out=indptr[1:])
             gather = np.repeat(a.indptr[order] - indptr[:-1], lengths)
             gather += np.arange(gather.size, dtype=np.intc)
-            template = sp.csc_matrix((np.zeros(gather.size, dtype=np.int8),
-                                      perm[a.indices[gather]], indptr), shape=a.shape)
+            rows = perm.astype(np.intc)[a.indices[gather]]  # no intp copy of the indices
+            template = sp.csc_matrix((np.zeros(gather.size, dtype=np.int8), rows, indptr),
+                                     shape=a.shape)
             template.has_canonical_format = True  # unsorted rows, kept so on purpose
             known.setdefault("permuted", (order, gather, template))
         order, gather, template = known["permuted"]
@@ -111,10 +113,11 @@ def solve_linear(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return _checked(a, b, factorize(a).solve(b))
 
 
-def _checked(a: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _checked(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r=None) -> np.ndarray:
+    """``x`` if finite with a small max-norm of ``r = b - a x`` (formed if not given)."""
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("factorization produced non-finite solution")
-    resid = np.max(np.abs(a @ x - b))
+    resid = np.max(np.abs(a @ x - b if r is None else r))
     if resid > 1e-10 * (1.0 + np.max(np.abs(b))):
         raise LinAlgError(f"direct solve residual {resid:.3e} above tolerance")
     return x
@@ -206,10 +209,12 @@ class NonConvergence:
 NewtonResult = Union[tuple[np.ndarray, int], NonConvergence]
 
 #: A reused-factor iterate is kept only when it cuts the residual max-norm by
-#: this factor; a weaker contraction means the stored Jacobian has drifted
-#: too far and Newton refactors.  On the ``dd-bias`` preset 0.1 takes 686
-#: linear solves in all, against 928 for 0.25 and 1022 for 0.5 or 0.9.
-REUSE_CONTRACTION = 0.1
+#: this factor, else Newton refactors: implicit integrators likewise recompute
+#: their Jacobian once the observed rate exceeds a small bound (Hairer & Wanner,
+#: *Solving ODEs II*, IV.8).  (Newton iterations, factorizations) of ``dd-bias``:
+#: 0.1 (687, 9), 0.03 (666, 11), 0.02 (560, 12), 0.01 (494, 15), 0.007 (620, 17),
+#: 0.001 (472, 34); of ``dd-pn``: 0.1 (996, 8), 0.02 (746, 14), 0.01 (661, 20).
+REUSE_CONTRACTION = 0.01
 
 
 #: Iterative refinement on stored factors (Higham, *Accuracy and Stability of
@@ -255,7 +260,7 @@ class FactorStore:
                     r = b - a @ x
                     omega = np.max(np.abs(r) / (scale @ np.abs(x) + abs_b))
                     if omega <= REFINE_EPS:
-                        return _checked(a, b, x)
+                        return _checked(a, b, x, r)
                     if not omega <= REFINE_CONTRACTION * omega_prev:
                         break
                     omega_prev = omega

@@ -171,9 +171,9 @@ class RunConfig:
     force_peclet: bool = False
     m: Optional[float] = None
     m_dirichlet: Optional[float] = None
-    debye: float = 1.0
+    debye: Optional[float] = None
     bias: Optional[float] = None
-    doping: float = 1.0
+    doping: Optional[float] = None
 
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("t_final", self.t_final),
@@ -202,6 +202,15 @@ def _or(value, default):
     return default if value is None else value
 
 
+def _device(cfg: RunConfig, level: int, bias: float) -> DdProblem:
+    return pn_problem(level, lam=_or(cfg.debye, 1.0), bias=bias,
+                      doping_magnitude=_or(cfg.doping, 1.0))
+
+
+#: The ``RunConfig`` fields every preset reads.
+COMMON_OPTIONS = ("preset", "scheme", "level", "dt", "t_final", "entropy_floor", "out")
+
+
 @dataclass(frozen=True)
 class Preset:
     name: str
@@ -209,6 +218,7 @@ class Preset:
     level: int
     dt: float
     t_final: float
+    reads: tuple[str, ...] = ()  # the RunConfig fields it reads beyond the common ones
     adaptive: bool = False
     scheme: str = "sg"
 
@@ -216,24 +226,21 @@ class Preset:
 _CATALOG = (  # README's preset table describes each one
     Preset("fp-toy",
            lambda cfg, level: replace(toy_problem(level), force_peclet=cfg.force_peclet),
-           level=0, dt=1e-2, t_final=4.0),
+           level=0, dt=1e-2, t_final=4.0, reads=("force_peclet",)),
     Preset("fp-hetero",
            lambda cfg, level: replace(hetero_problem(level), force_peclet=cfg.force_peclet),
-           level=4, dt=1e-2, t_final=2.0, scheme="upwind"),
+           level=4, dt=1e-2, t_final=2.0, reads=("force_peclet",), scheme="upwind"),
     Preset("pme-fill",
            lambda cfg, level: fill_problem(level, m=_or(cfg.m, 4.0)),
-           level=3, dt=1e-3, t_final=15.0, adaptive=True),
+           level=3, dt=1e-3, t_final=15.0, reads=("m",), adaptive=True),
     Preset("pme-sweep",
            lambda cfg, level: sweep_problem(level, m=_or(cfg.m, 2.0),
                                             m_dirichlet=_or(cfg.m_dirichlet, 1.0)),
-           level=2, dt=1e-3, t_final=60.0, adaptive=True),
-    Preset("dd-pn",
-           lambda cfg, level: pn_problem(level, lam=cfg.debye, doping_magnitude=cfg.doping),
-           level=3, dt=1e-2, t_final=10.0),
-    Preset("dd-bias",
-           lambda cfg, level: pn_problem(level, lam=cfg.debye, bias=_or(cfg.bias, 2.5),
-                                         doping_magnitude=cfg.doping),
-           level=2, dt=1e-2, t_final=10.0),
+           level=2, dt=1e-3, t_final=60.0, reads=("m", "m_dirichlet"), adaptive=True),
+    Preset("dd-pn", lambda cfg, level: _device(cfg, level, bias=0.0),
+           level=3, dt=1e-2, t_final=10.0, reads=("debye", "doping")),
+    Preset("dd-bias", lambda cfg, level: _device(cfg, level, bias=_or(cfg.bias, 2.5)),
+           level=2, dt=1e-2, t_final=10.0, reads=("debye", "bias", "doping")),
 )
 
 SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
@@ -252,13 +259,25 @@ def _stepper(preset: Preset, cfg: RunConfig) -> StepperConfig:
     return StepperConfig.fixed(dt, t_final, entropy_floor=cfg.entropy_floor)
 
 
-def build_problem(cfg: RunConfig):
-    """Resolve a configuration to (problem, scheme, stepper)."""
+def _preset(cfg: RunConfig) -> Preset:
+    """The preset ``cfg`` selects; setting an option it does not read is a
+    usage error, as an unknown preset is."""
     catalog = presets()
     if cfg.preset not in catalog:
         raise UsageError(f"unknown preset {cfg.preset!r}; "
                          f"choose from {sorted(catalog)}")
     preset = catalog[cfg.preset]
+    unread = [name for name, value in vars(cfg).items() if value is not None
+              and value is not False and name not in COMMON_OPTIONS + preset.reads]
+    if unread:  # the Debye length is the option lambda
+        raise UsageError(f"preset {preset.name} does not read {', '.join(unread)}; it reads "
+                         f"{', '.join(preset.reads)}".replace("debye", "lambda"))
+    return preset
+
+
+def build_problem(cfg: RunConfig):
+    """Resolve a configuration to (problem, scheme, stepper)."""
+    preset = _preset(cfg)
     scheme = cfg.resolved_scheme(preset.scheme)
     problem = preset.build(cfg, _or(cfg.level, preset.level))
     return problem, scheme, _stepper(preset, cfg)
@@ -340,7 +359,7 @@ def sweep_rate(trace: EntropyTrace) -> float:
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
     """Run every sweep point into its own directory and write rates.csv; a
     point that fails or aborts gets no rate row and makes the status 1."""
-    preset = presets()["pme-sweep"]
+    preset = _preset(cfg)
     scheme = cfg.resolved_scheme(preset.scheme)
     # an earlier sweep's outputs go first: no point outside this sweep survives
     (out / "rates.csv").unlink(missing_ok=True)

@@ -36,13 +36,16 @@ _SG_SERIES_CUT = 1e-5
 
 
 def _sg_value(x: np.ndarray) -> np.ndarray:
+    """x / (e^x - 1), its series only where |x| < _SG_SERIES_CUT."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SG_SERIES_CUT
-    xs = np.where(small, 0.0, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(small, 1.0 - x / 2.0 + x * x / 12.0, xs / np.expm1(xs))
-    # x/expm1 overflows to inf for x beyond ~709; the true value underflows to 0
-    return np.where(np.isfinite(out), out, 0.0)
+        out = np.divide(x, np.expm1(x), out=np.empty_like(x))
+    small = np.abs(x) < _SG_SERIES_CUT  # 0/0 at x = 0, cancellation near it
+    if np.any(small):
+        xs = x[small]
+        out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
+    out[~np.isfinite(out)] = 0.0  # only at x = +-inf or NaN
+    return out
 
 
 #: Taylor coefficients B_2k / (2k-1)! of the SG slope B'(x) + 1/2 in x^23,
@@ -54,14 +57,17 @@ _SG_SLOPE_SERIES = (np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 27
 
 
 def _sg_derivative(x: np.ndarray) -> np.ndarray:
+    """B'(x): the series where |x| < 1, the closed form elsewhere."""
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
     small = np.abs(x) < 1.0
-    xs = np.where(small, 1.0, x)
+    xs, xl = x[small], x[~small]
+    out[small] = -0.5 + xs * np.polyval(_SG_SLOPE_SERIES, xs * xs)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.expm1(xs)
-        out = np.where(small, -0.5 + x * np.polyval(_SG_SLOPE_SERIES, x * x),
-                       (np.exp(xs) * (1.0 - xs) - 1.0) / (e * e))
-    return np.where(np.isfinite(out), out, 0.0)
+        e = np.expm1(xl)
+        out[~small] = (np.exp(xl) * (1.0 - xl) - 1.0) / (e * e)
+    out[~np.isfinite(out)] = 0.0  # NaN beyond x ~ 709, where B' underflows to 0
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,8 @@ class BScheme:
         x = np.abs(w)
         near = self.db(x) if slope else self.b(x)
         far = -1.0 - near if slope else near + x
-        return np.where(w < 0, near, far), np.where(w < 0, far, near)
+        negative = w < 0
+        return np.where(negative, near, far), np.where(negative, far, near)
 
 
 UPWIND = BScheme(
@@ -166,14 +173,14 @@ def _neighbor_index(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return index, dirichlet
 
 
-def _dirichlet_values(mesh: Mesh, dirichlet_values: np.ndarray):
-    """The Dirichlet edge ids and their values; a missing one raises."""
+def _dirichlet_values(mesh: Mesh, dirichlet_values):
+    """The Dirichlet edge ids and the values there (per row of a stack); a missing one raises."""
     dirichlet = mesh.derived("neighbor_index", _neighbor_index)[1]
-    vals = np.asarray(dirichlet_values, dtype=float)[dirichlet]
+    vals = np.asarray(dirichlet_values, dtype=float)[..., dirichlet]
     missing = ~np.isfinite(vals)
     if np.any(missing):
         raise AssemblyError(f"missing Dirichlet value on edge "
-                            f"{int(dirichlet[np.argmax(missing)])}")
+                            f"{int(dirichlet[np.nonzero(missing)[-1][0]])}")
     return dirichlet, vals
 
 
@@ -200,24 +207,19 @@ def edge_differences(mesh: Mesh, f: np.ndarray, dirichlet_values: np.ndarray) ->
     return neighbor_values(mesh, f, dirichlet_values) - f[mesh.edge_cells[:, 0]]
 
 
-def _incidences(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """The first cell of every edge, then the second cell of every interior
-    edge; and the interior edge ids."""
-    interior = np.flatnonzero(mesh.interior)
-    return (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[interior, 1]]),
-            interior)
-
-
-def cell_sums(mesh: Mesh, per_edge: np.ndarray) -> np.ndarray:
-    """Sum an antisymmetric per-edge quantity (first-cell orientation) over cells.
-
-    Every cell adds its first-cell incidences in edge order, then its
-    second-cell ones.
-    """
-    cells, interior = mesh.derived("incidences", _incidences)
-    per_edge = np.asarray(per_edge, dtype=float)
-    return np.bincount(cells, weights=np.concatenate([per_edge, -per_edge[interior]]),
-                       minlength=mesh.n_cells)
+def _dd_edges(mesh: Mesh) -> tuple:
+    """Over the edges that are not no-flux, in edge order: their ids, first
+    cells and neighbour indices (as in :func:`_neighbor_index`); the positions
+    of the interior ones among them; and, for one ``np.bincount`` over three
+    fields, three blocks of the first cell of every such edge, then the
+    second cell of every interior one, offset by 0, n_cells and 2 n_cells."""
+    edges = np.flatnonzero(~mesh.neumann)
+    first = mesh.edge_cells[edges, 0]
+    inner = np.flatnonzero(mesh.interior[edges])
+    incident = np.concatenate([first, mesh.edge_cells[edges[inner], 1]])
+    n = mesh.n_cells
+    return (edges, first, mesh.derived("neighbor_index", _neighbor_index)[0][edges], inner,
+            np.concatenate([incident, incident + n, incident + 2 * n]))
 
 
 def advection_from_potential(mesh: Mesh, phi_cells: np.ndarray,
@@ -367,10 +369,12 @@ class SparsityPattern:
 
 
 def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Values of a "tpfa" block: ``p`` on (first, first), then ``-q``,
-    ``q`` and ``-p`` on (first, second), (second, second), (second, first)."""
-    active, inter = ~mesh.neumann, mesh.interior
-    return np.concatenate([p[active], -q[inter], q[inter], -p[inter]])
+    """Values of a "tpfa" block from ``p`` and ``q`` on the edges that are not
+    no-flux: ``p``, ``-q``, ``q``, ``-p`` on (first, first), (first, second),
+    (second, second), (second, first)."""
+    inner = mesh.derived("active_interior", lambda m: m.interior[~m.neumann])
+    q_inner = q[inner]
+    return np.concatenate([p, -q_inner, q_inner, -p[inner]])
 
 
 def _block_entries(mesh: Mesh, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -405,6 +409,7 @@ def _assemble(mesh: Mesh, blocks: list) -> sp.csc_matrix:
 def two_point_matrix(mesh: Mesh, weight: np.ndarray) -> sp.csc_matrix:
     """Symmetric A with u^T A v = sum over edges of ``weight`` (u_K - u_L)(v_K - v_L),
     taking u_L = v_L = 0 on Dirichlet edges and leaving no-flux edges out."""
+    weight = weight[~mesh.neumann]
     return _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, weight, weight))])
 
 
@@ -434,8 +439,8 @@ def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
         raise PecletError(str(guard))
     bm, bp = b_coefficients(mesh, data, scheme)
     ta = mesh.tau * data.a_edge
-
-    m = _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, ta * bm, ta * bp))])
+    active = ~mesh.neumann
+    m = _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, (ta * bm)[active], (ta * bp)[active]))])
     return m, dirichlet_sums(mesh, ta * bp, data.f_dirichlet)
 
 
@@ -533,46 +538,43 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     holds (N, P) for a transient step or None with ``dt=None`` for the steady
     system.  Unknown ordering is [N; P; V].  The Jacobian includes the
     coupling of both continuity fluxes to V through the flux function slope;
-    with ``jacobian=False`` it is skipped and returned as None.
+    with ``jacobian=False`` it is skipped and returned as None.  Both are
+    formed on the :func:`_dd_edges` alone.
     """
-    n_field, p_field, v_field = (np.asarray(x, dtype=float) for x in state)
     steady = dt is None
     if not steady and state_prev is None:
         raise AssemblyError("transient step needs the previous densities")
 
-    c0 = mesh.edge_cells[:, 0]
-    active = ~mesh.neumann
-    tau = mesh.tau
-    lam2 = dd.debye ** 2
+    n = mesh.n_cells
+    edges, first, neighbor, inner, cells = mesh.derived("dd_edges", _dd_edges)
+    # rows N, P, V: the cell values, then the Dirichlet values
+    boundary = _dirichlet_values(mesh, (dd.n_dirichlet, dd.p_dirichlet, dd.v_dirichlet))[1]
+    values = np.concatenate([np.asarray(state, dtype=float), boundary], axis=1)
+    own, opp = np.take(values, first, axis=1), np.take(values, neighbor, axis=1)
+    tau = mesh.tau[edges]
 
-    w = edge_differences(mesh, v_field, dd.v_dirichlet)
+    w = opp[2] - own[2]
     bm, bp = scheme.both_sides(w)
-    n_opp = neighbor_values(mesh, n_field, dd.n_dirichlet)
-    p_opp = neighbor_values(mesh, p_field, dd.p_dirichlet)
-
-    flux_n = np.where(active, tau * (bm * n_field[c0] - bp * n_opp), 0.0)
-    flux_p = np.where(active, tau * (bp * p_field[c0] - bm * p_opp), 0.0)
-
-    r_n = cell_sums(mesh, flux_n)
-    r_p = cell_sums(mesh, flux_p)
-    r_v = -lam2 * cell_sums(mesh, tau * w) \
-        - mesh.cell_area * (p_field - n_field + dd.doping)
-    if not steady:
-        n_prev, p_prev = state_prev
-        r_n += mesh.cell_area * (n_field - n_prev) / dt
-        r_p += mesh.cell_area * (p_field - p_prev) / dt
-    residual = np.concatenate([r_n, r_p, r_v])
+    # per edge the N and P fluxes and tau w, summed per cell: each first
+    # cell adds a value, each second cell subtracts it
+    flows = tau * np.array([bm * own[0] - bp * opp[0], bp * own[1] - bm * opp[1], w])
+    weights = np.concatenate([flows, -np.take(flows, inner, axis=1)], axis=1)
+    residual = np.bincount(cells, weights=weights.ravel(), minlength=3 * n) \
+        .astype(float, copy=False)  # int64 when no edge is active
+    n_field, p_field, area = values[0, :n], values[1, :n], mesh.cell_area
+    residual[2 * n:] = -dd.debye ** 2 * residual[2 * n:] - area * (p_field - n_field + dd.doping)
+    if not steady:  # the time terms of N and P
+        residual[:2 * n] += (area * (values[:2, :n] - state_prev) / dt).ravel()
     if not jacobian:
         return residual, None
 
     dbm, dbp = scheme.both_sides(w, slope=True)   # B' at -w and at w
     # flux slopes with respect to the potential difference w;
     # d/dw of B(-w) is -B'(-w)
-    dflux_n = np.where(active, tau * (-dbm * n_field[c0] - dbp * n_opp), 0.0)
-    dflux_p = np.where(active, tau * (dbp * p_field[c0] + dbm * p_opp), 0.0)
+    dflux_n = tau * (-dbm * own[0] - dbp * opp[0])
+    dflux_p = tau * (dbp * own[1] + dbm * opp[1])
 
-    t2 = lam2 * tau
-    area = mesh.cell_area
+    t2 = dd.debye ** 2 * tau
     # unknowns [N; P; V] are block rows and columns 0, 1, 2.  In the
     # potential columns the residual row of a cell gains -dflux/dw on its own
     # column and +dflux/dw on its neighbour's, mirrored for the second cell:
@@ -586,5 +588,5 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
               ("diag", 2, 1, -area)]
     jac = _assemble(mesh, blocks)
     if not steady:  # the time terms shift the N and P diagonals
-        jac.data[jac.pattern.diagonal[:2 * mesh.n_cells]] += np.tile(area / dt, 2)
+        jac.data[jac.pattern.diagonal[:2 * n]] += np.tile(area / dt, 2)
     return residual, jac

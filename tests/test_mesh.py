@@ -10,7 +10,8 @@ from entrofv.mesh import (DIRICHLET, INTERIOR, NEUMANN, BOTTOM, LEFT, RIGHT, TOP
                           Segment, Violation, build_from_triangulation,
                           load_mesh, reference_mesh, save_mesh, validate)
 from entrofv.linalg import solve_linear
-from entrofv.schemes import assemble_pme_residual, cell_sums, laplacian, pme_boundary_term
+from entrofv.schemes import (SCHARFETTER_GUMMEL, DdData, assemble_dd_residual,
+                             assemble_pme_residual, laplacian, pme_boundary_term)
 
 
 # sha256 of save_mesh(reference_mesh(level, BOUNDARY_NAMES[name])) for levels
@@ -98,13 +99,16 @@ def test_shared_mesh_arrays_are_read_only():
     f = np.linspace(0.5, 1.5, mesh.n_cells)
     f_dir = np.where(mesh.dirichlet, 1.0, np.nan)
     assemble_pme_residual(mesh, f, f, 2.0, 1e-2, pme_boundary_term(mesh, f_dir, 2.0))
-    cell_sums(mesh, np.ones(mesh.n_edges))
+    dd = DdData(doping=np.zeros(mesh.n_cells), debye=1.0, n_dirichlet=f_dir,
+                p_dirichlet=f_dir, v_dirichlet=0.0 * f_dir)
+    assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, None, (f, f, 0.0 * f))
     lap = laplacian(mesh)
     solves = [solve_linear(lap, f) for _ in range(2)]  # the ordered, then the permuted path
     np.testing.assert_array_equal(solves[0], solves[1])
 
     cached = mesh._derived
-    assert {"laplacian", "laplacian_columns", "neighbor_index", "incidences"} <= set(cached)
+    assert {"laplacian", "laplacian_columns", "neighbor_index", "active_interior",
+            "dd_edges"} <= set(cached)
     arrays = [a for a in vars(mesh.geometry).values() if isinstance(a, np.ndarray)]
     for value in cached.values():
         for part in value if isinstance(value, tuple) else (value,):
@@ -112,7 +116,7 @@ def test_shared_mesh_arrays_are_read_only():
                 arrays.append(part.data)
             elif isinstance(part, np.ndarray):
                 arrays.append(part)
-    assert len(arrays) == 4 + 6  # the geometry's arrays, then the cached ones
+    assert len(arrays) == 4 + 10  # the geometry's arrays, then the cached ones
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0

@@ -14,8 +14,8 @@ from entrofv.cli import main, parse_config_text
 from entrofv import mesh as mesh_module
 from entrofv import presets as presets_module
 from entrofv.mesh import reference_mesh, save_mesh, validate
-from entrofv.presets import (BOUNDARY_NAMES, RunConfig, UsageError, _write_steady,
-                             build_problem, convergence_study, fill_problem,
+from entrofv.presets import (BOUNDARY_NAMES, COMMON_OPTIONS, RunConfig, UsageError,
+                             _write_steady, build_problem, convergence_study, fill_problem,
                              hetero_problem, pn_problem, presets, run, toy_problem)
 from entrofv.solvers import DdState, SolverError
 from entrofv.schemes import peclet_guard
@@ -397,6 +397,40 @@ def test_cli_mesh_gen_refuses_before_building(monkeypatch, capsys):
 def test_cli_mesh_negative_level_is_usage_error(capsys, command):
     assert main(["mesh", command, "--level", "-1"]) == 2
     assert "--level must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["fp-toy", "--bias", "0"], "bias"),
+    (["fp-hetero", "--m", "3"], "m"),
+    (["pme-fill", "--force-peclet"], "force_peclet"),
+    (["pme-sweep", "--lambda", "0.5"], "lambda"),
+    (["dd-pn", "--level", "0", "--t-final", "0.05", "--bias", "5"], "bias"),
+    (["dd-bias", "--m-dirichlet", "2"], "m_dirichlet"),
+])
+def test_cli_option_a_preset_does_not_read_is_usage_error(tmp_path, capsys, argv, unread):
+    """An option the preset never reads would leave the run as it was, so it
+    is refused before anything is written."""
+    preset = presets()[argv[0]]
+    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: preset {preset.name} does not read {unread}; it reads "
+                   + ", ".join(preset.reads).replace("debye", "lambda")]
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_file_option_a_preset_does_not_read_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"preset = fp-toy\ndoping = 2\nlambda = 0.5\nout = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("error: preset fp-toy does not read lambda, doping; "
+                                       "it reads force_peclet\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_run_config_field_is_common_or_read_by_a_preset():
+    read = {name for preset in presets().values() for name in preset.reads}
+    assert read | set(COMMON_OPTIONS) == {f.name for f in fields(RunConfig)}
+    assert not read & set(COMMON_OPTIONS)
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -361,8 +361,7 @@ def test_flux_matches_operator_action(mesh0, rng):
     f = rng.uniform(0.1, 5.0, mesh0.n_cells)
     for scheme in SCHEMES.values():
         m_op, b = assemble_fp_operator(mesh0, data, scheme)
-        from entrofv.schemes import cell_sums
-        flux_sum = cell_sums(mesh0, edge_fluxes(mesh0, data, scheme, f))
+        flux_sum = _cell_sums(mesh0, edge_fluxes(mesh0, data, scheme, f))
         np.testing.assert_allclose(flux_sum, m_op @ f - b, atol=1e-12)
 
 
@@ -787,17 +786,62 @@ def test_shared_mesh_patterns_are_thread_safe(toy_boundary):
         sys.setswitchinterval(old_interval)
 
 
-@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
-def test_cell_sums_equal_add_at_reference(mesh_name, request, rng):
-    from entrofv.schemes import cell_sums
-    mesh = request.getfixturevalue(mesh_name)
-    per_edge = rng.standard_normal(mesh.n_edges) * 10.0 ** rng.integers(-8, 8, mesh.n_edges)
-    # the two np.add.at passes cell_sums used before; same summation order
-    expected = np.zeros(mesh.n_cells)
-    np.add.at(expected, mesh.edge_cells[:, 0], per_edge)
+def _cell_sums(mesh, per_edge):
+    """Per cell, the sum of an antisymmetric per-edge quantity given from the
+    first cell's side: its first-cell incidences in edge order, then its
+    second-cell ones."""
+    sums = np.zeros(mesh.n_cells)
+    np.add.at(sums, mesh.edge_cells[:, 0], per_edge)
     inter = mesh.interior
-    np.add.at(expected, mesh.edge_cells[inter, 1], -per_edge[inter])
-    np.testing.assert_array_equal(cell_sums(mesh, per_edge), expected)
+    np.add.at(sums, mesh.edge_cells[inter, 1], -per_edge[inter])
+    return sums
+
+
+def _dd_residual_loop(mesh, dd, scheme, state_prev, state, dt):
+    """The drift-diffusion residual, one edge at a time from the definition:
+    B(-w) and B(w) apart, a flux for every edge that is not no-flux."""
+    n_field, p_field, v_field = state
+    sums = np.zeros((3, mesh.n_cells))  # N and P flux balances, sums of tau w
+    for e in np.flatnonzero(~mesh.neumann):
+        k, l = mesh.edge_cells[e]
+        if mesh.interior[e]:
+            n_l, p_l, v_l = n_field[l], p_field[l], v_field[l]
+        else:
+            n_l, p_l, v_l = dd.n_dirichlet[e], dd.p_dirichlet[e], dd.v_dirichlet[e]
+        w, tau = v_l - v_field[k], mesh.tau[e]
+        bm, bp = float(scheme.b(-w)), float(scheme.b(w))
+        flows = (tau * (bm * n_field[k] - bp * n_l), tau * (bp * p_field[k] - bm * p_l), tau * w)
+        for row, flow in enumerate(flows):
+            sums[row, k] += flow
+            if mesh.interior[e]:
+                sums[row, l] -= flow
+    area = mesh.cell_area
+    r_n, r_p = sums[0], sums[1]
+    if dt is not None:
+        r_n = r_n + area * (n_field - state_prev[0]) / dt
+        r_p = r_p + area * (p_field - state_prev[1]) / dt
+    r_v = -dd.debye ** 2 * sums[2] - area * (p_field - n_field + dd.doping)
+    return np.concatenate([r_n, r_p, r_v])
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_dd_residual_matches_per_edge_loop(mesh_name, request, rng):
+    """The one-pass residual, steady and transient, on meshes with interior,
+    Dirichlet and no-flux edges, and on the single cell, where no edge
+    carries a flux and the residual still holds floats."""
+    mesh = request.getfixturevalue(mesh_name)
+    n = mesh.n_cells
+    dd = _random_dd(mesh, rng, lam=0.7)
+    state = (rng.uniform(0.1, 10.0, n), rng.uniform(0.1, 10.0, n), rng.uniform(-2.0, 2.0, n))
+    prev = (rng.uniform(0.1, 10.0, n), rng.uniform(0.1, 10.0, n))
+    for scheme in SCHEMES.values():
+        for state_prev, dt in ((None, None), (prev, 1e-2)):
+            got, none = assemble_dd_residual(mesh, dd, scheme, state_prev, state, dt,
+                                             jacobian=False)
+            expected = _dd_residual_loop(mesh, dd, scheme, state_prev, state, dt)
+            assert none is None and got.dtype == np.float64 and got.shape == (3 * n,)
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-13 * (1.0 + np.max(np.abs(expected))))
 
 
 @pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
@@ -814,7 +858,7 @@ def test_neighbor_values_equal_masked_reference(mesh_name, request, rng):
 
 @pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
 def test_pme_residual_matches_gather_reference(mesh_name, request, rng):
-    from entrofv.schemes import cell_sums, signed_power
+    from entrofv.schemes import signed_power
     mesh = request.getfixturevalue(mesh_name)
     n = mesh.n_cells
     f_dir = np.where(mesh.dirichlet, rng.uniform(0.5, 2.0, mesh.n_edges), np.nan)
@@ -823,7 +867,7 @@ def test_pme_residual_matches_gather_reference(mesh_name, request, rng):
         got, _ = assemble_pme_residual(mesh, f_prev, f, m, dt, pme_boundary_term(mesh, f_dir, m))
         # the gather/bincount residual: area (f - f_prev) / dt - sum tau D(f^m)
         flux = mesh.tau * edge_differences(mesh, signed_power(f, m), signed_power(f_dir, m))
-        expected = mesh.cell_area * (f - f_prev) / dt - cell_sums(mesh, flux)
+        expected = mesh.cell_area * (f - f_prev) / dt - _cell_sums(mesh, flux)
         g_nb = neighbor_values(mesh, np.abs(f) ** m, np.abs(f_dir) ** m)
         size = np.where(mesh.neumann, 0.0, mesh.tau * (np.abs(f[mesh.edge_cells[:, 0]]) ** m
                                                        + g_nb))

@@ -563,12 +563,16 @@ def test_dd_stale_factors_still_converge(monkeypatch):
 
 def test_dd_step_after_step_size_change_refactors(monkeypatch):
     """Factors made for another dt stop contracting, so Newton drops them and
-    the step matches one taken on a fresh store."""
+    the step matches one taken on a fresh store.  At one dt, the third step
+    keeps the factors the second one left (the second refactors, since the
+    state still moves fast after the first)."""
     prob = pn_problem(1, bias=2.5)
     mesh, dd = prob.mesh, prob.dd
     store = FactorStore()
     factors = _count_factorizations(monkeypatch)
-    state = step_dd(mesh, dd, SCHARFETTER_GUMMEL, _pn_start(prob), 1e-2, store=store)
+    state = _pn_start(prob)
+    for _ in range(2):
+        state = step_dd(mesh, dd, SCHARFETTER_GUMMEL, state, 1e-2, store=store)
     assert len(factors) >= 1
     kept = store.lu
 
@@ -584,6 +588,41 @@ def test_dd_step_after_step_size_change_refactors(monkeypatch):
     assert len(factors) >= 1 and store.lu is not kept
     for got, ref in zip(reused, fresh):
         assert np.max(np.abs(got - ref)) <= 1e-10
+
+
+def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
+    """The whole default ``dd-bias`` run, steady state included: Newton
+    refactors once a reused-factor iterate contracts by less than
+    ``REUSE_CONTRACTION`` = 0.01, which at 0.1 took 687 iterations, 9
+    factorizations and 930 assemblies (counted as the benchmark counts them)."""
+    counts = {"iterations": 0, "factorizations": 0, "assemblies": 0}
+    splu, newton = linalg.spla.splu, solvers.newton_solve
+
+    def counting_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_newton(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        counts["iterations"] += (result.iterations if isinstance(result, NonConvergence)
+                                 else result[1])
+        return result
+
+    def counting(assemble):
+        def wrapper(*args, **kwargs):
+            counts["assemblies"] += 1
+            return assemble(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(solvers, "newton_solve", counting_newton)
+    for name in ("assemble_fp_operator", "assemble_dd_residual", "assemble_poisson"):
+        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
+    result = run_transient(*presets.build_problem(RunConfig(preset="dd-bias")))
+    assert result.abort_reason is None and len(result.trace) == 236
+    assert counts["iterations"] <= 500
+    assert counts["factorizations"] <= 16
+    assert counts["assemblies"] <= 750
 
 
 def test_dd_reruns_in_one_process_are_byte_identical(tmp_path):
