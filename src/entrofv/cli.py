@@ -13,11 +13,14 @@ from typing import get_args, get_type_hints
 from .mesh import MeshError, load_mesh, reference_mesh, save_mesh, validate
 from .presets import (BOUNDARY_NAMES, RunConfig, UsageError, convergence_study,
                       presets, run)
-from .schemes import SCHEMES
 
 #: Every ``RunConfig`` field with its value type, ``Optional`` unwrapped.
 _CONFIG_KEYS = {name: next((t for t in get_args(hint) if t is not type(None)), hint)
                 for name, hint in get_type_hints(RunConfig).items()}
+
+#: The words a config file may give a switch.
+_SWITCH = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+           **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -47,10 +50,9 @@ def parse_config_text(text: str) -> dict:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
         kind = _CONFIG_KEYS[key]
         try:
-            if kind is bool:
-                current[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                current[key] = kind(value)
+            if kind is bool and value.lower() not in _SWITCH:
+                raise ValueError(f"{key} takes one of {'/'.join(_SWITCH)}, got {value!r}")
+            current[key] = _SWITCH[value.lower()] if kind is bool else kind(value)
         except ValueError as err:
             raise UsageError(f"config line {lineno}: {err}") from err
     merged = dict(top)
@@ -123,17 +125,12 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a preset or a config file")
     p_run.add_argument("target", help="preset name or config file path")
-    p_run.add_argument("--scheme", choices=sorted(SCHEMES))
-    p_run.add_argument("--level", type=int)
-    p_run.add_argument("--dt", type=float)
-    p_run.add_argument("--t-final", dest="t_final", type=float)
-    p_run.add_argument("--entropy-floor", dest="entropy_floor", type=float)
-    p_run.add_argument("--out")
-    p_run.add_argument("--force-peclet", dest="force_peclet", action="store_true")
-    p_run.add_argument("--bias", type=float)
-    p_run.add_argument("--m", type=float)
-    p_run.add_argument("--m-dirichlet", dest="m_dirichlet", type=float)
-    p_run.add_argument("--lambda", dest="debye", type=float)
+    for key, kind in _CONFIG_KEYS.items():  # a flag per field but preset; --lambda sets debye
+        flag = "--" + ("lambda" if key == "debye" else key.replace("_", "-"))
+        if kind is bool:
+            p_run.add_argument(flag, dest=key, action="store_true")
+        elif key != "preset":
+            p_run.add_argument(flag, dest=key, type=kind)
 
     p_conv = sub.add_parser("convergence", help="steady-state error study")
     p_conv.add_argument("preset")

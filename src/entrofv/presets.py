@@ -191,21 +191,6 @@ class RunConfig:
             raise UsageError(f"entropy_floor must be non-negative and finite, "
                              f"got {self.entropy_floor:g}")
 
-    def resolved_scheme(self, default: str) -> BScheme:
-        name = self.scheme if self.scheme is not None else default
-        if name not in SCHEMES:
-            raise UsageError(f"unknown scheme {name!r}; choose from {sorted(SCHEMES)}")
-        return SCHEMES[name]
-
-
-def _or(value, default):
-    return default if value is None else value
-
-
-def _device(cfg: RunConfig, level: int, bias: float) -> DdProblem:
-    return pn_problem(level, lam=_or(cfg.debye, 1.0), bias=bias,
-                      doping_magnitude=_or(cfg.doping, 1.0))
-
 
 #: The ``RunConfig`` fields every preset reads.
 COMMON_OPTIONS = ("preset", "scheme", "level", "dt", "t_final", "entropy_floor", "out")
@@ -214,33 +199,30 @@ COMMON_OPTIONS = ("preset", "scheme", "level", "dt", "t_final", "entropy_floor",
 @dataclass(frozen=True)
 class Preset:
     name: str
-    build: Callable[[RunConfig, int], object]  # (config, level) -> problem
+    build: Callable[[RunConfig], object]  # resolved config -> problem
     level: int
     dt: float
     t_final: float
-    reads: tuple[str, ...] = ()  # the RunConfig fields it reads beyond the common ones
+    reads: dict  # the RunConfig fields it reads beyond the common ones, with their defaults
     adaptive: bool = False
     scheme: str = "sg"
 
 
 _CATALOG = (  # README's preset table describes each one
     Preset("fp-toy",
-           lambda cfg, level: replace(toy_problem(level), force_peclet=cfg.force_peclet),
-           level=0, dt=1e-2, t_final=4.0, reads=("force_peclet",)),
+           lambda cfg: replace(toy_problem(cfg.level), force_peclet=cfg.force_peclet),
+           level=0, dt=1e-2, t_final=4.0, reads={"force_peclet": False}),
     Preset("fp-hetero",
-           lambda cfg, level: replace(hetero_problem(level), force_peclet=cfg.force_peclet),
-           level=4, dt=1e-2, t_final=2.0, reads=("force_peclet",), scheme="upwind"),
-    Preset("pme-fill",
-           lambda cfg, level: fill_problem(level, m=_or(cfg.m, 4.0)),
-           level=3, dt=1e-3, t_final=15.0, reads=("m",), adaptive=True),
-    Preset("pme-sweep",
-           lambda cfg, level: sweep_problem(level, m=_or(cfg.m, 2.0),
-                                            m_dirichlet=_or(cfg.m_dirichlet, 1.0)),
-           level=2, dt=1e-3, t_final=60.0, reads=("m", "m_dirichlet"), adaptive=True),
-    Preset("dd-pn", lambda cfg, level: _device(cfg, level, bias=0.0),
-           level=3, dt=1e-2, t_final=10.0, reads=("debye", "doping")),
-    Preset("dd-bias", lambda cfg, level: _device(cfg, level, bias=_or(cfg.bias, 2.5)),
-           level=2, dt=1e-2, t_final=10.0, reads=("debye", "bias", "doping")),
+           lambda cfg: replace(hetero_problem(cfg.level), force_peclet=cfg.force_peclet),
+           level=4, dt=1e-2, t_final=2.0, reads={"force_peclet": False}, scheme="upwind"),
+    Preset("pme-fill", lambda cfg: fill_problem(cfg.level, m=cfg.m),
+           level=3, dt=1e-3, t_final=15.0, reads={"m": 4.0}, adaptive=True),
+    Preset("pme-sweep", lambda cfg: sweep_problem(cfg.level, cfg.m, cfg.m_dirichlet),
+           level=2, dt=1e-3, t_final=60.0, reads={"m": 2.0, "m_dirichlet": 1.0}, adaptive=True),
+    Preset("dd-pn", lambda cfg: pn_problem(cfg.level, cfg.debye, doping_magnitude=cfg.doping),
+           level=3, dt=1e-2, t_final=10.0, reads={"debye": 1.0, "doping": 1.0}),
+    Preset("dd-bias", lambda cfg: pn_problem(cfg.level, cfg.debye, cfg.bias, cfg.doping),
+           level=2, dt=1e-2, t_final=10.0, reads={"debye": 1.0, "bias": 2.5, "doping": 1.0}),
 )
 
 SWEEP_EXPONENTS = (2.0, 3.0, 4.0)
@@ -252,35 +234,39 @@ def presets() -> dict[str, Preset]:
 
 
 def _stepper(preset: Preset, cfg: RunConfig) -> StepperConfig:
-    dt, t_final = _or(cfg.dt, preset.dt), _or(cfg.t_final, preset.t_final)
     if preset.adaptive:
-        return StepperConfig(t_final=t_final, dt0=min(dt, 1e-2),
+        return StepperConfig(t_final=cfg.t_final, dt0=min(cfg.dt, 1e-2),
+                             dt_min=min(StepperConfig.dt_min, cfg.dt),
                              entropy_floor=cfg.entropy_floor)
-    return StepperConfig.fixed(dt, t_final, entropy_floor=cfg.entropy_floor)
+    return StepperConfig.fixed(cfg.dt, cfg.t_final, entropy_floor=cfg.entropy_floor)
 
 
-def _preset(cfg: RunConfig) -> Preset:
-    """The preset ``cfg`` selects; setting an option it does not read is a
-    usage error, as an unknown preset is."""
+def _resolve(cfg: RunConfig) -> tuple[Preset, RunConfig]:
+    """The preset ``cfg`` selects, and ``cfg`` with every unset option taken from it.  An
+    unknown preset or scheme, or an option the preset does not read, is a usage error."""
     catalog = presets()
     if cfg.preset not in catalog:
         raise UsageError(f"unknown preset {cfg.preset!r}; "
                          f"choose from {sorted(catalog)}")
     preset = catalog[cfg.preset]
     unread = [name for name, value in vars(cfg).items() if value is not None
-              and value is not False and name not in COMMON_OPTIONS + preset.reads]
+              and value is not False and name not in COMMON_OPTIONS + tuple(preset.reads)]
     if unread:  # the Debye length is the option lambda
         raise UsageError(f"preset {preset.name} does not read {', '.join(unread)}; it reads "
                          f"{', '.join(preset.reads)}".replace("debye", "lambda"))
-    return preset
+    defaults = {"scheme": preset.scheme, "level": preset.level, "dt": preset.dt,
+                "t_final": preset.t_final, **preset.reads}
+    cfg = replace(cfg, **{name: value for name, value in defaults.items()
+                          if getattr(cfg, name) is None})
+    if cfg.scheme not in SCHEMES:
+        raise UsageError(f"unknown scheme {cfg.scheme!r}; choose from {sorted(SCHEMES)}")
+    return preset, cfg
 
 
 def build_problem(cfg: RunConfig):
     """Resolve a configuration to (problem, scheme, stepper)."""
-    preset = _preset(cfg)
-    scheme = cfg.resolved_scheme(preset.scheme)
-    problem = preset.build(cfg, _or(cfg.level, preset.level))
-    return problem, scheme, _stepper(preset, cfg)
+    preset, cfg = _resolve(cfg)
+    return preset.build(cfg), SCHEMES[cfg.scheme], _stepper(preset, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +320,6 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_points(cfg: RunConfig):
-    fixed_m = 2.0
-    fixed_md = 1.0
-    points = [(fixed_m, md) for md in SWEEP_BOUNDARY_LEVELS]
-    points += [(m, fixed_md) for m in SWEEP_EXPONENTS if (m, fixed_md) not in points]
-    if cfg.m is not None or cfg.m_dirichlet is not None:
-        points = [(cfg.m if cfg.m is not None else fixed_m,
-                   cfg.m_dirichlet if cfg.m_dirichlet is not None else fixed_md)]
-    return points
-
-
 def sweep_rate(trace: EntropyTrace) -> float:
     """Fitted decay rate of the relative functional over its clean
     log-linear stretch (relative levels 1e-9 .. 1e-4)."""
@@ -359,8 +334,13 @@ def sweep_rate(trace: EntropyTrace) -> float:
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
     """Run every sweep point into its own directory and write rates.csv; a
     point that fails or aborts gets no rate row and makes the status 1."""
-    preset = _preset(cfg)
-    scheme = cfg.resolved_scheme(preset.scheme)
+    preset, resolved = _resolve(cfg)
+    m, md = resolved.m, resolved.m_dirichlet
+    points = [(m, md)]  # either option set runs the one point it names
+    if cfg.m is None and cfg.m_dirichlet is None:  # else the grid through the defaults
+        points = [(m, x) for x in SWEEP_BOUNDARY_LEVELS]
+        points += [(x, md) for x in SWEEP_EXPONENTS if (x, md) not in points]
+    scheme, stepper = SCHEMES[resolved.scheme], _stepper(preset, resolved)
     # an earlier sweep's outputs go first: no point outside this sweep survives
     (out / "rates.csv").unlink(missing_ok=True)
     for point in out.glob("m*-md*"):
@@ -369,14 +349,12 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
                 (point / name).unlink(missing_ok=True)
             if not any(point.iterdir()):
                 point.rmdir()
-    level = _or(cfg.level, preset.level)
-    stepper = _stepper(preset, cfg)
     mesh = None  # built by the first point's sweep_problem, shared by the rest
 
     def one(point) -> Optional[str]:
         nonlocal mesh
         m, md = point
-        problem = sweep_problem(level, m=m, m_dirichlet=md, mesh=mesh)
+        problem = sweep_problem(resolved.level, m=m, m_dirichlet=md, mesh=mesh)
         mesh = problem.mesh
         result = _run_into(out / f"m{m:g}-md{md:g}", problem, scheme, stepper)
         if result is None or result.abort_reason is not None:
@@ -386,7 +364,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
         except SolverError:
             return f"{m:.17g},{md:.17g},"  # run too short to fit
 
-    rows = [one(p) for p in _sweep_points(cfg)]
+    rows = [one(p) for p in points]
     rate_rows = ["m,m_dirichlet,rate", *(row for row in rows if row is not None)]
     (out / "rates.csv").write_text("\n".join(rate_rows) + "\n")
     print(f"ran {len(rows)} sweep points under {out}")

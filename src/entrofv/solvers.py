@@ -47,7 +47,7 @@ class StepperConfig:
     def fixed(dt: float, t_final: float, **kw) -> "StepperConfig":
         """Constant time step (still halved if a nonlinear step fails)."""
         return StepperConfig(t_final=t_final, dt0=dt, dt_max=dt,
-                             dt_min=min(1e-8, dt), **kw)
+                             dt_min=min(StepperConfig.dt_min, dt), **kw)
 
 
 class DdState(NamedTuple):

@@ -3,11 +3,14 @@ module-level private function or class is referenced in the package, and
 every field of its records is read somewhere."""
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import entrofv
+from entrofv.presets import RunConfig
 
 MODULES = sorted(p for p in Path(entrofv.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports only to re-export
@@ -108,3 +111,16 @@ def test_unread_field_check_flags_a_stranded_field():
     readers = ["def f(a, b):\n    a.written = b.x\n    return a.used\n",
                "print(some.kept)\n"]
     assert _unread_fields(package, readers) == ["a.py: A.written", "a.py: B.y"]
+
+
+def test_readme_lists_every_run_option():
+    """README's ``entrofv run`` synopsis has a flag for every RunConfig field
+    but the preset, and its config-file "Keys:" list names every field; the
+    Debye length is ``lambda`` in both."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = text[text.index("entrofv run <"):text.index("entrofv convergence")]
+    listed = text.split("Keys: `", 1)[1].split("`", 1)[0]
+    names = {"lambda" if f.name == "debye" else f.name for f in fields(RunConfig)}
+    flags = {flag.replace("-", "_") for flag in re.findall(r"\[--([\w-]+)", synopsis)}
+    assert flags == names - {"preset"}
+    assert {item.split()[0] for item in listed.split(",")} == names

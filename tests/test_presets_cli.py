@@ -302,9 +302,9 @@ def test_every_run_flag_is_a_run_config_field(monkeypatch, tmp_path):
     args, cfg = _parse_run(monkeypatch, "--scheme", "centered", "--level", "1", "--dt", "0.5",
                            "--t-final", "2", "--entropy-floor", "0", "--out", str(tmp_path),
                            "--force-peclet", "--bias", "1.5", "--m", "3",
-                           "--m-dirichlet", "2", "--lambda", "0.5")
+                           "--m-dirichlet", "2", "--lambda", "0.5", "--doping", "2")
     dests = set(vars(args)) - {"command", "target"}
-    assert dests <= {f.name for f in fields(RunConfig)}
+    assert dests == {f.name for f in fields(RunConfig)} - {"preset"}
     assert {key: getattr(cfg, key) for key in dests} == {key: getattr(args, key)
                                                         for key in dests}
 
@@ -317,6 +317,59 @@ def test_every_run_flag_is_a_run_config_field(monkeypatch, tmp_path):
 def test_zero_and_switch_flags_reach_the_run_config(monkeypatch, flags, fields_set):
     _, cfg = _parse_run(monkeypatch, *flags)
     assert cfg == RunConfig(preset="fp-toy", **fields_set)
+
+
+def test_doping_flag_reaches_the_device(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or run(cfg))
+    base = ["run", "dd-pn", "--level", "0", "--t-final", "0.05"]
+    assert main([*base, "--out", str(tmp_path / "default")]) == 0
+    assert main([*base, "--doping", "2", "--out", str(tmp_path / "doped")]) == 0
+    assert [cfg.doping for cfg in seen] == [None, 2.0]
+    steady = [(tmp_path / name / "steady.txt").read_text() for name in ("default", "doped")]
+    assert steady[0] != steady[1]
+
+
+@pytest.mark.parametrize("name", sorted(presets()))
+def test_resolve_sets_every_option_the_run_reads(name):
+    """The resolved configuration holds every value the run uses, keeps what
+    was set, and resolving it again changes nothing."""
+    preset, resolved = presets_module._resolve(RunConfig(preset=name))
+    for key in (*COMMON_OPTIONS, *preset.reads):
+        assert (getattr(resolved, key) is None) == (key == "out"), key
+    assert {key: getattr(resolved, key) for key in preset.reads} == preset.reads
+    assert presets_module._resolve(resolved) == (preset, resolved)
+    assert presets_module._resolve(RunConfig(preset=name, level=1))[1].level == 1
+
+
+@pytest.mark.parametrize("name", ["pme-fill", "pme-sweep"])
+def test_adaptive_preset_takes_a_step_below_the_default_floor(tmp_path, name):
+    """Any positive finite dt is accepted: an adaptive preset lowers its
+    smallest step to a smaller dt, as a fixed-step one does."""
+    out = tmp_path / "out"
+    assert main(["run", name, "--level", "0", "--dt", "1e-9", "--t-final", "0.01",
+                 "--out", str(out)]) == 0
+    traces = sorted(out.rglob("trace.csv"))
+    assert len(traces) == (5 if name == "pme-sweep" else 1)
+    for trace in traces:
+        first_step = trace.read_text().splitlines()[2].split(",")[1]
+        assert float(first_step) == pytest.approx(1e-9, rel=1e-12)
+
+
+def test_config_file_switch_words(tmp_path, capsys):
+    """A switch is on for 1/true/yes/on, off for 0/false/no/off (any case),
+    and any other word is a usage error naming its line."""
+    for words, value in ((("1", "true", "Yes", "ON"), True), (("0", "false", "No", "OFF"), False)):
+        for word in words:
+            assert parse_config_text(f"force_peclet = {word}\n") == {"force_peclet": value}
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("preset = fp-hetero\nlevel = 1\nscheme = centered\nforce_peclet = ture\n"
+                   f"out = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config line 4: force_peclet ")
+    assert "'ture'" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_values_take_the_run_config_types():
