@@ -42,21 +42,14 @@ class PhiFunction:
             )
 
         def value(x, p=p):
-            return _power_bracket(np.asarray(x, dtype=float), p) / (p - 1.0)
+            x = np.asarray(x, dtype=float)
+            return (_power_m1(x, p) - p * (x - 1.0)) / (p - 1.0)
 
         def d1(x, p=p):
-            x = np.asarray(x, dtype=float)
-            t = x - 1.0
-            small = np.abs(t) < 0.5
-            ts = np.where(small, t, 0.0)
-            xl = np.where(small, 1.0, x)
-            grow = np.where(small, np.expm1((p - 1.0) * np.log1p(ts)),
-                            xl ** (p - 1.0) - 1.0)
-            return p * grow / (p - 1.0)
+            return p * _power_m1(np.asarray(x, dtype=float), p - 1.0) / (p - 1.0)
 
         def d2(x, p=p):
-            x = np.asarray(x, dtype=float)
-            return p * x ** (p - 2.0)
+            return p * np.asarray(x, dtype=float) ** (p - 2.0)
 
         return PhiFunction(name=f"phi{p:g}", value=value, d1=d1, d2=d2)
 
@@ -75,15 +68,12 @@ def _boltzmann_value(x) -> np.ndarray:
         return np.where(x == 0.0, 1.0, (lg - t) + t * lg)
 
 
-def _power_bracket(x: np.ndarray, q: float) -> np.ndarray:
-    """x**q - 1 - q (x - 1), computed stably near x = 1 (x nonnegative)."""
-    t = x - 1.0
-    small = np.abs(t) < 0.5
-    ts = np.where(small, t, 0.0)
-    xl = np.where(small, 1.0, x)
-    near = np.expm1(q * np.log1p(ts)) - q * ts
-    far = xl ** q - 1.0 - q * t
-    return np.where(small, near, far)
+def _power_m1(x: np.ndarray, q: float) -> np.ndarray:
+    """x**q - 1, computed stably near x = 1 (x nonnegative); the power
+    entropies and the entrophy subtract q (x - 1) from it."""
+    small = np.abs(x - 1.0) < 0.5
+    return np.where(small, np.expm1(q * np.log1p(np.where(small, x - 1.0, 0.0))),
+                    np.where(small, 1.0, x) ** q - 1.0)
 
 
 PHI1 = PhiFunction(name="phi1", value=_boltzmann_value, d1=lambda x: np.log(x),
@@ -184,13 +174,7 @@ def entrophy(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray, m: float) -> float:
     """Relative functional for the nonlinear diffusion model, nonnegative by
     convexity of x ** (m+1); in the factored form f_inf ** (m+1) times the
     bracket of f / f_inf, which keeps accuracy once f hugs the steady state."""
-    if m <= 1:
-        raise DataError("exponent must exceed 1")
-    f_inf = np.asarray(f_inf, dtype=float)
-    _check_reference(f_inf)
-    z = np.maximum(_nonnegative(f), 0.0) / f_inf
-    term = f_inf ** (m + 1.0) * _power_bracket(z, m + 1.0) / (m + 1.0)
-    return float(np.sum(mesh.cell_area * term))
+    return PmeDiagnostics(mesh, f_inf, m).entrophy(f)
 
 
 def entrophy_dissipation(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray,
@@ -203,6 +187,29 @@ def entrophy_dissipation(mesh: Mesh, f: np.ndarray, f_inf: np.ndarray,
     g = signed_power(np.asarray(f, dtype=float), m) \
         - signed_power(np.asarray(f_inf, dtype=float), m)
     return float(g @ (laplacian(mesh) @ g))
+
+
+class PmeDiagnostics:
+    """The porous medium's trace record against one steady state, which is
+    checked once, as f_inf^m and f_inf^(m+1) are formed once."""
+
+    def __init__(self, mesh: Mesh, f_inf: np.ndarray, m: float):
+        if m <= 1:
+            raise DataError("exponent must exceed 1")
+        self.mesh, self.m, self.f_inf = mesh, m, np.asarray(f_inf, dtype=float)
+        _check_reference(self.f_inf)
+        self.f_inf_m, self.f_inf_m1 = signed_power(self.f_inf, m), self.f_inf ** (m + 1.0)
+
+    def entrophy(self, f: np.ndarray) -> float:
+        z, q = np.maximum(_nonnegative(f), 0.0) / self.f_inf, self.m + 1.0
+        term = self.f_inf_m1 * (_power_m1(z, q) - q * (z - 1.0)) / q
+        return float(np.sum(self.mesh.cell_area * term))
+
+    def __call__(self, f: np.ndarray) -> dict:
+        f = np.asarray(f, dtype=float)
+        g = signed_power(f, self.m) - self.f_inf_m
+        return {"N_m": self.entrophy(f), "D_m": float(g @ (laplacian(self.mesh) @ g)),
+                "Lmp1": _lp(self.mesh, np.abs(f - self.f_inf), self.m + 1.0)}
 
 
 def dd_entropy(mesh: Mesh, state, ref, lam: float) -> float:

@@ -41,6 +41,13 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 PANEL_SIZE = 1
 RELAX = 1
 
+#: SuperLU keeps a diagonal pivot of at least this fraction of its column's
+#: largest entry.  With rows scaled as in :func:`factorize`, the level-3 DD step
+#: Jacobian holds 0.69 M factor nonzeros at every Debye length, against 11.3 M at
+#: lambda = 0.1 and 28.5 M at 0.05 unscaled at the default 1 (``dd-pn --lambda
+#: 0.1``: 2.8 s, not 128 s).  FP and PME matrices, never scaled, factor as at 1.
+DIAG_PIVOT_THRESH = 0.1
+
 
 @dataclass(frozen=True, eq=False)
 class PermutedLU:
@@ -57,6 +64,17 @@ class PermutedLU:
         return self.lu.solve(b[self.order])[self.perm]
 
 
+@dataclass(frozen=True, eq=False)
+class RowScaledLU:
+    """Factors of ``diag(scale) A`` that solve with ``A``."""
+
+    lu: Union[spla.SuperLU, PermutedLU]
+    scale: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(self.scale * b)
+
+
 def with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
     """Shallow copy of ``template`` holding ``data``: it shares the index
     arrays and the format flags scipy checked once, on the template."""
@@ -65,43 +83,50 @@ def with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
     return matrix
 
 
-def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
+def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU, RowScaledLU]:
     """Sparse LU factors of a square matrix, CSC already when assembled.  The
     first factorization of a matrix from ``SparsityPattern.fill`` stores the
     column ordering on its ``pattern``; later ones factor the symmetrically
     permuted matrix with ``NATURAL``.  Its columns keep their stored row
-    order, which SuperLU follows, so both give the same factors bit for bit."""
+    order, which SuperLU follows, so both give the same factors bit for bit.
+    A matrix with a column whose diagonal is not its largest entry has its
+    rows scaled by 1 / max|a_ij| first (see :data:`DIAG_PIVOT_THRESH`)."""
     pattern = getattr(a, "pattern", None)
     known = pattern.ordering if pattern is not None else {}
+    a, scale = a.tocsc(), None
+    if np.count_nonzero(np.abs(a.data) > np.repeat(np.abs(  # each entry's column diagonal
+            a.data[pattern.diagonal] if pattern is not None else a.diagonal()), np.diff(a.indptr))):
+        row_max = np.zeros(a.shape[0])
+        np.maximum.at(row_max, a.indices, np.abs(a.data))
+        scale = 1.0 / np.maximum(row_max, np.finfo(float).tiny)
+        a = with_data(a, a.data * scale[a.indices])
+    options = dict(diag_pivot_thresh=DIAG_PIVOT_THRESH, panel_size=PANEL_SIZE, relax=RELAX)
     try:
         if "perm" not in known:
-            lu = spla.splu(a.tocsc(), permc_spec=PERMC_SPEC,
-                           panel_size=PANEL_SIZE, relax=RELAX)
+            lu = spla.splu(a, permc_spec=PERMC_SPEC, **options)
             if pattern is not None:  # a view of perm_c keeps the factors alive
                 known.setdefault("perm", lu.perm_c.astype(np.intp))
-            return lu
-        perm = known["perm"]
-        if "permuted" not in known:  # the pattern's second factorization
-            # column j of the permuted matrix is column order[j] of a, with
-            # its slots in stored order: no sort.  Like a pattern's template,
-            # it holds one byte a value, as every factorization brings its own
-            order = np.argsort(perm)
-            lengths = np.diff(a.indptr)[order]
-            indptr = np.zeros(a.shape[0] + 1, dtype=np.intc)
-            np.cumsum(lengths, out=indptr[1:])
-            gather = np.repeat(a.indptr[order] - indptr[:-1], lengths)
-            gather += np.arange(gather.size, dtype=np.intc)
-            rows = perm.astype(np.intc)[a.indices[gather]]  # no intp copy of the indices
-            template = sp.csc_matrix((np.zeros(gather.size, dtype=np.int8), rows, indptr),
-                                     shape=a.shape)
-            template.has_canonical_format = True  # unsorted rows, kept so on purpose
-            known.setdefault("permuted", (order, gather, template))
-        order, gather, template = known["permuted"]
-        permuted = with_data(template, a.data[gather])
-        lu = spla.splu(permuted, permc_spec="NATURAL", panel_size=PANEL_SIZE, relax=RELAX)
-        return PermutedLU(lu, perm, order, lu.nnz)
+        else:
+            if "permuted" not in known:  # the pattern's second factorization
+                # column j of the permuted matrix is column order[j] of a, with
+                # its slots in stored order: no sort.  Like a pattern's template,
+                # it holds one byte a value, as every factorization brings its own
+                order = np.argsort(known["perm"])
+                lengths = np.diff(a.indptr)[order]
+                indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.intc)
+                gather = np.repeat(a.indptr[order] - indptr[:-1], lengths)
+                gather += np.arange(gather.size, dtype=np.intc)
+                rows = known["perm"].astype(np.intc)[a.indices[gather]]  # no intp copy of indices
+                template = sp.csc_matrix((np.zeros(gather.size, dtype=np.int8), rows, indptr),
+                                         shape=a.shape)
+                template.has_canonical_format = True  # unsorted rows, kept so on purpose
+                known.setdefault("permuted", (order, gather, template))
+            order, gather, template = known["permuted"]
+            lu = spla.splu(with_data(template, a.data[gather]), permc_spec="NATURAL", **options)
+            lu = PermutedLU(lu, known["perm"], order, lu.nnz)
     except RuntimeError as err:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(err)) from err
+    return lu if scale is None else RowScaledLU(lu, scale)
 
 
 def solve_linear(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -113,12 +138,17 @@ def solve_linear(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return _checked(a, b, factorize(a).solve(b))
 
 
-def _checked(a: sp.spmatrix, b: np.ndarray, x: np.ndarray, r=None) -> np.ndarray:
-    """``x`` if finite with a small max-norm of ``r = b - a x`` (formed if not given)."""
+def _residual_bound(b: np.ndarray) -> float:
+    """Largest max-norm residual a checked solve of ``a x = b`` accepts."""
+    return 1e-10 * (1.0 + np.max(np.abs(b)))
+
+
+def _checked(a: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` if finite with a small max-norm of ``b - a x``."""
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("factorization produced non-finite solution")
-    resid = np.max(np.abs(a @ x - b if r is None else r))
-    if resid > 1e-10 * (1.0 + np.max(np.abs(b))):
+    resid = np.max(np.abs(a @ x - b))
+    if resid > _residual_bound(b):
         raise LinAlgError(f"direct solve residual {resid:.3e} above tolerance")
     return x
 
@@ -218,18 +248,24 @@ REUSE_CONTRACTION = 0.01
 
 
 #: Iterative refinement on stored factors (Higham, *Accuracy and Stability of
-#: Numerical Algorithms*, ch. 12) accepts x once the componentwise backward
-#: error max |b - A x| / (|A| |x| + |b|) is at most REFINE_EPS.  It gives up,
-#: and the matrix is factored, when a sweep cuts that error by less than
-#: REFINE_CONTRACTION or after REFINE_SWEEPS sweeps; from x = 0, where the
-#: error is 1, four sweeps at 1e-4 reach REFINE_EPS.  On ``pme-sweep`` this
-#: makes 599 factorizations and 3229 triangular solves; 1e-3 or 1e-2, with up
-#: to 8 sweeps, make 506 or 417 factorizations but 4082 or 5381 solves, and
-#: run no faster: one factorization of its 896-unknown Jacobian costs about
-#: as much as ten sweeps (2 vCPUs).
-REFINE_EPS = 2.0 * np.finfo(float).eps
+#: Numerical Algorithms*, ch. 12) accepts x once the componentwise backward error
+#: max |b - A x| / (|A| |x| + |b|) is at most REFINE_EPS and the residual passes
+#: a checked solve's bound, well inside Newton's tolerance (Dembo, Eisenstat &
+#: Steihaug, SIAM J. Numer. Anal. 19, 1982).  It factors once a sweep cuts that
+#: error by less than REFINE_CONTRACTION (1e-3 or 1e-2 saved factorizations, not
+#: time), or after REFINE_SWEEPS sweeps.  (Factorizations, triangular solves) of
+#: ``pme-sweep``, each with 1168 Newton iterations: 2 eps (599, 3229) without the
+#: gate below, 1e-12 (598, 2307), 1e-11 (597, 2280), 1e-10 (597, 2213), fastest.
+REFINE_EPS = 1e-10
 REFINE_CONTRACTION = 1e-4
 REFINE_SWEEPS = 4
+
+#: No refinement is tried when the matrix shares the held one's index arrays and
+#: a stored value moved by more than this fraction of the held one.  At 2 eps
+#: without the gate, ``pme-sweep`` made attempts / successes of 302 / 301 at a
+#: largest change below 1e-4, 358 / 268 up to 1e-3, 98 / 3 up to 1e-2 and 405 / 2
+#: above.  The gate at 3e-4 gives (604, 2061), 15 % slower; at 3e-3 (595, 2266).
+REFINE_CHANGE = 1e-3
 
 
 @dataclass(eq=False)
@@ -239,28 +275,29 @@ class FactorStore:
     One caller owns it: one transient run or one Newton call."""
 
     jac: Optional[sp.spmatrix] = None
-    lu: Union[spla.SuperLU, PermutedLU, None] = None
+    lu: Union[spla.SuperLU, PermutedLU, RowScaledLU, None] = None
 
     def drop(self) -> None:
         self.jac = self.lu = None
 
     def solve(self, a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
         """Checked solve of ``a x = b``, ``a`` CSC or CSR: one direct solve
-        when the held factors are ``a``'s own (``a is jac``), else iterative
-        refinement on those of a nearby matrix; when the refinement stalls
-        (see :data:`REFINE_CONTRACTION`) or nothing is held, ``a`` is
-        factored into the store and solved directly."""
-        if a is not self.jac:
-            if self.lu is not None:  # sweeps from x = 0, whose backward error is 1
-                x, r, omega_prev = 0.0, b, 1.0
-                # |A| on the pattern of A; tiny keeps the rows where b and x vanish at 0
-                scale, abs_b = with_data(a, np.abs(a.data)), np.abs(b) + np.finfo(float).tiny
+        when the held factors are ``a``'s own (``a is jac``), else refinement
+        on those of a nearby matrix; ``a`` is factored into the store when
+        nothing is held, ``a`` moved too far or the refinement stalls."""
+        held = self.jac
+        if a is not held:
+            moved = held is not None and a.indices is held.indices and a.indptr is held.indptr \
+                and np.any(np.abs(a.data - held.data) > REFINE_CHANGE * np.abs(held.data))
+            if self.lu is not None and not moved:  # sweeps from x = 0, whose error is 1
+                x, r, omega_prev, abs_a = 0.0, b, 1.0, with_data(a, np.abs(a.data))
+                abs_b = np.abs(b) + np.finfo(float).tiny  # keeps rows where b and x vanish
                 for _ in range(REFINE_SWEEPS):
                     x = x + self.lu.solve(r)
                     r = b - a @ x
-                    omega = np.max(np.abs(r) / (scale @ np.abs(x) + abs_b))
-                    if omega <= REFINE_EPS:
-                        return _checked(a, b, x, r)
+                    omega = np.max(np.abs(r) / (abs_a @ np.abs(x) + abs_b))
+                    if omega <= REFINE_EPS and np.max(np.abs(r)) <= _residual_bound(b):
+                        return x  # finite, as NaN and inf fail both tests
                     if not omega <= REFINE_CONTRACTION * omega_prev:
                         break
                     omega_prev = omega

@@ -187,6 +187,8 @@ class RunConfig:
                 raise UsageError(f"{name} must be finite, got {value:g}")
         if self.m is not None and not 1 < self.m < math.inf:
             raise UsageError(f"m must exceed 1 and be finite, got {self.m:g}")
+        if self.out is not None and not self.out.strip():  # Path("") is the working directory
+            raise UsageError(f"out must name a directory, got {self.out!r}")
         if not 0 <= self.entropy_floor < math.inf:
             raise UsageError(f"entropy_floor must be non-negative and finite, "
                              f"got {self.entropy_floor:g}")

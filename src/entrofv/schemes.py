@@ -483,18 +483,19 @@ def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
     residual_K = area (f - f_prev) / dt - sum_edges tau * D(f^m), computed as
     area (f - f_prev) / dt + L f^m - (Dirichlet sums of tau f_D^m) with the
     mesh's Laplacian L; the Jacobian is L diag(m |f|^(m-1)) plus area / dt on
-    the diagonal, on L's pattern.  The flux sign makes the operator diffusive
-    (mass flows from high f^m to low f^m).  ``boundary`` is
-    ``pme_boundary_term(mesh, f_dirichlet, m)``, which callers that assemble
-    many times on the same data form once.
+    the diagonal, on L's pattern, f^m being f |f|^(m-1).  The flux sign makes
+    the operator diffusive (mass flows from high f^m to low f^m).
+    ``boundary`` is ``pme_boundary_term(mesh, f_dirichlet, m)``, which callers
+    that assemble many times on the same data form once.
     """
     if m <= 1:
         raise DataError("nonlinearity exponent must exceed 1")
     lap = laplacian(mesh)
     columns = mesh.derived("laplacian_columns",
                            lambda m: np.repeat(np.arange(m.n_cells), np.diff(lap.indptr)))
-    residual = mesh.cell_area * (f - f_prev) / dt + lap @ signed_power(f, m) - boundary
-    values = lap.data * (m * np.abs(f) ** (m - 1.0))[columns]
+    power = np.abs(f) ** (m - 1.0)
+    residual = mesh.cell_area * (f - f_prev) / dt + lap @ (f * power) - boundary
+    values = lap.data * (m * power)[columns]
     values[lap.pattern.diagonal] += mesh.cell_area / dt
     return residual, with_data(lap, values)
 

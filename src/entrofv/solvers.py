@@ -275,22 +275,13 @@ class PmeProblem:
     def start(self, scheme: BScheme):
         mesh, m = self.mesh, self.m
         steady = solve_pme_steady(mesh, self.f_dirichlet, m)
-
         # factors shared by the steps of this run only.  Every Newton step
-        # still solves with its own Jacobian, refined to round-off on these:
+        # still solves with its own Jacobian, refined on these (REFINE_EPS):
         # simplified Newton would move the rates beyond 1e-9
-        store = FactorStore()
-        boundary = pme_boundary_term(mesh, self.f_dirichlet, m)
-
-        def step(f, dt):
-            return step_pme(mesh, f, m, dt, store, boundary)
-
-        def diagnostics(f):
-            return {"N_m": ent.entrophy(mesh, f, steady, m),
-                    "D_m": ent.entrophy_dissipation(mesh, f, steady, m),
-                    "Lmp1": ent.lp_distance(mesh, f, steady, m + 1.0)}
-
-        return steady, np.asarray(self.f0, dtype=float), step, diagnostics
+        store, boundary = FactorStore(), pme_boundary_term(mesh, self.f_dirichlet, m)
+        return (steady, np.asarray(self.f0, dtype=float),
+                lambda f, dt: step_pme(mesh, f, m, dt, store, boundary),
+                ent.PmeDiagnostics(mesh, steady, m))
 
 
 @dataclass(frozen=True)
@@ -308,18 +299,15 @@ class DdProblem:
         steady = solve_dd_steady(mesh, dd, scheme, initial=thermal)
         state0 = DdState(np.asarray(self.n0, dtype=float), np.asarray(self.p0, dtype=float),
                          solve_dd_poisson(mesh, dd, self.n0, self.p0))
-        # factors shared by the steps of this run only
-        store = FactorStore()
-
-        def step(state, dt):
-            return step_dd(mesh, dd, scheme, state, dt, store)
+        store = FactorStore()  # factors shared by the steps of this run only
 
         def diagnostics(state):
             return {"E_inf": ent.dd_entropy(mesh, state, steady, dd.debye),
                     "E_eq": float("nan") if thermal is None
                     else ent.dd_entropy(mesh, state, thermal, dd.debye)}
 
-        return steady, state0, step, diagnostics
+        return (steady, state0, lambda state, dt: step_dd(mesh, dd, scheme, state, dt, store),
+                diagnostics)
 
 
 @dataclass

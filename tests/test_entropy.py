@@ -412,3 +412,51 @@ def test_fp_diagnostics_reject_bad_states(mesh0, rng):
     f[5] = -1e-3
     with pytest.raises(DataError, match="non-negative"):
         record(f)
+
+
+def test_pme_diagnostics_match_public_functions(mesh1, rng):
+    from entrofv.entropy import PmeDiagnostics
+    f_inf = rng.uniform(0.5, 2.0, mesh1.n_cells)
+    for m in (1.5, 2.0, 4.0):
+        record = PmeDiagnostics(mesh1, f_inf, m)
+        for f in (rng.uniform(0.0, 4.0, mesh1.n_cells), f_inf, np.zeros(mesh1.n_cells)):
+            got = record(f)
+            assert tuple(got) == ("N_m", "D_m", "Lmp1")
+            assert got["N_m"] == entrophy(mesh1, f, f_inf, m)
+            assert got["D_m"] == entrophy_dissipation(mesh1, f, f_inf, m)
+            assert got["Lmp1"] == lp_distance(mesh1, f, f_inf, m + 1.0)
+
+
+def test_pme_diagnostics_reject_bad_states(mesh0, rng):
+    from entrofv.entropy import PmeDiagnostics
+    f_inf = rng.uniform(0.5, 2.0, mesh0.n_cells)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        steady = f_inf.copy()
+        steady[3] = bad
+        with pytest.raises(DataError):
+            PmeDiagnostics(mesh0, steady, 2.0)
+    with pytest.raises(DataError, match="exponent"):
+        PmeDiagnostics(mesh0, f_inf, 1.0)
+    f = f_inf.copy()
+    f[5] = -1e-3
+    with pytest.raises(DataError, match="non-negative"):
+        PmeDiagnostics(mesh0, f_inf, 2.0)(f)
+
+
+def test_pme_run_checks_its_steady_state_once(monkeypatch):
+    from entrofv import entropy
+    from entrofv.presets import sweep_problem
+    from entrofv.schemes import SCHARFETTER_GUMMEL
+    from entrofv.solvers import StepperConfig, run_transient
+    checked = []
+    check = entropy._check_reference
+
+    def counting(f_inf):
+        checked.append(f_inf)
+        return check(f_inf)
+
+    monkeypatch.setattr(entropy, "_check_reference", counting)
+    result = run_transient(sweep_problem(0, m=2.0, m_dirichlet=1.0), SCHARFETTER_GUMMEL,
+                           StepperConfig(t_final=0.5))
+    assert len(result.trace) > 10
+    assert len(checked) == 1 and checked[0] is result.steady

@@ -124,3 +124,14 @@ def test_readme_lists_every_run_option():
     flags = {flag.replace("-", "_") for flag in re.findall(r"\[--([\w-]+)", synopsis)}
     assert flags == names - {"preset"}
     assert {item.split()[0] for item in listed.split(",")} == names
+
+
+def test_readme_names_every_linalg_constant():
+    """README's ``entrofv.linalg`` row names every upper-case constant of the
+    module, so a tuning knob cannot hide from its reader."""
+    from entrofv import linalg
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| `entrofv.linalg` |"))
+    constants = [name for name in vars(linalg) if re.fullmatch(r"[A-Z][A-Z0-9_]+", name)]
+    assert "REFINE_EPS" in constants
+    assert [name for name in constants if not re.search(rf"\b{name}\b", row)] == []

@@ -189,8 +189,8 @@ def test_newton_store_reuses_factors_across_calls():
 # iterative refinement on stored factors
 
 
-def _pme_jacobian(f, dt=1e-2):
-    mesh = reference_mesh(1, BoundarySpec.all_dirichlet())
+def _pme_jacobian(f, dt=1e-2, mesh=None):
+    mesh = reference_mesh(1, BoundarySpec.all_dirichlet()) if mesh is None else mesh
     f_dir = np.where(mesh.dirichlet, 1.0, np.nan)
     return mesh, assemble_pme_residual(mesh, f, f, 2.0, dt,
                                        pme_boundary_term(mesh, f_dir, 2.0))[1]
@@ -212,7 +212,7 @@ def _backward_error(a, x, b):
     return np.max(np.abs(b - a @ x) / (abs(a) @ np.abs(x) + np.abs(b)))
 
 
-def test_refined_solve_on_nearby_factors_reaches_round_off(monkeypatch, rng):
+def test_refined_solve_on_nearby_factors_reaches_refine_eps(monkeypatch, rng):
     mesh, stored = _pme_jacobian(np.linspace(0.5, 1.5, 224))
     _, jac = _pme_jacobian(np.linspace(0.5, 1.5, 224) * (1 + 1e-6 * rng.random(224)))
     store = FactorStore(jac=stored, lu=factorize(stored))
@@ -239,23 +239,66 @@ def test_refined_solve_on_far_factors_refactors_once(monkeypatch, rng):
     np.testing.assert_array_equal(x, store.lu.solve(b))
 
 
+class _CountingLU:
+    """Held factors that count their solves (SuperLU takes no new attributes);
+    ``offset``, if given, is added to every solution."""
+
+    def __init__(self, lu, offset=0.0):
+        self.lu, self.offset, self.solves = lu, offset, []
+
+    def solve(self, rhs):
+        self.solves.append(rhs)
+        return self.lu.solve(rhs) + self.offset
+
+
+def test_refinement_skips_factors_of_a_matrix_that_moved_too_far(monkeypatch, rng):
+    """A Jacobian whose values moved by more than REFINE_CHANGE of the held
+    ones is factored at once: no sweep on the held factors."""
+    f = np.linspace(0.5, 1.5, 224)
+    mesh, held = _pme_jacobian(f)
+    _, jac = _pme_jacobian(f * (1.0 + 3.0 * linalg.REFINE_CHANGE), mesh=mesh)  # m = 2
+    assert jac.indices is held.indices
+    counting = _CountingLU(factorize(held))
+    store = FactorStore(jac=held, lu=counting)
+    calls = _count_splu(monkeypatch)
+    b = rng.standard_normal(mesh.n_cells)
+    x = store.solve(jac, b)
+    assert counting.solves == [] and len(calls) == 1
+    assert store.jac is jac
+    np.testing.assert_array_equal(x, store.lu.solve(b))
+
+
+def test_refinement_with_a_large_residual_factors_instead_of_raising(monkeypatch):
+    """A backward error below REFINE_EPS bounds the residual only relative to
+    |A||x| + |b|.  Where |A||x| dwarfs b, the max-norm residual may still
+    exceed a checked solve's bound: the store must then factor, not hand x to
+    the residual check, which raises."""
+    big = 1e22
+    a = sp.csc_matrix(np.array([[big, -big], [0.0, 1.0]]))
+    b = np.array([0.0, 1.0])  # x = (1, 1)
+    # factors that solve with a but land one unit in the last place off x_0
+    counting = _CountingLU(factorize(a), offset=np.array([np.finfo(float).eps, 0.0]))
+    store = FactorStore(jac=a.copy(), lu=counting)
+    x0 = counting.solve(b)
+    r = b - a @ x0
+    assert _backward_error(a, x0, b) <= 2 * np.finfo(float).eps
+    assert np.max(np.abs(r)) > 1e6
+    calls = _count_splu(monkeypatch)
+    x = store.solve(a, b)
+    assert len(calls) == 1 and store.jac is a
+    np.testing.assert_array_equal(x, [1.0, 1.0])
+
+
 def test_store_solve_on_its_held_matrix_is_one_direct_solve(monkeypatch, rng):
     mesh, jac = _pme_jacobian(np.linspace(0.5, 1.5, 224))
     b = rng.standard_normal(mesh.n_cells)
     store = FactorStore()
     x = store.solve(jac, b)  # nothing held: jac is factored into the store
     assert store.jac is jac
-    lu, solves = store.lu, []
-
-    class Counting:  # SuperLU takes no new attributes
-        def solve(self, rhs):
-            solves.append(rhs)
-            return lu.solve(rhs)
-
-    store.lu = Counting()
+    store.lu = counting = _CountingLU(store.lu)
     calls = _count_splu(monkeypatch)
     np.testing.assert_array_equal(store.solve(jac, b), x)
-    assert len(solves) == 1 and calls == [] and store.jac is jac
+    assert len(counting.solves) == 1 and calls == [] and store.jac is jac
 
 
 @pytest.mark.parametrize("stored", [None, 1.0], ids=["empty", "stale"])
@@ -281,7 +324,8 @@ def test_factorize_passes_supernode_constants(monkeypatch):
 
     monkeypatch.setattr(linalg.spla, "splu", capture)
     factorize(dense([(0, 0, 2.0), (1, 1, 3.0)], 2))
-    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}]
+    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+                     "panel_size": 1, "relax": 1}]
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +370,27 @@ def _pattern_operators(level, rng):
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_pattern_ordering_reproduces_mmd_factors(level, rng):
-    from entrofv.linalg import PANEL_SIZE, PERMC_SPEC, RELAX, PermutedLU
+    from entrofv.linalg import (DIAG_PIVOT_THRESH, PANEL_SIZE, PERMC_SPEC, RELAX,
+                                PermutedLU, RowScaledLU, with_data)
     ordered, first, second = _pattern_operators(level, rng)
     for a in ordered:
-        assert not isinstance(factorize(a), PermutedLU)
+        lu = factorize(a)
+        assert not isinstance(lu.lu if isinstance(lu, RowScaledLU) else lu, PermutedLU)
     for name, a in first.items():
         b = rng.standard_normal(a.shape[0])
         for later in (a, second[name]):
             lu = factorize(later)
-            assert isinstance(lu, PermutedLU), name
-            ref = spla.splu(later, permc_spec=PERMC_SPEC, panel_size=PANEL_SIZE,
-                                 relax=RELAX)
-            assert lu.nnz == ref.nnz, name
-            x, x_ref = lu.solve(b), ref.solve(b)
+            # only the coupled DD Jacobian has columns whose diagonal is not
+            # their largest entry; its rows are scaled before both paths
+            assert isinstance(lu, RowScaledLU) == name.startswith("dd"), name
+            scale = lu.scale if isinstance(lu, RowScaledLU) else np.ones(a.shape[0])
+            permuted = lu.lu if isinstance(lu, RowScaledLU) else lu
+            assert isinstance(permuted, PermutedLU), name
+            ref = spla.splu(with_data(later, later.data * scale[later.indices]),
+                            permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                            panel_size=PANEL_SIZE, relax=RELAX)
+            assert permuted.nnz == ref.nnz, name
+            x, x_ref = lu.solve(b), ref.solve(scale * b)
             assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref)), name
             # the permuted columns keep their row order, so SuperLU repeats
             # the ordered factorization bit for bit

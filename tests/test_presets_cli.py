@@ -515,6 +515,24 @@ def test_cli_bad_run_parameter_is_usage_error(tmp_path, capsys, argv, name):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out", ["", "  "])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_cli_empty_out_is_usage_error(tmp_path, monkeypatch, capsys, out, form):
+    """An empty ``out`` would name the working directory: the run would clear
+    its run files and write there.  It is refused before any file is touched."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace.csv").write_text("kept\n")
+    if form == "flag":
+        argv = ["fp-toy", "--t-final", "0.03", "--out", out]
+    else:
+        (tmp_path / "run.conf").write_text(f"preset = fp-toy\nt_final = 0.03\nout = {out}\n")
+        argv = ["run.conf"]
+    assert main(["run", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: out must name a directory, got ")
+    assert {p.name for p in tmp_path.iterdir()} <= {"trace.csv", "run.conf"}
+    assert (tmp_path / "trace.csv").read_text() == "kept\n"
+
+
 def test_cli_entry_point_runs():
     # the child imports the package from where this process found it
     src = str(Path(entrofv.__file__).resolve().parents[1])

@@ -590,23 +590,46 @@ def test_dd_step_after_step_size_change_refactors(monkeypatch):
         assert np.max(np.abs(got - ref)) <= 1e-10
 
 
+def _count_solver_work(monkeypatch) -> dict:
+    """Count as the traced benchmark does: every ``splu`` call, every solve
+    on its factors, and Newton's iterations and failed calls."""
+    counts = dict.fromkeys(("factorizations", "solves", "iterations", "failures"), 0)
+    splu, newton = linalg.spla.splu, solvers.newton_solve
+
+    class CountingLU:  # SuperLU takes no new attributes
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return self.lu.solve(rhs)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def counting_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return CountingLU(splu(*args, **kwargs))
+
+    def counting_newton(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        failed = isinstance(result, NonConvergence)
+        counts["iterations"] += result.iterations if failed else result[1]
+        counts["failures"] += failed
+        return result
+
+    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(solvers, "newton_solve", counting_newton)
+    return counts
+
+
 def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
     """The whole default ``dd-bias`` run, steady state included: Newton
     refactors once a reused-factor iterate contracts by less than
     ``REUSE_CONTRACTION`` = 0.01, which at 0.1 took 687 iterations, 9
     factorizations and 930 assemblies (counted as the benchmark counts them)."""
-    counts = {"iterations": 0, "factorizations": 0, "assemblies": 0}
-    splu, newton = linalg.spla.splu, solvers.newton_solve
-
-    def counting_splu(*args, **kwargs):
-        counts["factorizations"] += 1
-        return splu(*args, **kwargs)
-
-    def counting_newton(*args, **kwargs):
-        result = newton(*args, **kwargs)
-        counts["iterations"] += (result.iterations if isinstance(result, NonConvergence)
-                                 else result[1])
-        return result
+    counts = _count_solver_work(monkeypatch)
+    counts["assemblies"] = 0
 
     def counting(assemble):
         def wrapper(*args, **kwargs):
@@ -614,8 +637,6 @@ def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
             return assemble(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
-    monkeypatch.setattr(solvers, "newton_solve", counting_newton)
     for name in ("assemble_fp_operator", "assemble_dd_residual", "assemble_poisson"):
         monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     result = run_transient(*presets.build_problem(RunConfig(preset="dd-bias")))
@@ -623,6 +644,54 @@ def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
     assert counts["iterations"] <= 500
     assert counts["factorizations"] <= 16
     assert counts["assemblies"] <= 750
+
+
+def test_pme_sweep_stays_within_its_solve_budget(monkeypatch, tmp_path):
+    """The default ``pme-sweep``: refinement stops at REFINE_EPS once the
+    residual passes a checked solve's bound, and is not tried on factors of a
+    Jacobian more than REFINE_CHANGE away.  At a target of 2 eps and with no
+    such gate it made 3229 solves and 599 factorizations, for the same 1168
+    Newton iterations."""
+    counts = _count_solver_work(monkeypatch)
+    assert run(RunConfig(preset="pme-sweep", out=str(tmp_path))) == 0
+    assert counts["solves"] <= 2300
+    assert counts["factorizations"] <= 600
+    assert counts["iterations"] == 1168 and counts["failures"] == 0
+
+
+def test_pme_fill_run_has_no_failed_newton_call(monkeypatch):
+    """A refined solve that the residual check would refuse must not reach
+    Newton as a singular Jacobian, which halves the step and moves the trace."""
+    counts = _count_solver_work(monkeypatch)
+    result = run_transient(*presets.build_problem(RunConfig(preset="pme-fill")))
+    assert result.abort_reason is None
+    assert counts["iterations"] > 0 and counts["failures"] == 0
+
+
+def test_dd_jacobian_at_small_debye_length_factors_with_little_fill(monkeypatch):
+    """At lambda = 0.05 and bias 10 the Poisson rows of the level-3 step
+    Jacobian are 400 times smaller than at lambda = 1; SuperLU's default
+    threshold pivoting then left the diagonal and its factors held 33.9 M
+    nonzeros.  Scaled rows and DIAG_PIVOT_THRESH keep them near the 0.69 M of
+    lambda = 1, on the first factorization and on the reused ordering."""
+    prob = pn_problem(3, lam=0.05, bias=10.0)
+    state0 = (prob.n0, prob.p0, solve_dd_poisson(prob.mesh, prob.dd, prob.n0, prob.p0))
+    jac = assemble_dd_residual(prob.mesh, prob.dd, SCHARFETTER_GUMMEL, state0[:2], state0,
+                               1e-2)[1]
+    assert jac.shape == (10752, 10752)
+    nnz, splu = [], linalg.spla.splu
+
+    def counting(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        nnz.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(linalg.spla, "splu", counting)
+    b = np.ones(jac.shape[0])
+    for _ in range(2):
+        x = factorize(jac).solve(b)
+        assert np.max(np.abs(jac @ x - b)) <= 1e-10 * np.max(np.abs(jac) @ np.abs(x))
+    assert len(nnz) == 2 and max(nnz) <= 1_000_000
 
 
 def test_dd_reruns_in_one_process_are_byte_identical(tmp_path):
