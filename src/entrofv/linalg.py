@@ -41,12 +41,12 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 PANEL_SIZE = 1
 RELAX = 1
 
-#: SuperLU keeps a diagonal pivot of at least this fraction of its column's
-#: largest entry.  With rows scaled as in :func:`factorize`, the level-3 DD step
-#: Jacobian holds 0.69 M factor nonzeros at every Debye length, against 11.3 M at
-#: lambda = 0.1 and 28.5 M at 0.05 unscaled at the default 1 (``dd-pn --lambda
-#: 0.1``: 2.8 s, not 128 s).  FP and PME matrices, never scaled, factor as at 1.
-DIAG_PIVOT_THRESH = 0.1
+#: Static pivots (Li & Demmel, ACM TOMS 29, 2003): SuperLU takes every nonzero
+#: diagonal pivot of the ordered matrix and exchanges rows only at an exact zero,
+#: so the MMD fill holds.  The level-3 DD step Jacobian at lambda = 0.05, bias 10
+#: keeps 0.69 M factor nonzeros; thresholds 1, 0.1, 0.01 and 0.001 give 33.9, 34.0,
+#: 30.1 and 1.03 M.  Column diagonally dominant FP and PME matrices factor as at 1.
+DIAG_PIVOT_THRESH = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,17 +64,6 @@ class PermutedLU:
         return self.lu.solve(b[self.order])[self.perm]
 
 
-@dataclass(frozen=True, eq=False)
-class RowScaledLU:
-    """Factors of ``diag(scale) A`` that solve with ``A``."""
-
-    lu: Union[spla.SuperLU, PermutedLU]
-    scale: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(self.scale * b)
-
-
 def with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
     """Shallow copy of ``template`` holding ``data``: it shares the index
     arrays and the format flags scipy checked once, on the template."""
@@ -83,23 +72,15 @@ def with_data(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
     return matrix
 
 
-def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU, RowScaledLU]:
+def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
     """Sparse LU factors of a square matrix, CSC already when assembled.  The
     first factorization of a matrix from ``SparsityPattern.fill`` stores the
     column ordering on its ``pattern``; later ones factor the symmetrically
     permuted matrix with ``NATURAL``.  Its columns keep their stored row
-    order, which SuperLU follows, so both give the same factors bit for bit.
-    A matrix with a column whose diagonal is not its largest entry has its
-    rows scaled by 1 / max|a_ij| first (see :data:`DIAG_PIVOT_THRESH`)."""
+    order, which SuperLU follows, so both give the same factors bit for bit."""
     pattern = getattr(a, "pattern", None)
     known = pattern.ordering if pattern is not None else {}
-    a, scale = a.tocsc(), None
-    if np.count_nonzero(np.abs(a.data) > np.repeat(np.abs(  # each entry's column diagonal
-            a.data[pattern.diagonal] if pattern is not None else a.diagonal()), np.diff(a.indptr))):
-        row_max = np.zeros(a.shape[0])
-        np.maximum.at(row_max, a.indices, np.abs(a.data))
-        scale = 1.0 / np.maximum(row_max, np.finfo(float).tiny)
-        a = with_data(a, a.data * scale[a.indices])
+    a = a.tocsc()
     options = dict(diag_pivot_thresh=DIAG_PIVOT_THRESH, panel_size=PANEL_SIZE, relax=RELAX)
     try:
         if "perm" not in known:
@@ -126,7 +107,7 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU, RowScaledLU]:
             lu = PermutedLU(lu, known["perm"], order, lu.nnz)
     except RuntimeError as err:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(err)) from err
-    return lu if scale is None else RowScaledLU(lu, scale)
+    return lu
 
 
 def solve_linear(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -253,12 +234,11 @@ REUSE_CONTRACTION = 0.01
 #: a checked solve's bound, well inside Newton's tolerance (Dembo, Eisenstat &
 #: Steihaug, SIAM J. Numer. Anal. 19, 1982).  It factors once a sweep cuts that
 #: error by less than REFINE_CONTRACTION (1e-3 or 1e-2 saved factorizations, not
-#: time), or after REFINE_SWEEPS sweeps.  (Factorizations, triangular solves) of
-#: ``pme-sweep``, each with 1168 Newton iterations: 2 eps (599, 3229) without the
-#: gate below, 1e-12 (598, 2307), 1e-11 (597, 2280), 1e-10 (597, 2213), fastest.
+#: time), which ends every stall: only a zero residual takes that error to 0.
+#: (Factorizations, solves) of ``pme-sweep``, 1168 Newton iterations each: 2 eps
+#: (599, 3229) ungated, 1e-12 (598, 2307), 1e-11 (597, 2280), fastest 1e-10 (597, 2213).
 REFINE_EPS = 1e-10
 REFINE_CONTRACTION = 1e-4
-REFINE_SWEEPS = 4
 
 #: No refinement is tried when the matrix shares the held one's index arrays and
 #: a stored value moved by more than this fraction of the held one.  At 2 eps
@@ -275,7 +255,7 @@ class FactorStore:
     One caller owns it: one transient run or one Newton call."""
 
     jac: Optional[sp.spmatrix] = None
-    lu: Union[spla.SuperLU, PermutedLU, RowScaledLU, None] = None
+    lu: Union[spla.SuperLU, PermutedLU, None] = None
 
     def drop(self) -> None:
         self.jac = self.lu = None
@@ -292,7 +272,7 @@ class FactorStore:
             if self.lu is not None and not moved:  # sweeps from x = 0, whose error is 1
                 x, r, omega_prev, abs_a = 0.0, b, 1.0, with_data(a, np.abs(a.data))
                 abs_b = np.abs(b) + np.finfo(float).tiny  # keeps rows where b and x vanish
-                for _ in range(REFINE_SWEEPS):
+                while True:
                     x = x + self.lu.solve(r)
                     r = b - a @ x
                     omega = np.max(np.abs(r) / (abs_a @ np.abs(x) + abs_b))

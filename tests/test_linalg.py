@@ -324,7 +324,7 @@ def test_factorize_passes_supernode_constants(monkeypatch):
 
     monkeypatch.setattr(linalg.spla, "splu", capture)
     factorize(dense([(0, 0, 2.0), (1, 1, 3.0)], 2))
-    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                      "panel_size": 1, "relax": 1}]
 
 
@@ -371,26 +371,25 @@ def _pattern_operators(level, rng):
 @pytest.mark.parametrize("level", [1, 2])
 def test_pattern_ordering_reproduces_mmd_factors(level, rng):
     from entrofv.linalg import (DIAG_PIVOT_THRESH, PANEL_SIZE, PERMC_SPEC, RELAX,
-                                PermutedLU, RowScaledLU, with_data)
+                                PermutedLU)
     ordered, first, second = _pattern_operators(level, rng)
     for a in ordered:
         lu = factorize(a)
-        assert not isinstance(lu.lu if isinstance(lu, RowScaledLU) else lu, PermutedLU)
+        assert not isinstance(lu, PermutedLU)
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)  # every diagonal pivot kept
     for name, a in first.items():
         b = rng.standard_normal(a.shape[0])
         for later in (a, second[name]):
             lu = factorize(later)
-            # only the coupled DD Jacobian has columns whose diagonal is not
-            # their largest entry; its rows are scaled before both paths
-            assert isinstance(lu, RowScaledLU) == name.startswith("dd"), name
-            scale = lu.scale if isinstance(lu, RowScaledLU) else np.ones(a.shape[0])
-            permuted = lu.lu if isinstance(lu, RowScaledLU) else lu
-            assert isinstance(permuted, PermutedLU), name
-            ref = spla.splu(with_data(later, later.data * scale[later.indices]),
-                            permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH,
+            assert isinstance(lu, PermutedLU), name
+            # what a pattern's first factorization makes of this matrix
+            ref = spla.splu(later, permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH,
                             panel_size=PANEL_SIZE, relax=RELAX)
-            assert permuted.nnz == ref.nnz, name
-            x, x_ref = lu.solve(b), ref.solve(scale * b)
+            # static pivots: no row exchange on either path
+            np.testing.assert_array_equal(ref.perm_r, ref.perm_c, err_msg=name)
+            np.testing.assert_array_equal(lu.lu.perm_r, lu.lu.perm_c, err_msg=name)
+            assert lu.nnz == ref.nnz, name
+            x, x_ref = lu.solve(b), ref.solve(b)
             assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref)), name
             # the permuted columns keep their row order, so SuperLU repeats
             # the ordered factorization bit for bit
@@ -420,3 +419,23 @@ def test_pattern_path_singular_matrix_raises():
     assert "permuted" in pattern.ordering
     with pytest.raises(SingularMatrixError):
         solve_linear(singular, np.ones(3))
+
+
+def test_zero_diagonal_pivot_exchanges_rows_on_both_paths():
+    """Static pivoting takes every nonzero diagonal pivot; SuperLU exchanges
+    rows only where the ordered diagonal holds an exact zero, as here."""
+    from entrofv.linalg import PermutedLU
+    values = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 4.0, 1.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    x_ref = np.linalg.solve(values, b)
+    np.testing.assert_allclose(x_ref, [-1.0, 0.5, 1.0], rtol=1e-15)
+    np.testing.assert_allclose(solve_linear(sp.csc_matrix(values), b), x_ref, rtol=1e-14)
+    rows, cols = np.nonzero(values)
+    pattern = SparsityPattern.from_pairs(rows, cols, 3)  # stores zeros on the diagonal
+    a = pattern.fill(values[rows, cols])
+    assert not isinstance(factorize(a), PermutedLU)  # orders the pattern
+    lu = factorize(a)
+    assert isinstance(lu, PermutedLU)
+    assert not np.array_equal(lu.lu.perm_r, lu.lu.perm_c)  # rows were exchanged
+    np.testing.assert_allclose(lu.solve(b), x_ref, rtol=1e-14)
+    np.testing.assert_allclose(solve_linear(a, b), x_ref, rtol=1e-14)

@@ -591,9 +591,11 @@ def test_dd_step_after_step_size_change_refactors(monkeypatch):
 
 
 def _count_solver_work(monkeypatch) -> dict:
-    """Count as the traced benchmark does: every ``splu`` call, every solve
-    on its factors, and Newton's iterations and failed calls."""
-    counts = dict.fromkeys(("factorizations", "solves", "iterations", "failures"), 0)
+    """Count as the traced benchmark does: every ``splu`` call and the
+    nonzeros of the largest factors, every solve on its factors, and Newton's
+    iterations and failed calls."""
+    counts = dict.fromkeys(("factorizations", "largest_factor", "solves", "iterations",
+                            "failures"), 0)
     splu, newton = linalg.spla.splu, solvers.newton_solve
 
     class CountingLU:  # SuperLU takes no new attributes
@@ -609,7 +611,9 @@ def _count_solver_work(monkeypatch) -> dict:
 
     def counting_splu(*args, **kwargs):
         counts["factorizations"] += 1
-        return CountingLU(splu(*args, **kwargs))
+        lu = splu(*args, **kwargs)
+        counts["largest_factor"] = max(counts["largest_factor"], lu.nnz)
+        return CountingLU(lu)
 
     def counting_newton(*args, **kwargs):
         result = newton(*args, **kwargs)
@@ -643,6 +647,7 @@ def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
     assert result.abort_reason is None and len(result.trace) == 236
     assert counts["iterations"] <= 500
     assert counts["factorizations"] <= 16
+    assert counts["largest_factor"] <= 114_162
     assert counts["assemblies"] <= 750
 
 
@@ -672,26 +677,33 @@ def test_dd_jacobian_at_small_debye_length_factors_with_little_fill(monkeypatch)
     """At lambda = 0.05 and bias 10 the Poisson rows of the level-3 step
     Jacobian are 400 times smaller than at lambda = 1; SuperLU's default
     threshold pivoting then left the diagonal and its factors held 33.9 M
-    nonzeros.  Scaled rows and DIAG_PIVOT_THRESH keep them near the 0.69 M of
-    lambda = 1, on the first factorization and on the reused ordering."""
-    prob = pn_problem(3, lam=0.05, bias=10.0)
-    state0 = (prob.n0, prob.p0, solve_dd_poisson(prob.mesh, prob.dd, prob.n0, prob.p0))
-    jac = assemble_dd_residual(prob.mesh, prob.dd, SCHARFETTER_GUMMEL, state0[:2], state0,
-                               1e-2)[1]
-    assert jac.shape == (10752, 10752)
-    nnz, splu = [], linalg.spla.splu
+    nonzeros.  Static pivots (DIAG_PIVOT_THRESH = 0) keep every diagonal pivot
+    and so the fill of lambda = 1, on the first factorization and on the
+    reused ordering, down to lambda = 0.01 at bias 40."""
+    factors, splu = [], linalg.spla.splu
 
     def counting(*args, **kwargs):
         lu = splu(*args, **kwargs)
-        nnz.append(lu.nnz)
+        factors.append(lu)
         return lu
 
     monkeypatch.setattr(linalg.spla, "splu", counting)
-    b = np.ones(jac.shape[0])
-    for _ in range(2):
-        x = factorize(jac).solve(b)
-        assert np.max(np.abs(jac @ x - b)) <= 1e-10 * np.max(np.abs(jac) @ np.abs(x))
-    assert len(nnz) == 2 and max(nnz) <= 1_000_000
+    for level, lam, bias, fill in ((3, 0.05, 10.0, 689_194), (3, 0.02, 10.0, 689_194),
+                                   (2, 0.01, 40.0, 114_162)):
+        prob = pn_problem(level, lam=lam, bias=bias)
+        state0 = (prob.n0, prob.p0, solve_dd_poisson(prob.mesh, prob.dd, prob.n0, prob.p0))
+        jac = assemble_dd_residual(prob.mesh, prob.dd, SCHARFETTER_GUMMEL, state0[:2], state0,
+                                   1e-2)[1]
+        assert jac.shape == (3 * prob.mesh.n_cells,) * 2
+        b = np.ones(jac.shape[0])
+        del factors[:]
+        for _ in range(2):
+            x = factorize(jac).solve(b)
+            backward = np.max(np.abs(jac @ x - b) / (abs(jac) @ np.abs(x) + np.abs(b)))
+            assert backward <= 1e-14, (lam, bias)
+        assert len(factors) == 2 and max(lu.nnz for lu in factors) <= fill, (lam, bias)
+        for lu in factors:  # no row left the diagonal on either path
+            np.testing.assert_array_equal(lu.perm_r, lu.perm_c, err_msg=str((lam, bias)))
 
 
 def test_dd_reruns_in_one_process_are_byte_identical(tmp_path):
