@@ -252,7 +252,7 @@ REFINE_CHANGE = 1e-3
 class FactorStore:
     """The latest matrix factored, ``jac``, and its factors ``lu``, both None
     or both set; every solve on held factors goes through :meth:`solve`.
-    One caller owns it: one transient run or one Newton call."""
+    One caller owns it: a transient run, a Newton call or a mesh's fixed operator."""
 
     jac: Optional[sp.spmatrix] = None
     lu: Union[spla.SuperLU, PermutedLU, None] = None

@@ -292,8 +292,6 @@ def _run_into(out: Path, problem, scheme: BScheme,
     """Run one transient and write its trace.csv and steady.txt under
     ``out``, or error.txt on a solver failure (then None is returned)."""
     out.mkdir(parents=True, exist_ok=True)
-    for name in _RUN_FILES:
-        (out / name).unlink(missing_ok=True)
     try:
         result = run_transient(problem, scheme, stepper)
     except (SolverError, AssemblyError, DataError, LinAlgError) as err:
@@ -312,6 +310,16 @@ def run(cfg: RunConfig) -> int:
     exit status (0 success, 1 solver failure or abort)."""
     out = Path(cfg.out if cfg.out is not None
                else f"runs/{cfg.preset}-{cfg.scheme or 'default'}")
+    _resolve(cfg)  # a usage error leaves the directory as it was
+    # the run files of earlier runs of both kinds go, and the point directories they empty
+    for name in (*_RUN_FILES, "rates.csv"):
+        (out / name).unlink(missing_ok=True)
+    for point in out.glob("m*-md*"):
+        if point.is_dir():
+            for name in _RUN_FILES:
+                (point / name).unlink(missing_ok=True)
+            if not any(point.iterdir()):
+                point.rmdir()
     if cfg.preset == "pme-sweep":
         return _run_sweep(cfg, out)
     result = _run_into(out, *build_problem(cfg))
@@ -343,14 +351,6 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
         points = [(m, x) for x in SWEEP_BOUNDARY_LEVELS]
         points += [(x, md) for x in SWEEP_EXPONENTS if (x, md) not in points]
     scheme, stepper = SCHEMES[resolved.scheme], _stepper(preset, resolved)
-    # an earlier sweep's outputs go first: no point outside this sweep survives
-    (out / "rates.csv").unlink(missing_ok=True)
-    for point in out.glob("m*-md*"):
-        if point.is_dir():
-            for name in _RUN_FILES:
-                (point / name).unlink(missing_ok=True)
-            if not any(point.iterdir()):
-                point.rmdir()
     mesh = None  # built by the first point's sweep_problem, shared by the rest
 
     def one(point) -> Optional[str]:

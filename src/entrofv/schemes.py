@@ -343,21 +343,20 @@ class SparsityPattern:
         scipy's COO to CSC conversion compresses the entries column by column
         with a counting sort, then sorts the rows of each column and sums
         repeats in place (Davis, *Direct Methods for Sparse Linear Systems*,
-        SIAM 2006, section 2.4): no general sort over all entries.  Column by
-        column with rows ascending, the stored entries are in ascending order
-        of the key ``col * size + row``, so each emitted entry finds its slot
-        by binary search on those keys."""
+        SIAM 2006, section 2.4): no general sort over all entries.  Each
+        emitted entry then reads its slot from a copy of that structure whose
+        values are the slot numbers, by scipy's compiled element lookup, a
+        binary search within the entry's short sorted column."""
         eye = np.arange(size, dtype=np.intc)
         # a checked, canonical CSC; one byte a value, as every fill brings its own
         template = sp.coo_matrix((np.zeros(len(rows) + size, dtype=np.int8),
                                   (np.concatenate([rows, eye]), np.concatenate([cols, eye]))),
                                  shape=(size, size)).tocsc()
-        keys = np.repeat(np.arange(size, dtype=np.int64) * size, np.diff(template.indptr))
-        keys += template.indices
-        emitted = np.asarray(cols, dtype=np.int64) * size
-        emitted += rows
-        return SparsityPattern(template, np.searchsorted(keys, emitted),
-                               np.searchsorted(keys, eye * np.int64(size + 1)))
+        index = with_data(template, np.arange(template.indices.size, dtype=float))
+        # a 1 x k dense matrix, but a sparse one for k = 0
+        slots, diagonal = (np.asarray(index[r, c] if len(r) else (), dtype=np.intp).ravel()
+                           for r, c in ((rows, cols), (eye, eye)))
+        return SparsityPattern(template, slots, diagonal)
 
     def fill(self, values: np.ndarray) -> sp.csc_matrix:
         """Float matrix with the emitted ``values`` summed into their slots."""
@@ -520,9 +519,9 @@ class DdData:
 
 
 def assemble_poisson(mesh: Mesh, lam: float) -> sp.csc_matrix:
-    """Scaled TPFA Laplacian with Dirichlet edges eliminated, Neumann absent;
-    ``DdData`` holds the Debye length ``lam`` positive."""
-    return two_point_matrix(mesh, lam * lam * mesh.tau)
+    """Scaled TPFA Laplacian with Dirichlet edges eliminated, Neumann absent,
+    built once per mesh and ``lam``; ``DdData`` holds the Debye length positive."""
+    return mesh.derived(("poisson", lam), lambda m: two_point_matrix(m, lam * lam * m.tau))
 
 
 def poisson_dirichlet_rhs(mesh: Mesh, lam: float, v_dirichlet: np.ndarray) -> np.ndarray:

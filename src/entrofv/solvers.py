@@ -84,7 +84,9 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float) -> np.ndarra
     boundary = u_dir[mesh.dirichlet]
     if not np.all((boundary > 0) & np.isfinite(boundary)):
         raise DataError("Dirichlet values must be positive on every Dirichlet edge")
-    u = solve_linear(laplacian(mesh), dirichlet_sums(mesh, mesh.tau, u_dir))
+    # on the factors of the mesh's Laplacian, which the points of a sweep share
+    u = mesh.derived("laplacian_factors", lambda _: FactorStore()).solve(
+        laplacian(mesh), dirichlet_sums(mesh, mesh.tau, u_dir))
     if np.any(u <= 0):
         raise SolverError("steady state lost positivity")
     return u ** (1.0 / m)
@@ -202,7 +204,7 @@ def solve_dd_poisson(mesh: Mesh, dd: DdData, n_field: np.ndarray,
     a_mat = assemble_poisson(mesh, dd.debye)
     b = poisson_dirichlet_rhs(mesh, dd.debye, dd.v_dirichlet) \
         + mesh.cell_area * (p_field - n_field + dd.doping)
-    return solve_linear(a_mat, b)
+    return mesh.derived(("poisson_factors", dd.debye), lambda _: FactorStore()).solve(a_mat, b)
 
 
 def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,

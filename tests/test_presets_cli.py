@@ -194,6 +194,26 @@ def test_rerun_into_one_directory_leaves_only_its_own_files(tmp_path, fails_firs
         assert {p.name for p in tmp_path.iterdir()} == files
 
 
+def test_runs_of_either_kind_clear_the_files_of_the_other(tmp_path):
+    """A sweep into a single run's directory, and a single run into a sweep's,
+    leave only their own run files beside the ones no run writes; a usage
+    error leaves the directory as it was."""
+    single = RunConfig(preset="fp-toy", t_final=0.05, out=str(tmp_path))
+    sweep = RunConfig(preset="pme-sweep", level=0, m=3.0, t_final=0.05, out=str(tmp_path))
+    assert run(single) == 0
+    (tmp_path / "notes.txt").write_text("kept\n")
+    assert run(sweep) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m3-md1", "notes.txt", "rates.csv"]
+    (tmp_path / "m3-md1" / "notes.txt").write_text("kept\n")
+    with pytest.raises(UsageError):
+        run(replace(single, m=3.0))
+    assert (tmp_path / "rates.csv").exists()
+    assert run(single) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m3-md1", "notes.txt", "steady.txt",
+                                                          "trace.csv"]
+    assert [p.name for p in (tmp_path / "m3-md1").iterdir()] == ["notes.txt"]
+
+
 def _fstring_steady(steady) -> str:
     """The per-cell f-string formula ``steady.txt`` was first written with."""
     if isinstance(steady, DdState):

@@ -576,6 +576,19 @@ def test_poisson_symmetric_positive_definite(two_cell_mesh, mesh0):
         assert np.all(np.linalg.eigvalsh(dense) > 0)
 
 
+def test_poisson_is_built_once_per_mesh_and_debye_length():
+    """Every Poisson solve of a run reuses one matrix per Debye length, so
+    its values are read-only, as the Laplacian's are."""
+    mesh = reference_mesh(0, BoundarySpec.all_dirichlet())
+    a_mat = assemble_poisson(mesh, 0.3)
+    assert assemble_poisson(mesh, 0.3) is a_mat
+    other = assemble_poisson(mesh, 0.6)
+    assert other is not a_mat
+    np.testing.assert_allclose(other.toarray(), 4.0 * a_mat.toarray(), rtol=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        a_mat.data[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # fixed sparsity patterns, against the COO assembly they replaced
 
