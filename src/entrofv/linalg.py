@@ -1,14 +1,14 @@
 """Checked sparse direct solves, M-matrix structure checks and Newton.
 
 Operators are plain ``scipy.sparse`` matrices (CSC when assembled).  Every
-factorization goes through :func:`factorize`; a one-off solve is
-:func:`solve_linear`, and every solve on held factors is
-:meth:`FactorStore.solve`.  Both check finiteness and the max-norm residual.
+factorization goes through :func:`factorize`, and every solve, the one-off
+:func:`solve_linear` included, is accepted by :meth:`FactorStore.solve` alone.
 """
 
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -105,33 +105,16 @@ def factorize(a: sp.spmatrix) -> Union[spla.SuperLU, PermutedLU]:
             order, gather, template = known["permuted"]
             lu = spla.splu(with_data(template, a.data[gather]), permc_spec="NATURAL", **options)
             lu = PermutedLU(lu, known["perm"], order, lu.nnz)
-    except RuntimeError as err:  # SuperLU reports exact singularity this way
-        raise SingularMatrixError(str(err)) from err
+    except (RuntimeError, MemoryError) as err:  # SuperLU: an exact zero pivot or a failed malloc
+        if isinstance(err, RuntimeError) and not re.search("alloc|memory", str(err), re.I):
+            raise SingularMatrixError(str(err)) from err
+        raise MemoryError(f"factorization of {a.shape[0]} unknowns: {err!r}") from err
     return lu
 
 
 def solve_linear(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """One-off direct sparse solve with a residual guarantee in the max-norm;
-    solves that reuse factors go through :meth:`FactorStore.solve`."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
-        raise LinAlgError(f"rhs shape {b.shape} does not match matrix size {a.shape[0]}")
-    return _checked(a, b, factorize(a).solve(b))
-
-
-def _residual_bound(b: np.ndarray) -> float:
-    """Largest max-norm residual a checked solve of ``a x = b`` accepts."""
-    return 1e-10 * (1.0 + np.max(np.abs(b)))
-
-
-def _checked(a: sp.spmatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x`` if finite with a small max-norm of ``b - a x``."""
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("factorization produced non-finite solution")
-    resid = np.max(np.abs(a @ x - b))
-    if resid > _residual_bound(b):
-        raise LinAlgError(f"direct solve residual {resid:.3e} above tolerance")
-    return x
+    """One-off checked solve of ``a x = b`` (see :meth:`FactorStore.solve`)."""
+    return FactorStore().solve(a, b)
 
 
 @dataclass(frozen=True)
@@ -228,11 +211,11 @@ NewtonResult = Union[tuple[np.ndarray, int], NonConvergence]
 REUSE_CONTRACTION = 0.01
 
 
-#: Iterative refinement on stored factors (Higham, *Accuracy and Stability of
+#: Iterative refinement on held factors (Higham, *Accuracy and Stability of
 #: Numerical Algorithms*, ch. 12) accepts x once the componentwise backward error
-#: max |b - A x| / (|A| |x| + |b|) is at most REFINE_EPS and the residual passes
-#: a checked solve's bound, well inside Newton's tolerance (Dembo, Eisenstat &
-#: Steihaug, SIAM J. Numer. Anal. 19, 1982).  It factors once a sweep cuts that
+#: max |b - A x| / (|A| |x| + |b|) is at most REFINE_EPS and the max-norm residual
+#: at most 1e-10 (1 + max |b|), well inside Newton's tolerance (Dembo, Eisenstat &
+#: Steihaug, SIAM J. Numer. Anal. 19, 1982).  It stops once a sweep cuts that
 #: error by less than REFINE_CONTRACTION (1e-3 or 1e-2 saved factorizations, not
 #: time), which ends every stall: only a zero residual takes that error to 0.
 #: (Factorizations, solves) of ``pme-sweep``, 1168 Newton iterations each: 2 eps
@@ -251,7 +234,7 @@ REFINE_CHANGE = 1e-3
 @dataclass(eq=False)
 class FactorStore:
     """The latest matrix factored, ``jac``, and its factors ``lu``, both None
-    or both set; every solve on held factors goes through :meth:`solve`.
+    or both set; every solve goes through :meth:`solve`.
     One caller owns it: a transient run, a Newton call or a mesh's fixed operator."""
 
     jac: Optional[sp.spmatrix] = None
@@ -261,28 +244,41 @@ class FactorStore:
         self.jac = self.lu = None
 
     def solve(self, a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-        """Checked solve of ``a x = b``, ``a`` CSC or CSR: one direct solve
-        when the held factors are ``a``'s own (``a is jac``), else refinement
-        on those of a nearby matrix; ``a`` is factored into the store when
-        nothing is held, ``a`` moved too far or the refinement stalls."""
+        """The checked solve of ``a x = b``, ``a`` CSC or CSR: refinement on the held factors,
+        whose first sweep on ``a``'s own (``a is jac``) is a direct solve.  ``a`` is factored
+        into the store when nothing is held, when it moved too far from the held matrix or
+        when refinement on another's factors stalls.  A stall on its own factors raises
+        :class:`LinAlgError` naming lost accuracy, :class:`SingularMatrixError` if not finite."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != (a.shape[0],):
+            raise LinAlgError(f"rhs shape {b.shape} does not match matrix size {a.shape[0]}")
         held = self.jac
-        if a is not held:
-            moved = held is not None and a.indices is held.indices and a.indptr is held.indptr \
-                and np.any(np.abs(a.data - held.data) > REFINE_CHANGE * np.abs(held.data))
-            if self.lu is not None and not moved:  # sweeps from x = 0, whose error is 1
-                x, r, omega_prev, abs_a = 0.0, b, 1.0, with_data(a, np.abs(a.data))
-                abs_b = np.abs(b) + np.finfo(float).tiny  # keeps rows where b and x vanish
-                while True:
-                    x = x + self.lu.solve(r)
-                    r = b - a @ x
-                    omega = np.max(np.abs(r) / (abs_a @ np.abs(x) + abs_b))
-                    if omega <= REFINE_EPS and np.max(np.abs(r)) <= _residual_bound(b):
-                        return x  # finite, as NaN and inf fail both tests
-                    if not omega <= REFINE_CONTRACTION * omega_prev:
-                        break
-                    omega_prev = omega
+        if held is None or a is not held and a.indices is held.indices and a.indptr is held.indptr \
+                and np.any(np.abs(a.data - held.data) > REFINE_CHANGE * np.abs(held.data)):
             self.lu, self.jac = factorize(a), a
-        return _checked(a, b, self.lu.solve(b))
+        abs_b = np.abs(b) + np.finfo(float).tiny  # keeps rows where b and x vanish
+        bound = 1e-10 * (1.0 + np.max(abs_b))  # 1e-10 (1 + max |b|): tiny never moves 1 + max
+        x, r, omega_prev = -0.0 if a is self.jac else 0.0, b, 1.0  # x = 0, error 1; -0.0 + y is y
+        while True:
+            x = x + self.lu.solve(r)
+            r = b - a @ x
+            abs_r = np.abs(r)
+            small = np.max(abs_r) <= bound  # false for NaN
+            with np.errstate(over="ignore", invalid="ignore"):  # NaN when x is not finite
+                omega = np.max(abs_r / abs_b)  # bounds the backward error: |A||x| only if needed
+                if not (small and omega <= REFINE_EPS):
+                    omega = np.max(abs_r / (with_data(a, np.abs(a.data)) @ np.abs(x) + abs_b))
+            if small and omega <= REFINE_EPS:
+                return x
+            if omega <= REFINE_CONTRACTION * omega_prev:
+                omega_prev = omega
+            elif a is not self.jac:  # factor a, then sweep on its own factors from x = 0
+                self.lu, self.jac = factorize(a), a
+                x, r, omega_prev = -0.0, b, 1.0
+            elif omega < np.inf:
+                raise LinAlgError(f"factors lost accuracy: backward error {omega:.1e}")
+            else:
+                raise SingularMatrixError("factorization produced non-finite solution")
 
 
 def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]],
@@ -315,11 +311,12 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
         reuse = jac is None
         try:
             dx = store.solve(store.jac if reuse else jac, -r)
-        except LinAlgError:
+        except LinAlgError as err:
             store.drop()
             if reuse:
                 continue
-            return NonConvergence(iterations=it, residual_norm=norm, reason="singular Jacobian")
+            return NonConvergence(iterations=it, residual_norm=norm, reason="singular Jacobian"
+                                  if isinstance(err, SingularMatrixError) else str(err))
         x_new = x + dx
         r_new, jac = system(x_new, jacobian=False)
         finite = np.all(np.isfinite(r_new))

@@ -19,7 +19,7 @@ from .entropy import EntropyTrace, fit_decay_rate, lp_distance
 from .linalg import LinAlgError
 from .mesh import (BOTTOM, LEFT, MAX_REFERENCE_LEVEL, RIGHT, TOP, BoundarySpec,
                    Mesh, Segment, reference_mesh)
-from .schemes import SCHEMES, AssemblyError, BScheme, DataError, DdData, \
+from .schemes import SCHEMES, AssemblyError, DataError, DdData, \
     advection_from_potential, assemble_fp_operator, discretize_coefficients
 from .solvers import (DdProblem, FpProblem, PmeProblem, SolverError,
                       StepperConfig, TransientResult, run_transient, solve_fp_steady)
@@ -287,16 +287,19 @@ def _write_steady(path: Path, steady) -> None:
 _RUN_FILES = ("trace.csv", "steady.txt", "error.txt")
 
 
-def _run_into(out: Path, problem, scheme: BScheme,
-              stepper: StepperConfig) -> Optional[TransientResult]:
-    """Run one transient and write its trace.csv and steady.txt under
-    ``out``, or error.txt on a solver failure (then None is returned)."""
+def _run_into(out: Path, build: Callable[[], tuple]) -> Optional[TransientResult]:
+    """Run ``build()``'s (problem, scheme, stepper) and write trace.csv and steady.txt under
+    ``out``, or error.txt on a solver failure or on running out of memory (then None)."""
     out.mkdir(parents=True, exist_ok=True)
+    phase = "the mesh and data build"
     try:
+        problem, scheme, stepper = build()
+        phase = "the solve (assembly, factorization, steps)"
         result = run_transient(problem, scheme, stepper)
-    except (SolverError, AssemblyError, DataError, LinAlgError) as err:
-        (out / "error.txt").write_text(str(err) + "\n")
-        print(f"{out}: solver failure: {err}")
+    except (SolverError, AssemblyError, DataError, LinAlgError, MemoryError) as err:
+        message = f"out of memory in {phase}: {err}" if isinstance(err, MemoryError) else err
+        (out / "error.txt").write_text(f"{message}\n")
+        print(f"{out}: solver failure: {message}")
         return None
     (out / "trace.csv").write_text(result.trace.to_csv())
     _write_steady(out / "steady.txt", result.steady)
@@ -322,7 +325,7 @@ def run(cfg: RunConfig) -> int:
                 point.rmdir()
     if cfg.preset == "pme-sweep":
         return _run_sweep(cfg, out)
-    result = _run_into(out, *build_problem(cfg))
+    result = _run_into(out, lambda: build_problem(cfg))
     if result is None or result.abort_reason is not None:
         return 1
     print(f"wrote {out / 'trace.csv'} ({len(result.trace)} records) "
@@ -353,12 +356,14 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
     scheme, stepper = SCHEMES[resolved.scheme], _stepper(preset, resolved)
     mesh = None  # built by the first point's sweep_problem, shared by the rest
 
-    def one(point) -> Optional[str]:
+    def build(m, md):
         nonlocal mesh
-        m, md = point
         problem = sweep_problem(resolved.level, m=m, m_dirichlet=md, mesh=mesh)
         mesh = problem.mesh
-        result = _run_into(out / f"m{m:g}-md{md:g}", problem, scheme, stepper)
+        return problem, scheme, stepper
+
+    def one(m, md) -> Optional[str]:
+        result = _run_into(out / f"m{m:g}-md{md:g}", lambda: build(m, md))
         if result is None or result.abort_reason is not None:
             return None
         try:
@@ -366,7 +371,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
         except SolverError:
             return f"{m:.17g},{md:.17g},"  # run too short to fit
 
-    rows = [one(p) for p in points]
+    rows = [one(m, md) for m, md in points]
     rate_rows = ["m,m_dirichlet,rate", *(row for row in rows if row is not None)]
     (out / "rates.csv").write_text("\n".join(rate_rows) + "\n")
     print(f"ran {len(rows)} sweep points under {out}")

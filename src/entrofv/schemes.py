@@ -492,9 +492,10 @@ def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
     lap = laplacian(mesh)
     columns = mesh.derived("laplacian_columns",
                            lambda m: np.repeat(np.arange(m.n_cells), np.diff(lap.indptr)))
-    power = np.abs(f) ** (m - 1.0)
-    residual = mesh.cell_area * (f - f_prev) / dt + lap @ (f * power) - boundary
-    values = lap.data * (m * power)[columns]
+    with np.errstate(over="ignore"):  # an overflow of f^m is step_pme's failure reason
+        power = np.abs(f) ** (m - 1.0)
+        residual = mesh.cell_area * (f - f_prev) / dt + lap @ (f * power) - boundary
+        values = lap.data * (m * power)[columns]
     values[lap.pattern.diagonal] += mesh.cell_area / dt
     return residual, with_data(lap, values)
 
@@ -510,8 +511,8 @@ class DdData:
     v_dirichlet: np.ndarray
 
     def __post_init__(self):
-        if self.debye <= 0:
-            raise DataError("Debye length must be positive")
+        if not 0 < self.debye < np.inf:  # NaN fails too
+            raise DataError("Debye length must be positive and finite")
         for name, arr in (("N", self.n_dirichlet), ("P", self.p_dirichlet)):
             vals = arr[np.isfinite(arr)]
             if np.any(vals <= 0):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -105,8 +105,9 @@ def step_pme(mesh: Mesh, f_prev: np.ndarray, m: float, dt: float, store: FactorS
         return assemble_pme_residual(mesh, f_prev, f, m, dt, boundary)
 
     result = newton_solve(system, f_prev, store)
-    if isinstance(result, NonConvergence):
-        return result
+    if isinstance(result, NonConvergence):  # finite iterates overflow only in f^m
+        return result if result.residual_norm < np.inf \
+            else replace(result, reason="overflow in f^m")
     f, iterations = result
     if np.any(f < -1e-9 * max(1.0, float(np.max(np.abs(f))))):
         return NonConvergence(iterations=iterations,

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from entrofv import linalg
-from entrofv.linalg import (REFINE_EPS, FactorStore, NonConvergence,
+from entrofv.linalg import (REFINE_EPS, FactorStore, LinAlgError, NonConvergence,
                             SingularMatrixError, check_m_matrix_structure,
                             factorize, newton_solve, solve_linear)
 from entrofv.mesh import BoundarySpec, reference_mesh
@@ -439,3 +439,97 @@ def test_zero_diagonal_pivot_exchanges_rows_on_both_paths():
     assert not np.array_equal(lu.lu.perm_r, lu.lu.perm_c)  # rows were exchanged
     np.testing.assert_allclose(lu.solve(b), x_ref, rtol=1e-14)
     np.testing.assert_allclose(solve_linear(a, b), x_ref, rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one checked solve: every failure names its cause
+
+
+class _HalfLU:
+    """Factors of ``a`` that solve with half the true answer: each sweep only
+    halves the residual, so refinement on them stalls at once."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return 0.5 * self.lu.solve(rhs)
+
+
+def _oracle():
+    """The two-cell matrix of ``test_solve_two_cell_oracle``: x = (1.25, 1.75)
+    solves it with b = (4, 8)."""
+    return dense([(0, 0, 6), (0, 1, -2), (1, 0, -2), (1, 1, 6)], 2)
+
+
+def test_stall_on_own_factors_raises_lost_accuracy(monkeypatch):
+    a = _oracle()
+    b = np.array([4.0, 8.0])  # x = (1.25, 1.75); the first sweep leaves r = b / 2
+    store = FactorStore(jac=a, lu=_HalfLU(factorize(a)))
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(LinAlgError) as err:
+        store.solve(a, b)
+    assert type(err.value) is LinAlgError  # not a SingularMatrixError
+    # max(2 / (5.5 + 4), 4 / (6.5 + 8)) = 0.276, with |A||x| at x = (0.625, 0.875)
+    assert str(err.value) == "factors lost accuracy: backward error 2.8e-01"
+    assert calls == []  # its own factors are not factored again
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf])
+def test_non_finite_sweep_on_own_factors_is_singular(offset):
+    a = _oracle()
+    store = FactorStore(jac=a, lu=_CountingLU(factorize(a), offset=offset))
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        store.solve(a, np.array([4.0, 8.0]))
+
+
+def test_non_finite_sweep_on_other_factors_refactors(monkeypatch):
+    a = _oracle()
+    store = FactorStore(jac=a.copy(), lu=_CountingLU(factorize(a), offset=np.nan))
+    calls = _count_splu(monkeypatch)
+    np.testing.assert_allclose(store.solve(a, np.array([4.0, 8.0])), [1.25, 1.75], rtol=1e-14)
+    assert len(calls) == 1 and store.jac is a
+
+
+def test_solve_linear_rejects_a_mismatched_rhs():
+    with pytest.raises(LinAlgError, match="rhs shape"):
+        solve_linear(sp.identity(3, format="csc"), np.ones(2))
+
+
+def test_newton_reason_names_lost_accuracy(monkeypatch):
+    factor = linalg.factorize
+    monkeypatch.setattr(linalg, "factorize", lambda a: _HalfLU(factor(a)))
+    result = newton_solve(lambda x, jacobian=True: (x - 1.0, sp.csr_matrix([[1.0]])),
+                          np.array([3.0]))
+    assert isinstance(result, NonConvergence) and result.iterations == 1
+    # b = -2, x = -1, r = -1: backward error 1 / (1 + 2)
+    assert result.reason == "factors lost accuracy: backward error 3.3e-01"
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()"),
+    RuntimeError("Malloc fails for work in sp_dtrsv()."),
+    RuntimeError("Not enough memory to perform factorization."),
+    MemoryError(),
+], ids=["superlu-malloc", "malloc", "not-enough-memory", "python"])
+def test_factorize_reports_failed_allocation_as_memory_error(monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(linalg.spla, "splu", failing)
+    with pytest.raises(MemoryError, match="factorization of 3 unknowns") as err:
+        factorize(sp.identity(3, format="csc"))
+    assert err.value.__cause__ is error
+    # Newton does not turn it into a NonConvergence
+    with pytest.raises(MemoryError):
+        newton_solve(lambda x, jacobian=True: (x - 1.0, sp.csr_matrix([[1.0]])),
+                     np.array([3.0]))
+
+
+def test_factorize_keeps_exact_singularity_singular(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linalg.spla, "splu", failing)
+    with pytest.raises(SingularMatrixError, match="exactly singular"):
+        factorize(sp.identity(3, format="csc"))

@@ -11,7 +11,7 @@ import pytest
 import entrofv
 from entrofv import cli
 from entrofv.cli import main, parse_config_text
-from entrofv import mesh as mesh_module
+from entrofv import linalg, mesh as mesh_module
 from entrofv import presets as presets_module
 from entrofv.mesh import reference_mesh, save_mesh, validate
 from entrofv.presets import (BOUNDARY_NAMES, COMMON_OPTIONS, RunConfig, UsageError,
@@ -571,3 +571,58 @@ def test_boundary_names_cover_presets():
     used = {build_problem(RunConfig(preset=name, level=0))[0].mesh.geometry.boundary
             for name in presets()}
     assert used == set(BOUNDARY_NAMES.values())
+
+
+# ---------------------------------------------------------------------------
+# running out of memory
+
+
+def _failing_splu(monkeypatch, error, after=0):
+    """Make every ``splu`` call after the first ``after`` raise ``error``;
+    the returned list counts the calls."""
+    calls = []
+    splu = linalg.spla.splu
+
+    def failing(*args, **kwargs):
+        calls.append(args[0].shape)
+        if len(calls) > after:
+            raise error
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", failing)
+    return calls
+
+
+@pytest.mark.parametrize("error", [RuntimeError("Not enough memory to perform factorization."),
+                                   MemoryError()], ids=["superlu", "python"])
+@pytest.mark.parametrize("preset", ["fp-toy", "dd-bias"])
+def test_run_out_of_memory_in_factorization_exits_1(tmp_path, monkeypatch, error, preset):
+    calls = _failing_splu(monkeypatch, error)
+    assert run(RunConfig(preset=preset, level=0, out=str(tmp_path))) == 1
+    text = (tmp_path / "error.txt").read_text()
+    assert text.startswith("out of memory in the solve (assembly, factorization, steps): "
+                           "factorization of ")
+    assert "singular" not in text
+    assert len(calls) == 1
+
+
+def test_step_out_of_memory_is_not_retried_at_a_smaller_step(tmp_path, monkeypatch):
+    """The steady state factors the Laplacian; the first step's Jacobian then
+    runs out of memory, and the time loop does not halve the step to retry."""
+    calls = _failing_splu(monkeypatch, MemoryError(), after=1)
+    assert run(RunConfig(preset="pme-fill", level=0, out=str(tmp_path))) == 1
+    assert "out of memory in the solve" in (tmp_path / "error.txt").read_text()
+    assert len(calls) == 2 and not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("options,error_dir", [({"preset": "fp-hetero"}, "."),
+                                               ({"preset": "pme-sweep", "m": 2.0}, "m2-md1")],
+                         ids=["fp-hetero", "pme-sweep"])
+def test_run_out_of_memory_in_mesh_build_exits_1(tmp_path, monkeypatch, options, error_dir):
+    def failing(*args):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(presets_module, "reference_mesh", failing)
+    assert run(RunConfig(**options, level=0, out=str(tmp_path))) == 1
+    assert (tmp_path / error_dir / "error.txt").read_text() == \
+        "out of memory in the mesh and data build: Unable to allocate 1.00 GiB for an array\n"

@@ -1065,3 +1065,11 @@ def test_set_up_allocates_little_beyond_what_it_keeps():
     _, pattern_ratio = _traced_peak_ratio(lambda: _build_pattern(mesh, (("tpfa", 0, 0),)))
     assert mesh_ratio < 2.0
     assert pattern_ratio < 4.0
+
+
+@pytest.mark.parametrize("debye", [0.0, -1.0, float("nan"), float("inf")])
+def test_dd_data_rejects_a_debye_length_that_is_not_positive_and_finite(two_cell_mesh, debye):
+    ones_d = np.where(two_cell_mesh.dirichlet, 1.0, np.nan)
+    with pytest.raises(DataError, match="Debye length"):
+        DdData(doping=np.zeros(2), debye=debye, n_dirichlet=ones_d, p_dirichlet=ones_d,
+               v_dirichlet=ones_d)

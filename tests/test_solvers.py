@@ -483,9 +483,11 @@ def _count_factorizations(monkeypatch):
 
 def _full_newton(monkeypatch):
     """Make every Newton iterate a full step that factors its own Jacobian:
-    a store that keeps no factors leaves nothing to reuse or refine on."""
+    a store that keeps no factors leaves nothing to reuse or refine on: each
+    solve runs the original method on a fresh store."""
+    solve = linalg.FactorStore.solve
     monkeypatch.setattr(linalg.FactorStore, "solve",
-                        lambda self, a, b: linalg.solve_linear(a, b))
+                        lambda self, a, b: solve(linalg.FactorStore(), a, b))
 
 
 def test_dd_factor_reuse_matches_full_newton(monkeypatch):
@@ -1114,3 +1116,39 @@ def test_shared_mesh_ordering_is_thread_safe():
                     np.testing.assert_array_equal(x, x_ref)
     finally:
         sys.setswitchinterval(old_interval)
+
+
+# ---------------------------------------------------------------------------
+# failures that name their cause
+
+
+def test_dd_steady_at_small_debye_length_reports_lost_accuracy():
+    """At lambda = 0.1 the static-pivot factors of a far Newton iterate lose
+    accuracy: the steady solve says so, with the backward error, rather than
+    reporting a singular Jacobian."""
+    prob = pn_problem(2, lam=0.1, bias=2.5)
+    with pytest.raises(SolverError) as err:
+        solve_dd_steady(prob.mesh, prob.dd, SCHARFETTER_GUMMEL, None)
+    assert "factors lost accuracy: backward error" in str(err.value)
+    assert "singular" not in str(err.value)
+
+
+def test_pme_overflow_in_f_power_m_is_the_abort_reason():
+    """At m = 50 the first Newton iterates overflow f^m: the run aborts with
+    that reason and no numpy warning (warnings are errors here)."""
+    result = run_transient(*presets.build_problem(RunConfig(preset="pme-fill", m=50.0,
+                                                            level=1)))
+    assert result.abort_reason is not None
+    assert result.abort_reason.endswith("overflow in f^m")
+
+
+def test_time_loop_does_not_retry_a_step_that_ran_out_of_memory():
+    calls = []
+
+    def try_step(state, dt):
+        calls.append(dt)
+        raise MemoryError("factorization of 4 unknowns: MemoryError()")
+
+    with pytest.raises(MemoryError):
+        adaptive_time_loop(0.0, StepperConfig(t_final=1.0), try_step, lambda *args: {})
+    assert calls == [StepperConfig.dt0]
