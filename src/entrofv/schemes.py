@@ -305,14 +305,14 @@ def peclet_guard(mesh: Mesh, data: TransportData, scheme: BScheme) -> PecletRepo
 # ---------------------------------------------------------------------------
 # fixed sparsity patterns
 #
-# An operator is a list of blocks (kind, block row, block column, values),
-# block indices in units of n_cells.  A "tpfa" block holds one entry on
-# (first, first) for every edge that is not no-flux and entries on
-# (first, second), (second, second), (second, first) for every interior edge;
-# its values come from _tpfa_values.  A "diag" block holds one entry per cell.
-# The structure depends on the mesh and the block layout only, so each mesh
-# builds it once per layout.  Every structure stores the whole diagonal, so a
-# diagonal shift (a time term, a Newton term) changes values, not the layout.
+# A mesh has two.  The two-point pattern holds one entry on (first, first)
+# for every edge that is not no-flux and entries on (first, second),
+# (second, second), (second, first) for every interior edge; _tpfa_values
+# gives their values.  The coupled drift-diffusion pattern, on unknowns
+# [N; P; V] in blocks of n_cells, holds it in blocks (0,0), (1,1), (0,2),
+# (1,2) and (2,2), then one entry per cell in blocks (2,0) and (2,1).  Each
+# mesh builds each once.  Both store the whole diagonal, so a diagonal shift
+# (a time term, a Newton term) changes values, not the pattern.
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +368,7 @@ class SparsityPattern:
 
 
 def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Values of a "tpfa" block from ``p`` and ``q`` on the edges that are not
+    """Values of a two-point block from ``p`` and ``q`` on the edges that are not
     no-flux: ``p``, ``-q``, ``q``, ``-p`` on (first, first), (first, second),
     (second, second), (second, first)."""
     inner = mesh.derived("active_interior", lambda m: m.interior[~m.neumann])
@@ -376,40 +376,29 @@ def _tpfa_values(mesh: Mesh, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.concatenate([p, -q_inner, q_inner, -p[inner]])
 
 
-def _block_entries(mesh: Mesh, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of a block's entries in the order its values come."""
-    if kind == "diag":
-        eye = np.arange(mesh.n_cells, dtype=np.intc)
-        return eye, eye
-    c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-    active, inter = ~mesh.neumann, mesh.interior
-    return (np.concatenate([c0[active], c0[inter], c1[inter], c1[inter]], dtype=np.intc),
-            np.concatenate([c0[active], c1[inter], c1[inter], c0[inter]], dtype=np.intc))
-
-
-def _build_pattern(mesh: Mesh, layout: tuple) -> SparsityPattern:
-    n = mesh.n_cells
-    size = n * (1 + max(max(r, c) for _, r, c in layout))
-    rows, cols = [], []
-    for kind, block_row, block_col in layout:
-        r, c = _block_entries(mesh, kind)
-        rows.append(r + block_row * n if block_row else r)
-        cols.append(c + block_col * n if block_col else c)
-    return SparsityPattern.from_pairs(np.concatenate(rows), np.concatenate(cols), size)
-
-
-def _assemble(mesh: Mesh, blocks: list) -> sp.csc_matrix:
-    """Operator from its (kind, block row, block column, values) blocks."""
-    layout = tuple(block[:3] for block in blocks)
-    pattern = mesh.derived(("pattern", layout), lambda m: _build_pattern(m, layout))
-    return pattern.fill(np.concatenate([block[3] for block in blocks]))
+def _pattern(mesh: Mesh, coupled: bool = False) -> SparsityPattern:
+    """The mesh's two-point pattern or, if ``coupled``, its drift-diffusion
+    one, with the entries in the order their values come."""
+    def build(mesh):
+        c0, c1, n = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1], mesh.n_cells
+        active, inter = ~mesh.neumann, mesh.interior
+        rows = np.concatenate([c0[active], c0[inter], c1[inter], c1[inter]], dtype=np.intc)
+        cols = np.concatenate([c0[active], c1[inter], c1[inter], c0[inter]], dtype=np.intc)
+        if not coupled:
+            return SparsityPattern.from_pairs(rows, cols, n)
+        blocks = ((0, 0), (1, 1), (0, 2), (1, 2), (2, 2))
+        eye = np.arange(n, dtype=np.intc)
+        return SparsityPattern.from_pairs(
+            np.concatenate([rows + i * n for i, _ in blocks] + [eye + 2 * n, eye + 2 * n]),
+            np.concatenate([cols + j * n for _, j in blocks] + [eye, eye + n]), 3 * n)
+    return mesh.derived("dd_pattern" if coupled else "pattern", build)
 
 
 def two_point_matrix(mesh: Mesh, weight: np.ndarray) -> sp.csc_matrix:
     """Symmetric A with u^T A v = sum over edges of ``weight`` (u_K - u_L)(v_K - v_L),
     taking u_L = v_L = 0 on Dirichlet edges and leaving no-flux edges out."""
     weight = weight[~mesh.neumann]
-    return _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, weight, weight))])
+    return _pattern(mesh).fill(_tpfa_values(mesh, weight, weight))
 
 
 def laplacian(mesh: Mesh) -> sp.csc_matrix:
@@ -439,7 +428,7 @@ def assemble_fp_operator(mesh: Mesh, data: TransportData, scheme: BScheme,
     bm, bp = b_coefficients(mesh, data, scheme)
     ta = mesh.tau * data.a_edge
     active = ~mesh.neumann
-    m = _assemble(mesh, [("tpfa", 0, 0, _tpfa_values(mesh, (ta * bm)[active], (ta * bp)[active]))])
+    m = _pattern(mesh).fill(_tpfa_values(mesh, (ta * bm)[active], (ta * bp)[active]))
     return m, dirichlet_sums(mesh, ta * bp, data.f_dirichlet)
 
 
@@ -576,18 +565,13 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
     dflux_p = tau * (dbp * own[1] + dbm * opp[1])
 
     t2 = dd.debye ** 2 * tau
-    # unknowns [N; P; V] are block rows and columns 0, 1, 2.  In the
-    # potential columns the residual row of a cell gains -dflux/dw on its own
-    # column and +dflux/dw on its neighbour's, mirrored for the second cell:
-    # the "tpfa" form with p = q = -dflux
-    blocks = [("tpfa", 0, 0, _tpfa_values(mesh, tau * bm, tau * bp)),
-              ("tpfa", 1, 1, _tpfa_values(mesh, tau * bp, tau * bm)),
-              ("tpfa", 0, 2, _tpfa_values(mesh, -dflux_n, -dflux_n)),
-              ("tpfa", 1, 2, _tpfa_values(mesh, -dflux_p, -dflux_p)),
-              ("tpfa", 2, 2, _tpfa_values(mesh, t2, t2)),
-              ("diag", 2, 0, area),
-              ("diag", 2, 1, -area)]
-    jac = _assemble(mesh, blocks)
+    # the blocks of the coupled pattern.  In the potential columns the
+    # residual row of a cell gains -dflux/dw on its own column and +dflux/dw
+    # on its neighbour's, mirrored for the second cell: p = q = -dflux
+    jac = _pattern(mesh, coupled=True).fill(np.concatenate([
+        _tpfa_values(mesh, tau * bm, tau * bp), _tpfa_values(mesh, tau * bp, tau * bm),
+        _tpfa_values(mesh, -dflux_n, -dflux_n), _tpfa_values(mesh, -dflux_p, -dflux_p),
+        _tpfa_values(mesh, t2, t2), area, -area]))
     if not steady:  # the time terms shift the N and P diagonals
         jac.data[jac.pattern.diagonal[:2 * n]] += np.tile(area / dt, 2)
     return residual, jac

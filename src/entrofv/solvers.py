@@ -190,10 +190,11 @@ def _dd_initial_guess(mesh: Mesh, dd: DdData) -> DdState:
     ones = np.ones(mesh.n_edges)
     zeros = np.zeros(mesh.n_edges)
     fields = []
+    store = FactorStore()  # both operators equal the Laplacian: P solves on N's factors
     for dirichlet in (dd.n_dirichlet, dd.p_dirichlet):
         data = transport_data(mesh, ones, zeros, dirichlet)
         m_op, b = assemble_fp_operator(mesh, data, SCHARFETTER_GUMMEL)
-        fields.append(solve_linear(m_op, b))
+        fields.append(store.solve(m_op, b))
     n0, p0 = fields
     v0 = solve_dd_poisson(mesh, dd, n0, p0)
     return DdState(n=n0, p=p0, v=v0)

@@ -30,6 +30,13 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
+def test_package_stays_within_its_line_budget():
+    """The package's modules, ``__init__.py`` included, total at most 2850
+    lines: growth must pay for itself by removing code."""
+    paths = Path(entrofv.__file__).parent.glob("*.py")
+    assert sum(len(path.read_text().splitlines()) for path in paths) <= 2850
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_are_used(path):
     assert _unused_imports(path.read_text()) == []

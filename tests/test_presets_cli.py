@@ -18,7 +18,7 @@ from entrofv.presets import (BOUNDARY_NAMES, COMMON_OPTIONS, RunConfig, UsageErr
                              _write_steady, build_problem, convergence_study, fill_problem,
                              hetero_problem, pn_problem, presets, run, toy_problem)
 from entrofv.solvers import DdState, SolverError
-from entrofv.schemes import peclet_guard
+from entrofv.schemes import SCHEMES, peclet_guard
 
 
 def test_catalog_names():
@@ -626,3 +626,46 @@ def test_run_out_of_memory_in_mesh_build_exits_1(tmp_path, monkeypatch, options,
     assert run(RunConfig(**options, level=0, out=str(tmp_path))) == 1
     assert (tmp_path / error_dir / "error.txt").read_text() == \
         "out of memory in the mesh and data build: Unable to allocate 1.00 GiB for an array\n"
+
+
+def _fuzz_runs(seed: int, count: int) -> list[list[str]]:
+    """``count`` seeded ``entrofv run`` argument lists at level 0: a preset and
+    scheme, ``dt`` and ``t_final`` (at most 0.5) log-uniform, and each option
+    the preset reads: ``m``, ``m_dirichlet``, lambda and doping log-uniform,
+    bias uniform."""
+    rng = np.random.default_rng(seed)
+    draws = {"m": lambda: 1.0 + 10.0 ** rng.uniform(-1.0, 0.7),
+             "m_dirichlet": lambda: 10.0 ** rng.uniform(-2.0, 3.0),
+             "debye": lambda: 10.0 ** rng.uniform(-1.5, 1.0),
+             "doping": lambda: 10.0 ** rng.uniform(-2.0, 1.0),
+             "bias": lambda: rng.uniform(-10.0, 10.0)}
+    runs = []
+    for _ in range(count):
+        preset = presets()[str(rng.choice(sorted(presets())))]
+        args = ["run", preset.name, "--scheme", str(rng.choice(sorted(SCHEMES))),
+                "--level", "0", "--dt", repr(10.0 ** rng.uniform(-3.0, -1.0)),
+                "--t-final", repr(10.0 ** rng.uniform(-3.0, math.log10(0.5)))]
+        for key in preset.reads:
+            if key in draws:
+                flag = "lambda" if key == "debye" else key.replace("_", "-")
+                args += [f"--{flag}", repr(float(draws[key]()))]
+        runs.append(args)
+    return runs
+
+
+FUZZ_RUNS = _fuzz_runs(seed=1234, count=10)
+
+
+@pytest.mark.parametrize("args", FUZZ_RUNS,
+                         ids=[f"{k}-{args[1]}-{args[3]}" for k, args in enumerate(FUZZ_RUNS)])
+def test_seeded_fuzz_run_fails_cleanly(args, tmp_path, capsys):
+    """A random run exits 0 or 1 with no exception or warning escaping; an
+    exit 1 leaves an error.txt, in the run or a sweep-point directory, or a
+    partial trace with its printed abort reason."""
+    status = main([*args, "--out", str(tmp_path)])
+    assert status in (0, 1)
+    if status == 1:
+        errors = [*tmp_path.glob("error.txt"), *tmp_path.glob("m*-md*/error.txt")]
+        aborted = "run aborted:" in capsys.readouterr().out and \
+            [*tmp_path.glob("trace.csv"), *tmp_path.glob("m*-md*/trace.csv")]
+        assert errors or aborted

@@ -736,13 +736,13 @@ def test_step_pme_builds_its_pattern_once(monkeypatch):
     from entrofv.presets import fill_problem
     from entrofv.solvers import step_pme
     built = []
-    build = schemes._build_pattern
+    build = schemes.SparsityPattern.from_pairs
 
-    def counting(mesh, layout):
-        built.append(layout)
-        return build(mesh, layout)
+    def counting(rows, cols, size):
+        built.append(size)
+        return build(rows, cols, size)
 
-    monkeypatch.setattr(schemes, "_build_pattern", counting)
+    monkeypatch.setattr(schemes.SparsityPattern, "from_pairs", staticmethod(counting))
     prob = fill_problem(0)
     boundary = pme_boundary_term(prob.mesh, prob.f_dirichlet, prob.m)
     f = prob.f0
@@ -967,12 +967,12 @@ def test_from_pairs_matches_unique_on_random_pairs(rng):
 
 @pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
 def test_package_patterns_match_unique(mesh_name, request, rng):
-    """A mesh holds two block layouts, whatever the package assembles on it:
-    the two-point one ("tpfa"), shared by the FP operator and step matrix,
-    the Laplacian, the porous-medium Jacobian and the Poisson matrix and
+    """A mesh holds two sparsity patterns, whatever the package assembles on
+    it: the two-point one, shared by the FP operator and step matrix, the
+    Laplacian, the porous-medium Jacobian and the Poisson matrix and
     thermal-equilibrium Jacobian, and the coupled one of the steady and
     transient DD Jacobians."""
-    from entrofv.schemes import _block_entries, add_diagonal
+    from entrofv.schemes import SparsityPattern, add_diagonal
     mesh = request.getfixturevalue(mesh_name)
     n = mesh.n_cells
     f_dir = np.where(mesh.dirichlet, 1.5, np.nan)
@@ -987,18 +987,22 @@ def test_package_patterns_match_unique(mesh_name, request, rng):
     for state_prev, dt in ((None, None), (state[:2], 0.1)):
         assemble_dd_residual(mesh, dd, SCHARFETTER_GUMMEL, state_prev, state, dt)
 
-    layouts = [key[1] for key in mesh._derived
-               if isinstance(key, tuple) and key[0] == "pattern"]
-    assert sorted(map(len, layouts)) == [1, 7]
-    assert (("tpfa", 0, 0),) in layouts
-    for layout in layouts:
-        rows, cols = [], []
-        for kind, block_row, block_col in layout:
-            r, c = _block_entries(mesh, kind)
-            rows.append(r + block_row * n)
-            cols.append(c + block_col * n)
-        _assert_unique_pattern(mesh._derived[("pattern", layout)],
-                               np.concatenate(rows), np.concatenate(cols))
+    patterns = [value for value in mesh._derived.values() if isinstance(value, SparsityPattern)]
+    assert sorted(p.template.shape[0] for p in patterns) == [n, 3 * n]
+    two_point, coupled = sorted(patterns, key=lambda p: p.template.shape[0])
+    # the emitted entries, in the order _tpfa_values gives their values
+    c0, c1 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    active, inter = ~mesh.neumann, mesh.interior
+    rows = np.concatenate([c0[active], c0[inter], c1[inter], c1[inter]])
+    cols = np.concatenate([c0[active], c1[inter], c1[inter], c0[inter]])
+    _assert_unique_pattern(two_point, rows, cols)
+    # two-point blocks (0,0), (1,1), (0,2), (1,2), (2,2), then diagonals (2,0), (2,1)
+    eye = np.arange(n)
+    _assert_unique_pattern(
+        coupled,
+        np.concatenate([rows, rows + n, rows, rows + n, rows + 2 * n, eye + 2 * n, eye + 2 * n]),
+        np.concatenate([cols, cols + n, cols + 2 * n, cols + 2 * n, cols + 2 * n, eye, eye + n]))
+    assert m_op.pattern is two_point and laplacian(mesh).pattern is two_point
 
 
 @pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
@@ -1058,11 +1062,11 @@ def _traced_peak_ratio(build):
 def test_set_up_allocates_little_beyond_what_it_keeps():
     """Built by general sorts (``np.unique`` over rows or int64 keys, a
     lexsort) and (E, 2, 2) gathers, the level-4 mesh peaked at 2.6 times the
-    bytes it keeps and its "tpfa" pattern at 6.1 times; sort-free, they peak
-    at about 1.5 and 2.5 times."""
-    from entrofv.schemes import _build_pattern
+    bytes it keeps and its two-point pattern at 6.1 times; sort-free, they
+    peak at about 1.5 and 2.5 times."""
+    from entrofv.schemes import _pattern
     mesh, mesh_ratio = _traced_peak_ratio(lambda: reference_mesh(4, BoundarySpec.all_dirichlet()))
-    _, pattern_ratio = _traced_peak_ratio(lambda: _build_pattern(mesh, (("tpfa", 0, 0),)))
+    _, pattern_ratio = _traced_peak_ratio(lambda: _pattern(mesh))
     assert mesh_ratio < 2.0
     assert pattern_ratio < 4.0
 

@@ -663,7 +663,9 @@ def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
     ``REUSE_CONTRACTION`` = 0.01, which at 0.1 took 687 iterations, 9
     factorizations and 930 assemblies (counted as the benchmark counts them).
     The initial guess and the initial potential share the Poisson factors:
-    factoring it for each made 15 factorizations."""
+    factoring it for each made 15 factorizations.  The initial guess's two
+    density operators, both equal to the Laplacian, share one factorization:
+    factoring each made 14."""
     counts = _count_solver_work(monkeypatch)
     counts["assemblies"] = 0
 
@@ -678,7 +680,7 @@ def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
     result = run_transient(*presets.build_problem(RunConfig(preset="dd-bias")))
     assert result.abort_reason is None and len(result.trace) == 236
     assert counts["iterations"] <= 500
-    assert counts["factorizations"] <= 14
+    assert counts["factorizations"] <= 13
     assert counts["largest_factor"] <= 114_162
     assert counts["assemblies"] <= 750
 
