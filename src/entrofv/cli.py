@@ -1,6 +1,6 @@
 """Command line surface: preset runs, convergence studies, mesh utilities.
 
-Exit codes: 0 success, 1 solver failure, 2 usage error.
+Exit codes: 0 success, 1 solver failure, 2 usage error or an unusable path.
 """
 
 from __future__ import annotations
@@ -60,6 +60,14 @@ def parse_config_text(text: str) -> dict:
     return merged
 
 
+def _read(path: str, what: str) -> str:
+    """The text of a config or mesh file; one that cannot be read is a usage error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"cannot read {what} {path!r}: {err}") from None
+
+
 def _config_from_target(target: str, args) -> RunConfig:
     values: dict = {}
     if target in presets():
@@ -69,7 +77,7 @@ def _config_from_target(target: str, args) -> RunConfig:
         if not path.exists():
             raise UsageError(f"{target!r} is neither a preset name nor a config file; "
                              f"presets: {sorted(presets())}")
-        values.update(parse_config_text(path.read_text()))
+        values.update(parse_config_text(_read(target, "config file")))
         if "preset" not in values:
             raise UsageError(f"config file {target} does not select a preset")
     for key in _CONFIG_KEYS:  # an unset flag is None, or False for a switch
@@ -98,11 +106,7 @@ def _mesh_source(args):
             raise UsageError("--level must be non-negative")
         return reference_mesh(args.level, BOUNDARY_NAMES[args.boundary])
     if getattr(args, "file", None) is not None:
-        try:
-            text = Path(args.file).read_text()
-        except (OSError, UnicodeDecodeError) as err:
-            raise UsageError(f"cannot read mesh file {args.file!r}: {err}") from None
-        return load_mesh(text)
+        return load_mesh(_read(args.file, "mesh file"))
     raise UsageError("gen needs --level; check needs --level or a mesh file")
 
 
@@ -182,7 +186,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
 
-    except UsageError as err:
+    except (UsageError, OSError) as err:  # an OSError comes from an output path
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MeshError as err:

@@ -235,7 +235,7 @@ REFINE_CHANGE = 1e-3
 class FactorStore:
     """The latest matrix factored, ``jac``, and its factors ``lu``, both None
     or both set; every solve goes through :meth:`solve`.
-    One caller owns it: a transient run, a Newton call or a mesh's fixed operator."""
+    One caller owns it: a transient run, a Newton call or a mesh's fixed operators."""
 
     jac: Optional[sp.spmatrix] = None
     lu: Union[spla.SuperLU, PermutedLU, None] = None
@@ -247,11 +247,14 @@ class FactorStore:
         """The checked solve of ``a x = b``, ``a`` CSC or CSR: refinement on the held factors,
         whose first sweep on ``a``'s own (``a is jac``) is a direct solve.  ``a`` is factored
         into the store when nothing is held, when it moved too far from the held matrix or
-        when refinement on another's factors stalls.  A stall on its own factors raises
-        :class:`LinAlgError` naming lost accuracy, :class:`SingularMatrixError` if not finite."""
+        when refinement on another's factors stalls.  A ``b`` that is not finite raises
+        :class:`LinAlgError`, as does a stall on ``a``'s own factors, naming lost accuracy;
+        a sweep that is not finite there raises :class:`SingularMatrixError`."""
         b = np.asarray(b, dtype=float)
         if b.shape != (a.shape[0],):
             raise LinAlgError(f"rhs shape {b.shape} does not match matrix size {a.shape[0]}")
+        if not np.all(np.isfinite(b)):
+            raise LinAlgError("rhs is not finite")
         held = self.jac
         if held is None or a is not held and a.indices is held.indices and a.indptr is held.indptr \
                 and np.any(np.abs(a.data - held.data) > REFINE_CHANGE * np.abs(held.data)):
@@ -305,6 +308,8 @@ def newton_solve(system: Callable[..., tuple[np.ndarray, Optional[sp.spmatrix]]]
     norm = np.max(np.abs(r)) if r.size else 0.0
     if norm <= NEWTON_TOL:
         return x, 0
+    if not norm < np.inf:  # NaN too: no solve
+        return NonConvergence(iterations=0, residual_norm=np.inf, reason="non-finite residual")
     for it in range(1, NEWTON_MAX_ITER + 1):
         if jac is None and store.lu is None:
             r, jac = system(x, jacobian=True)

@@ -484,9 +484,8 @@ def assemble_pme_residual(mesh: Mesh, f_prev: np.ndarray, f: np.ndarray,
     with np.errstate(over="ignore"):  # an overflow of f^m is step_pme's failure reason
         power = np.abs(f) ** (m - 1.0)
         residual = mesh.cell_area * (f - f_prev) / dt + lap @ (f * power) - boundary
-        values = lap.data * (m * power)[columns]
-    values[lap.pattern.diagonal] += mesh.cell_area / dt
-    return residual, with_data(lap, values)
+        scaled = with_data(lap, lap.data * (m * power)[columns])
+    return residual, add_diagonal(scaled, mesh.cell_area / dt)
 
 
 @dataclass(frozen=True)
@@ -573,5 +572,5 @@ def assemble_dd_residual(mesh: Mesh, dd: DdData, scheme: BScheme,
         _tpfa_values(mesh, -dflux_n, -dflux_n), _tpfa_values(mesh, -dflux_p, -dflux_p),
         _tpfa_values(mesh, t2, t2), area, -area]))
     if not steady:  # the time terms shift the N and P diagonals
-        jac.data[jac.pattern.diagonal[:2 * n]] += np.tile(area / dt, 2)
+        jac = add_diagonal(jac, np.concatenate([area / dt, area / dt, 0 * area]))
     return residual, jac

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -16,7 +17,7 @@ from .mesh import Mesh
 from .schemes import (SCHARFETTER_GUMMEL, BScheme, DataError, DdData,
                       TransportData, add_diagonal, assemble_dd_residual,
                       assemble_fp_operator, assemble_pme_residual, assemble_poisson,
-                      dirichlet_sums, laplacian, pme_boundary_term, poisson_dirichlet_rhs,
+                      laplacian, pme_boundary_term, poisson_dirichlet_rhs,
                       signed_power, transport_data)
 
 
@@ -73,6 +74,11 @@ def solve_fp_steady(operator: sp.csc_matrix, boundary: np.ndarray) -> np.ndarray
 # nonlinear diffusion
 
 
+def _laplacian_factors(mesh: Mesh) -> FactorStore:
+    """The factors of every fixed operator on the mesh: each is its Laplacian up to a scalar."""
+    return mesh.derived("laplacian_factors", lambda _: FactorStore())
+
+
 def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float) -> np.ndarray:
     """Steady state: harmonic in f**m with the Dirichlet data, which H1 (a
     Dirichlet boundary of positive measure) makes unique."""
@@ -80,13 +86,10 @@ def solve_pme_steady(mesh: Mesh, f_dirichlet: np.ndarray, m: float) -> np.ndarra
         raise DataError("exponent must exceed 1")
     if not np.any(mesh.dirichlet):
         raise DataError("H1: the porous-medium steady state needs a Dirichlet edge")
-    u_dir = signed_power(np.asarray(f_dirichlet, dtype=float), m)
-    boundary = u_dir[mesh.dirichlet]
-    if not np.all((boundary > 0) & np.isfinite(boundary)):
+    u_dir = signed_power(np.asarray(f_dirichlet, dtype=float)[mesh.dirichlet], m)
+    if not np.all((u_dir > 0) & np.isfinite(u_dir)):
         raise DataError("Dirichlet values must be positive on every Dirichlet edge")
-    # on the factors of the mesh's Laplacian, which the points of a sweep share
-    u = mesh.derived("laplacian_factors", lambda _: FactorStore()).solve(
-        laplacian(mesh), dirichlet_sums(mesh, mesh.tau, u_dir))
+    u = _laplacian_factors(mesh).solve(laplacian(mesh), pme_boundary_term(mesh, f_dirichlet, m))
     if np.any(u <= 0):
         raise SolverError("steady state lost positivity")
     return u ** (1.0 / m)
@@ -190,11 +193,10 @@ def _dd_initial_guess(mesh: Mesh, dd: DdData) -> DdState:
     ones = np.ones(mesh.n_edges)
     zeros = np.zeros(mesh.n_edges)
     fields = []
-    store = FactorStore()  # both operators equal the Laplacian: P solves on N's factors
-    for dirichlet in (dd.n_dirichlet, dd.p_dirichlet):
+    for dirichlet in (dd.n_dirichlet, dd.p_dirichlet):  # both operators equal the Laplacian
         data = transport_data(mesh, ones, zeros, dirichlet)
-        m_op, b = assemble_fp_operator(mesh, data, SCHARFETTER_GUMMEL)
-        fields.append(store.solve(m_op, b))
+        fields.append(_laplacian_factors(mesh).solve(
+            *assemble_fp_operator(mesh, data, SCHARFETTER_GUMMEL)))
     n0, p0 = fields
     v0 = solve_dd_poisson(mesh, dd, n0, p0)
     return DdState(n=n0, p=p0, v=v0)
@@ -202,11 +204,11 @@ def _dd_initial_guess(mesh: Mesh, dd: DdData) -> DdState:
 
 def solve_dd_poisson(mesh: Mesh, dd: DdData, n_field: np.ndarray,
                      p_field: np.ndarray) -> np.ndarray:
-    """Potential solving the linear Poisson equation for given densities."""
-    a_mat = assemble_poisson(mesh, dd.debye)
+    """Potential solving the linear Poisson equation for given densities, as
+    ``laplacian(mesh) v = b / lambda**2`` on the Laplacian's factors."""
     b = poisson_dirichlet_rhs(mesh, dd.debye, dd.v_dirichlet) \
         + mesh.cell_area * (p_field - n_field + dd.doping)
-    return mesh.derived(("poisson_factors", dd.debye), lambda _: FactorStore()).solve(a_mat, b)
+    return _laplacian_factors(mesh).solve(laplacian(mesh), b / dd.debye ** 2)
 
 
 def solve_dd_steady(mesh: Mesh, dd: DdData, scheme: BScheme,
@@ -253,16 +255,13 @@ class FpProblem:
         operator, boundary = assemble_fp_operator(self.mesh, self.data, scheme,
                                                   force=self.force_peclet)
         steady = solve_fp_steady(operator, boundary)
-        # the stepping matrix of the latest dt, on the operator's pattern:
-        # factored into the store at its first step, then solved directly
-        store, area, held = FactorStore(), self.mesh.cell_area, {}
+        # the stepping matrix of the latest dt, on the operator's pattern: a new
+        # dt moves its diagonal, and the store's REFINE_CHANGE gate refactors
+        store, area = FactorStore(), self.mesh.cell_area
+        matrix = lru_cache(maxsize=1)(lambda dt: add_diagonal(operator, area / dt))
 
         def step(f, dt):
-            if dt not in held:
-                store.drop()
-                held.clear()
-                held[dt] = add_diagonal(operator, area / dt)
-            return store.solve(held[dt], area * f / dt + boundary)
+            return store.solve(matrix(dt), area * f / dt + boundary)
 
         return (steady, np.asarray(self.f0, dtype=float), step,
                 ent.FpDiagnostics(self.mesh, self.data, scheme, steady))
@@ -358,27 +357,18 @@ def adaptive_time_loop(state, cfg: StepperConfig, try_step: Callable,
     return state, t, None
 
 
-def run_transient(problem, scheme: BScheme, cfg: StepperConfig,
-                  diagnostics: Optional[dict[str, Callable]] = None) -> TransientResult:
+def run_transient(problem, scheme: BScheme, cfg: StepperConfig) -> TransientResult:
     """Integrate a problem to the final time, recording entropies relative to
     the steady state computed up front.  The run also stops once the primary
-    entropy falls below ``cfg.entropy_floor`` times its initial value.
-    ``diagnostics`` adds trace columns, each a function of the state."""
+    entropy falls below ``cfg.entropy_floor`` times its initial value."""
     steady, state0, step, diagnose = problem.start(scheme)
-    extras = diagnostics or {}
-
-    def observe(t, dt, state):
-        rec = {"t": t, "dt": dt, **diagnose(state)}
-        rec.update((name, fn(state)) for name, fn in extras.items())
-        return rec
-
-    first = observe(0.0, 0.0, state0)
+    first = {"t": 0.0, "dt": 0.0, **diagnose(state0)}
     trace = EntropyTrace(first)
     trace.append(first)
     floor = cfg.entropy_floor * max(first[problem.primary], 1e-300)
 
     def record(t, dt, state):
-        rec = observe(t, dt, state)
+        rec = {"t": t, "dt": dt, **diagnose(state)}
         trace.append(rec)
         return rec
 

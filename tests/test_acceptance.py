@@ -64,6 +64,27 @@ def _fp_extras(problem, schemes_needed):
     return extras_for
 
 
+@dataclass(frozen=True)
+class _WithColumns:
+    """A problem whose trace records end with ``columns``, each a function of
+    the state, in their order."""
+
+    problem: object
+    columns: dict
+
+    @property
+    def primary(self):
+        return self.problem.primary
+
+    def start(self, scheme):
+        steady, state0, step, diagnose = self.problem.start(scheme)
+
+        def record(state):
+            return {**diagnose(state), **{name: fn(state) for name, fn in self.columns.items()}}
+
+        return steady, state0, step, record
+
+
 def _run_fp_family(problem, t_final, dt, entropy_floor, extra_builder=None):
     runs = {}
     start = time.monotonic()
@@ -71,8 +92,7 @@ def _run_fp_family(problem, t_final, dt, entropy_floor, extra_builder=None):
         else extra_builder(problem)
     for name, scheme in SCHEMES.items():
         cfg = StepperConfig.fixed(dt, t_final, entropy_floor=entropy_floor)
-        runs[name] = run_transient(problem, scheme, cfg,
-                                   diagnostics=extras_for[name])
+        runs[name] = run_transient(_WithColumns(problem, extras_for[name]), scheme, cfg)
     return TimedRuns(runs=runs, elapsed=time.monotonic() - start)
 
 

@@ -496,6 +496,25 @@ def test_solve_linear_rejects_a_mismatched_rhs():
         solve_linear(sp.identity(3, format="csc"), np.ones(2))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_is_its_own_failure(monkeypatch, value):
+    """A right-hand side that is not finite is refused before any factorization,
+    not reported as a singular matrix."""
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(LinAlgError, match="rhs is not finite") as err:
+        solve_linear(sp.csc_matrix([[2.0]]), np.array([value]))
+    assert not isinstance(err.value, SingularMatrixError) and calls == []
+
+
+def test_newton_non_finite_start_residual_solves_nothing(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    jac = sp.identity(2, format="csc")
+    result = newton_solve(lambda x, jacobian=True: (np.array([np.nan, 1.0]), jac), np.zeros(2))
+    assert result == NonConvergence(iterations=0, residual_norm=np.inf,
+                                    reason="non-finite residual")
+    assert calls == []
+
+
 def test_newton_reason_names_lost_accuracy(monkeypatch):
     factor = linalg.factorize
     monkeypatch.setattr(linalg, "factorize", lambda a: _HalfLU(factor(a)))

@@ -553,6 +553,30 @@ def test_cli_empty_out_is_usage_error(tmp_path, monkeypatch, capsys, out, form):
     assert (tmp_path / "trace.csv").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "fp-toy", "--out", "FILE"], "FILE"),
+    (["run", "pme-sweep", "--out", "FILE/x"], "FILE"),
+    (["run", "DIR"], "DIR"),
+    (["run", "BINARY"], "BINARY"),
+    (["convergence", "fp-toy", "--levels", "0..1", "--out", "FILE/x.csv"], "FILE"),
+    (["mesh", "gen", "--level", "0", "--out", "FILE/m.txt"], "FILE"),
+], ids=["run-out-file", "sweep-out-under-file", "run-dir", "run-binary", "convergence-out",
+        "mesh-gen-out"])
+def test_cli_unusable_path_is_usage_error(tmp_path, monkeypatch, capsys, argv, named):
+    """A path that cannot be read or written exits 2 with one error line that
+    names it, not a traceback, and writes or deletes nothing."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FILE").write_text("kept\n")
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "BINARY").write_bytes(bytes(range(128, 256)))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"'{named}" in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "FILE").read_text() == "kept\n"
+
+
 def test_cli_entry_point_runs():
     # the child imports the package from where this process found it
     src = str(Path(entrofv.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from entrofv import linalg, presets, solvers
 from entrofv.entropy import lp_distance
@@ -13,8 +14,9 @@ from entrofv.presets import (RunConfig, fill_problem, hetero_problem, pn_problem
                              run, sweep_problem, toy_problem)
 from entrofv.schemes import (SCHEMES, SCHARFETTER_GUMMEL, UPWIND, DataError, DdData,
                              advection_from_potential, assemble_dd_residual,
-                             assemble_fp_operator, assemble_pme_residual, edge_differences,
-                             pme_boundary_term, signed_power, transport_data)
+                             assemble_fp_operator, assemble_pme_residual, assemble_poisson,
+                             edge_differences, pme_boundary_term, poisson_dirichlet_rhs,
+                             signed_power, transport_data)
 from entrofv.solvers import (DdState, FpProblem, SolverError, StepperConfig,
                              adaptive_time_loop, dd_equilibrium_offsets, run_transient,
                              solve_dd_poisson, solve_dd_steady,
@@ -124,21 +126,31 @@ def test_fp_stepper_holds_one_factorization(monkeypatch):
         def __init__(self, lu):
             self.solve = lu.solve
 
-    live = weakref.WeakSet()
+    live, made = weakref.WeakSet(), []
 
     def tracking(a):
         lu = Tracked(factorize(a))
         live.add(lu)
+        made.append(lu)
         return lu
 
     prob = toy_problem(0)
+    dts = (1e-2, 1e-2, 5e-3, 5e-3, 1e-2)
+    fresh = prob.f0
+    for dt in dts:  # every step on its own factors
+        fresh = _fp_step(prob.mesh, prob.data, UPWIND)(fresh, dt)
     step = _fp_step(prob.mesh, prob.data, UPWIND)
     monkeypatch.setattr(linalg, "factorize", tracking)
     f = prob.f0
-    for dt in (1e-2, 1e-2, 5e-3, 5e-3, 1e-2):
+    for dt in dts:
         f = step(f, dt)
+    # each change of dt moves the diagonal past REFINE_CHANGE: the store
+    # refactors, and its new factors replace those of the last dt
+    assert len(made) == 3
+    del made[:]
     gc.collect()
-    assert len(live) == 1  # each change of dt drops the factors of the last one
+    assert len(live) == 1
+    np.testing.assert_array_equal(f, fresh)
 
 
 def test_step_fp_first_order_in_time():
@@ -559,16 +571,22 @@ def _pn_start(prob):
     return DdState(n=prob.n0, p=prob.p0, v=v0)
 
 
-def test_dd_poisson_solves_share_factors_per_debye_length(monkeypatch):
-    """Linear Poisson solves on one mesh and Debye length, as a biased run's
-    initial guess and initial potential make, factor the matrix once."""
+def test_dd_poisson_solves_share_the_laplacian_factors(monkeypatch):
+    """The Poisson matrix is lambda**2 times the mesh's Laplacian, so the linear
+    Poisson solves of a biased run's initial guess and initial potential, at
+    any Debye length, solve on the Laplacian's one factorization, each as
+    accurate as a direct solve with the Poisson matrix."""
     prob = pn_problem(0, bias=1.0)
+    mesh = prob.mesh
+    cases = [prob.dd, prob.dd, replace(prob.dd, debye=0.5)]
+    direct = [spla.spsolve(assemble_poisson(mesh, dd.debye),
+                           poisson_dirichlet_rhs(mesh, dd.debye, dd.v_dirichlet)
+                           + mesh.cell_area * (prob.p0 - prob.n0 + dd.doping)) for dd in cases]
     counts = _count_solver_work(monkeypatch)
-    first, second = (solve_dd_poisson(prob.mesh, prob.dd, prob.n0, prob.p0) for _ in range(2))
-    assert counts["factorizations"] == 1
-    np.testing.assert_array_equal(first, second)
-    solve_dd_poisson(prob.mesh, replace(prob.dd, debye=0.5), prob.n0, prob.p0)
-    assert counts["factorizations"] == 2 and counts["solves"] == 3
+    for dd, expected in zip(cases, direct):
+        v = solve_dd_poisson(mesh, dd, prob.n0, prob.p0)
+        assert np.max(np.abs(v - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert counts["factorizations"] == 1 and counts["solves"] == 3
 
 
 def test_dd_stale_factors_still_converge(monkeypatch):
@@ -662,10 +680,10 @@ def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
     refactors once a reused-factor iterate contracts by less than
     ``REUSE_CONTRACTION`` = 0.01, which at 0.1 took 687 iterations, 9
     factorizations and 930 assemblies (counted as the benchmark counts them).
-    The initial guess and the initial potential share the Poisson factors:
-    factoring it for each made 15 factorizations.  The initial guess's two
-    density operators, both equal to the Laplacian, share one factorization:
-    factoring each made 14."""
+    The initial guess's two density operators and its Poisson matrix, and the
+    initial potential's, all solve on the Laplacian's one factorization, the
+    mesh's only store: factoring for each of these four solves made 15,
+    sharing only the Poisson factors 14, and the density factors too 13."""
     counts = _count_solver_work(monkeypatch)
     counts["assemblies"] = 0
 
@@ -677,10 +695,13 @@ def test_dd_bias_run_stays_within_its_newton_budget(monkeypatch):
 
     for name in ("assemble_fp_operator", "assemble_dd_residual", "assemble_poisson"):
         monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
-    result = run_transient(*presets.build_problem(RunConfig(preset="dd-bias")))
+    problem, scheme, stepper = presets.build_problem(RunConfig(preset="dd-bias"))
+    result = run_transient(problem, scheme, stepper)
     assert result.abort_reason is None and len(result.trace) == 236
+    assert [key for key, value in problem.mesh._derived.items()
+            if isinstance(value, FactorStore)] == ["laplacian_factors"]
     assert counts["iterations"] <= 500
-    assert counts["factorizations"] <= 13
+    assert counts["factorizations"] <= 12
     assert counts["largest_factor"] <= 114_162
     assert counts["assemblies"] <= 750
 
